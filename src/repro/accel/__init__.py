@@ -1,107 +1,12 @@
-"""Pluggable kernel backend registry for the hot validation/analysis passes.
+"""Array kernels for the hot validation and analysis passes.
 
-Mirrors the import-time fallback pattern of :mod:`repro.grid.table`:
-the ``numpy`` backend is selected automatically when numpy imports,
-with a ``pure`` python mirror always available. The choice can be
-forced via the ``REPRO_ACCEL_BACKEND`` environment variable:
-
-``REPRO_ACCEL_BACKEND=pure``
-    Force the pure-python kernels everywhere (also disables the fast
-    engine's numpy batch path so every layer measures the same code).
-``REPRO_ACCEL_BACKEND=numpy``
-    Require numpy; raises at import if it is not installed.
-
-Both backends expose the same kernel functions over
-:class:`repro.grid.table.WireTable` arrays (see :mod:`repro.accel.pure`
-for the reference semantics). Kernels are *conservative*: "clean"
-verdicts are only returned when the scalar check provably accepts, so
-callers fall back to the original scalar sweep — and its byte-identical
-error message — whenever a kernel reports suspicion.
+The kernels live in :mod:`repro.accel.vector` and run on numpy arrays:
+validator clean-tests over :class:`repro.grid.table.WireTable` columns,
+per-wire extents for dirty-region tracking, and the exact-cutwidth DP.
+Validator kernels are *conservative*: a "clean" verdict is only
+returned when the scalar check provably accepts, so callers fall back
+to the original scalar sweep -- and its byte-identical error message --
+whenever a kernel reports suspicion.
 """
 
-from __future__ import annotations
-
-import os
-
-from repro.accel._common import BASE_BITS, INF, bit_adjacency, edge_weights
-
-__all__ = [
-    "BASE_BITS",
-    "INF",
-    "HAVE_NUMPY",
-    "BACKENDS",
-    "active_backend",
-    "backend_info",
-    "bit_adjacency",
-    "edge_weights",
-    "get_backend",
-]
-
-try:  # pragma: no cover - exercised via the numpy-less venv CI leg
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
-_NUMPY_IMPORTABLE = _np is not None
-
-_ENV = os.environ.get("REPRO_ACCEL_BACKEND", "").strip().lower()
-if _ENV and _ENV not in ("pure", "numpy"):
-    raise ValueError(
-        f"REPRO_ACCEL_BACKEND={_ENV!r}: expected 'pure' or 'numpy'"
-    )
-if _ENV == "numpy" and _np is None:
-    raise ImportError("REPRO_ACCEL_BACKEND=numpy but numpy is not installed")
-if _ENV == "pure":
-    _np = None
-
-HAVE_NUMPY = _np is not None
-
-from repro.accel import pure as _pure  # noqa: E402
-
-if HAVE_NUMPY:
-    from repro.accel import vector as _vector  # noqa: E402
-
-    BACKENDS = ("pure", "numpy")
-    _ACTIVE = "numpy"
-else:
-    _vector = None
-    BACKENDS = ("pure",)
-    _ACTIVE = "pure"
-
-
-def active_backend() -> str:
-    """Name of the backend kernels dispatch to by default."""
-    return _ACTIVE
-
-
-def get_backend(name: str | None = None):
-    """Return the kernel module for *name* (default: the active backend)."""
-    if name is None:
-        name = _ACTIVE
-    if name == "pure":
-        return _pure
-    if name == "numpy":
-        if _vector is None:
-            raise ValueError(
-                "numpy accel backend unavailable "
-                "(numpy missing or REPRO_ACCEL_BACKEND=pure)"
-            )
-        return _vector
-    raise ValueError(f"unknown accel backend {name!r}")
-
-
-def backend_info() -> dict:
-    """Which implementation each accelerated layer is actually running.
-
-    Imports the consumer modules lazily so this stays cycle-free.
-    """
-    from repro.grid import table as _table
-    from repro.routing import engine as _engine
-
-    return {
-        "accel": _ACTIVE,
-        "accel_env": _ENV or None,
-        "numpy_importable": _NUMPY_IMPORTABLE,
-        "table": "numpy" if _table.HAVE_NUMPY else "fallback",
-        "engine": "numpy" if _engine.HAVE_NUMPY else "python",
-    }
+from repro.accel.vector import *  # noqa: F401,F403  (re-exports __all__)

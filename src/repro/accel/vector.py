@@ -1,11 +1,24 @@
-"""Numpy implementations of the accel kernels.
+"""Numpy kernels for the validator, the cutwidth DP and dirty tracking.
 
-Each kernel reproduces :mod:`repro.accel.pure` exactly -- same clean
-verdicts, same returned values -- over :class:`repro.grid.table.WireTable`
-arrays; the parity suite compares the two backends over the zoo and
-fuzz-corpus layouts, corrupted clones included.  See the pure module's
-docstring for the verdict semantics (conservative suspicion, scalar
-fallback).
+Validator kernels operate on :class:`repro.grid.table.WireTable` arrays
+and return *clean verdicts*, not error messages: ``True`` means the
+corresponding scalar check in :mod:`repro.grid.validate` provably
+accepts; ``False`` means "suspicious" and the caller re-runs the scalar
+check, which either raises its usual byte-identical :class:`LayoutError`
+or accepts after all.  A kernel must never return ``True`` when the
+scalar check would raise.
+
+* ``edge_sweep`` / ``self_consistency_clean`` / ``layer_budget_clean``
+  / ``parity_clean`` / ``via_clean`` / ``pins_clean`` are exact: their
+  verdict matches the scalar check precisely.
+* ``bend_clean`` is wire-blind: overlapping layer intervals claimed at
+  one point by the *same* wire (legal) also report suspicion.
+* ``node_overlap_clean`` compares rects within a (layer, y-extent)
+  band exactly and flags any two bands whose y-extents meet on a
+  shared layer as suspicious.
+* ``node_sweep_clean`` assumes node squares are interior-disjoint per
+  layer (the scalar node-overlap check runs first); under that
+  assumption it is exact.
 
 The sweep kernels share one trick: a *segmented running maximum*.
 After sorting rows so one group (grid line, planar point, ...) is
@@ -24,8 +37,6 @@ from bisect import bisect_right
 
 import numpy as np
 
-from repro.accel._common import INF, edge_weights
-
 __all__ = [
     "edge_sweep",
     "self_consistency_clean",
@@ -39,13 +50,19 @@ __all__ = [
     "wire_extents",
     "cut_profile",
     "cutwidth_dp",
-    "classify_bucket",
 ]
 
+INF = 1 << 60
 
-def _a(arr):
-    """The table array as an ndarray (no copy on the numpy path)."""
-    return np.asarray(arr)
+
+def _edge_weights(network) -> dict[tuple[int, int], int]:
+    """Multigraph support: parallel edges each count toward the cut."""
+    index = network.index
+    weights: dict[tuple[int, int], int] = {}
+    for u, v in network.edges:
+        iu, iv = sorted((index[u], index[v]))
+        weights[(iu, iv)] = weights.get((iu, iv), 0) + 1
+    return weights
 
 
 def _prev_group_max(values, new_group):
@@ -81,9 +98,9 @@ def edge_sweep(table) -> tuple[int, bool]:
     S = table.num_segments
     if S == 0:
         return 0, True
-    x1, y1 = _a(table.seg_x1), _a(table.seg_y1)
-    x2, y2 = _a(table.seg_x2), _a(table.seg_y2)
-    lay = _a(table.seg_layer)
+    x1, y1 = table.seg_x1, table.seg_y1
+    x2, y2 = table.seg_x2, table.seg_y2
+    lay = table.seg_layer
     horiz = y1 == y2
     coord = np.where(horiz, y1, x1)
     lo = np.where(horiz, x1, y1)
@@ -104,13 +121,14 @@ def edge_sweep(table) -> tuple[int, bool]:
 
 
 def self_consistency_clean(table) -> bool:
+    """No consecutive same-layer, same-orientation segments (exact)."""
     S = table.num_segments
     if S < 2:
         return True
-    counts = np.diff(_a(table.wire_seg_start))
+    counts = np.diff(table.wire_seg_start)
     rep = np.repeat(np.arange(table.num_wires), counts)
-    lay = _a(table.seg_layer)
-    horiz = _a(table.seg_y1) == _a(table.seg_y2)
+    lay = table.seg_layer
+    horiz = table.seg_y1 == table.seg_y2
     bad = (
         (rep[1:] == rep[:-1])
         & (lay[1:] == lay[:-1])
@@ -120,58 +138,64 @@ def self_consistency_clean(table) -> bool:
 
 
 def layer_budget_clean(table, layers: int) -> bool:
+    """Every segment layer and riser z-span inside ``1..layers`` (exact)."""
     if table.num_segments:
-        lay = _a(table.seg_layer)
+        lay = table.seg_layer
         if int(lay.min()) < 1 or int(lay.max()) > layers:
             return False
-    riser = _a(table.wire_is_riser).astype(bool)
+    riser = table.wire_is_riser.astype(bool)
     if riser.any():
-        zi = _a(table.wire_zrun_start)[:-1][riser]
-        if int(_a(table.zrun_lo)[zi].min()) < 1:
+        zi = table.wire_zrun_start[:-1][riser]
+        if int(table.zrun_lo[zi].min()) < 1:
             return False
-        if int(_a(table.zrun_hi)[zi].max()) > layers:
+        if int(table.zrun_hi[zi].max()) > layers:
             return False
     return True
 
 
 def parity_clean(table) -> bool:
+    """Scheme convention: horizontal odd layers, vertical even (exact)."""
     if table.num_segments == 0:
         return True
-    horiz = _a(table.seg_y1) == _a(table.seg_y2)
-    odd = _a(table.seg_layer) % 2 == 1
+    horiz = table.seg_y1 == table.seg_y2
+    odd = table.seg_layer % 2 == 1
     return bool((horiz == odd).all())
 
 
 def bend_clean(table) -> bool:
-    """Wire-blind bend/via exclusivity (conservative, see pure)."""
+    """No two bend/via layer intervals overlap at one planar point.
+
+    Wire-blind (conservative): same-wire interval overlaps at a point
+    -- which the scalar check permits -- also report suspicion.
+    """
     px_parts = []
     py_parts = []
     lo_parts = []
     hi_parts = []
     S = table.num_segments
     if S >= 2:
-        counts = np.diff(_a(table.wire_seg_start))
+        counts = np.diff(table.wire_seg_start)
         rep = np.repeat(np.arange(table.num_wires), counts)
         idx = np.flatnonzero(rep[:-1] == rep[1:])
         if idx.size:
-            rev = _a(table.seg_rev)[idx].astype(bool)
+            rev = table.seg_rev[idx].astype(bool)
             px_parts.append(
-                np.where(rev, _a(table.seg_x1)[idx], _a(table.seg_x2)[idx])
+                np.where(rev, table.seg_x1[idx], table.seg_x2[idx])
             )
             py_parts.append(
-                np.where(rev, _a(table.seg_y1)[idx], _a(table.seg_y2)[idx])
+                np.where(rev, table.seg_y1[idx], table.seg_y2[idx])
             )
-            la = _a(table.seg_layer)[idx]
-            lb = _a(table.seg_layer)[idx + 1]
+            la = table.seg_layer[idx]
+            lb = table.seg_layer[idx + 1]
             lo_parts.append(np.minimum(la, lb))
             hi_parts.append(np.maximum(la, lb))
-    riser = _a(table.wire_is_riser).astype(bool)
+    riser = table.wire_is_riser.astype(bool)
     if riser.any():
-        zi = _a(table.wire_zrun_start)[:-1][riser]
-        px_parts.append(_a(table.zrun_x)[zi])
-        py_parts.append(_a(table.zrun_y)[zi])
-        lo_parts.append(_a(table.zrun_lo)[zi])
-        hi_parts.append(_a(table.zrun_hi)[zi])
+        zi = table.wire_zrun_start[:-1][riser]
+        px_parts.append(table.zrun_x[zi])
+        py_parts.append(table.zrun_y[zi])
+        lo_parts.append(table.zrun_lo[zi])
+        hi_parts.append(table.zrun_hi[zi])
     if not px_parts:
         return True
     px = np.concatenate(px_parts)
@@ -195,39 +219,40 @@ def bend_clean(table) -> bool:
 
 
 def via_clean(table) -> bool:
-    """Wire-aware via-piercing check (exact, mirrors pure.via_clean).
+    """No segment pierces another wire's via interior (exact).
 
-    The common case -- no z-run spanning an interior layer -- exits
+    Wire-aware like the scalar check: a wire's own segments may cover
+    its via interiors.  The common case -- no z-run spanning an interior layer -- exits
     after one vectorized scan; otherwise the few interior-layer
     segments are indexed and probed exactly like the scalar check.
     """
     Z = table.num_zruns
     if Z == 0:
         return True
-    zlo, zhi = _a(table.zrun_lo), _a(table.zrun_hi)
+    zlo, zhi = table.zrun_lo, table.zrun_hi
     big = (zhi - zlo) >= 2
     if not bool(big.any()):
         return True
-    zcounts = np.diff(_a(table.wire_zrun_start))
+    zcounts = np.diff(table.wire_zrun_start)
     zwire = np.repeat(np.arange(table.num_wires), zcounts)
     bz = np.flatnonzero(big)
     runs = list(zip(
-        zwire[bz].tolist(), _a(table.zrun_x)[bz].tolist(),
-        _a(table.zrun_y)[bz].tolist(), zlo[bz].tolist(), zhi[bz].tolist(),
+        zwire[bz].tolist(), table.zrun_x[bz].tolist(),
+        table.zrun_y[bz].tolist(), zlo[bz].tolist(), zhi[bz].tolist(),
     ))
     interior: set[int] = set()
     for _, _, _, lo, hi in runs:
         interior.update(range(lo + 1, hi))
 
-    lay = _a(table.seg_layer)
+    lay = table.seg_layer
     smask = np.isin(lay, np.fromiter(interior, dtype=np.int64))
     lines: dict[tuple, list[tuple[int, int, int]]] = {}
     if bool(smask.any()):
         si = np.flatnonzero(smask)
-        counts = np.diff(_a(table.wire_seg_start))
+        counts = np.diff(table.wire_seg_start)
         srep = np.repeat(np.arange(table.num_wires), counts)
-        x1, y1 = _a(table.seg_x1)[si], _a(table.seg_y1)[si]
-        x2, y2 = _a(table.seg_x2)[si], _a(table.seg_y2)[si]
+        x1, y1 = table.seg_x1[si], table.seg_y1[si]
+        x2, y2 = table.seg_x2[si], table.seg_y2[si]
         sl = lay[si]
         sw = srep[si]
         horiz = y1 == y2
@@ -277,18 +302,18 @@ def via_clean(table) -> bool:
 
 
 def node_overlap_clean(table) -> bool:
-    """Positive-area node rects are interior-disjoint (see pure).
+    """Positive-area node rects are interior-disjoint (banded accept).
 
-    One lexsort puts each (layer, y-extent) band's rects in ascending
+    Zero-extent rects have no interior and are exempt.  One lexsort puts each (layer, y-extent) band's rects in ascending
     ``x0``; an adjacent-row compare then decides within-band overlap
     exactly, and the segmented running max flags any pair of bands
     whose y-extents meet on a shared layer as suspicious.
     """
     if len(table.node_x0) == 0:
         return True
-    nx0, ny0 = _a(table.node_x0), _a(table.node_y0)
-    nx1, ny1 = _a(table.node_x1), _a(table.node_y1)
-    nlay = _a(table.node_layer)
+    nx0, ny0 = table.node_x0, table.node_y0
+    nx1, ny1 = table.node_x1, table.node_y1
+    nlay = table.node_layer
     pos = (nx1 > nx0) & (ny1 > ny0)
     if not bool(pos.any()):
         return True
@@ -314,13 +339,19 @@ def node_overlap_clean(table) -> bool:
 
 
 def node_sweep_clean(table) -> bool:
-    """Band-candidate node-interior crossing check (see pure)."""
+    """No segment crosses a node interior on the node's layer.
+
+    Assumes node rects are interior-disjoint within each band (the
+    scalar node-overlap check establishes this before the kernel runs);
+    under that assumption one ``searchsorted`` candidate per band
+    decides.
+    """
     S = table.num_segments
     if S == 0 or len(table.node_x0) == 0:
         return True
-    nx0, ny0 = _a(table.node_x0), _a(table.node_y0)
-    nx1, ny1 = _a(table.node_x1), _a(table.node_y1)
-    nlay = _a(table.node_layer)
+    nx0, ny0 = table.node_x0, table.node_y0
+    nx1, ny1 = table.node_x1, table.node_y1
+    nlay = table.node_layer
     pos = (nx1 > nx0) & (ny1 > ny0)
     if not bool(pos.any()):
         return True
@@ -341,9 +372,9 @@ def node_sweep_clean(table) -> bool:
             np.asarray([x1 for _, x1 in rects], dtype=np.int64),
         ))
 
-    lay = _a(table.seg_layer)
-    sy_lo, sy_hi = _a(table.seg_y1), _a(table.seg_y2)
-    sx_lo, sx_hi = _a(table.seg_x1), _a(table.seg_x2)
+    lay = table.seg_layer
+    sy_lo, sy_hi = table.seg_y1, table.seg_y2
+    sx_lo, sx_hi = table.seg_x1, table.seg_x2
     order = np.argsort(lay, kind="stable")
     slay = lay[order]
     for layer, layer_bands in by_layer.items():
@@ -369,15 +400,20 @@ def node_sweep_clean(table) -> bool:
 
 
 def pins_clean(table, u_rows, v_rows) -> bool:
-    """Perimeter pin attachment + unique pin points (exact)."""
+    """Wire endpoints on their nodes' perimeters, uniquely (exact).
+
+    ``u_rows[i]`` / ``v_rows[i]`` are the placement-row indices of wire
+    ``i``'s endpoint nodes (callers resolve labels; an unresolvable
+    label means falling back to the scalar check instead).
+    """
     W = table.num_wires
     if W == 0:
         return True
     ur = np.asarray(u_rows, dtype=np.int64)
     vr = np.asarray(v_rows, dtype=np.int64)
-    sx, sy, ex, ey = (np.asarray(a) for a in table.wire_endpoints())
-    nx0, ny0 = _a(table.node_x0), _a(table.node_y0)
-    nx1, ny1 = _a(table.node_x1), _a(table.node_y1)
+    sx, sy, ex, ey = table.wire_endpoints()
+    nx0, ny0 = table.node_x0, table.node_y0
+    nx1, ny1 = table.node_x1, table.node_y1
 
     def perim(px, py, rows):
         x0, y0 = nx0[rows], ny0[rows]
@@ -409,7 +445,13 @@ def pins_clean(table, u_rows, v_rows) -> bool:
 
 
 def wire_extents(table):
-    """Per-wire ``(ymin, ymax, lmin, lmax)`` lists (see pure)."""
+    """Per-wire ``(ymin, ymax, lmin, lmax)`` lists for dirty tracking.
+
+    Y extent over segment endpoints (a riser's planar point); layer
+    extent over segment layers (a riser's z-span).  Via interiors lie
+    between the adjacent segments' layers, so the segment layer range
+    covers them.
+    """
     W = table.num_wires
     if W == 0:
         return [], [], [], []
@@ -417,7 +459,7 @@ def wire_extents(table):
     ymax = np.zeros(W, dtype=np.int64)
     lmin = np.zeros(W, dtype=np.int64)
     lmax = np.zeros(W, dtype=np.int64)
-    starts = _a(table.wire_seg_start)
+    starts = table.wire_seg_start
     counts = np.diff(starts)
     nonempty = counts > 0
     if bool(nonempty.any()):
@@ -425,17 +467,17 @@ def wire_extents(table):
         # non-empty starts keeps every group's slice exact (consecutive
         # non-empty wires are adjacent in the segment arrays).
         ne_idx = starts[:-1][nonempty]
-        ymin[nonempty] = np.minimum.reduceat(_a(table.seg_y1), ne_idx)
-        ymax[nonempty] = np.maximum.reduceat(_a(table.seg_y2), ne_idx)
-        lmin[nonempty] = np.minimum.reduceat(_a(table.seg_layer), ne_idx)
-        lmax[nonempty] = np.maximum.reduceat(_a(table.seg_layer), ne_idx)
-    riser = _a(table.wire_is_riser).astype(bool)
+        ymin[nonempty] = np.minimum.reduceat(table.seg_y1, ne_idx)
+        ymax[nonempty] = np.maximum.reduceat(table.seg_y2, ne_idx)
+        lmin[nonempty] = np.minimum.reduceat(table.seg_layer, ne_idx)
+        lmax[nonempty] = np.maximum.reduceat(table.seg_layer, ne_idx)
+    riser = table.wire_is_riser.astype(bool)
     if riser.any():
-        zi = _a(table.wire_zrun_start)[:-1][riser]
-        ymin[riser] = _a(table.zrun_y)[zi]
-        ymax[riser] = _a(table.zrun_y)[zi]
-        lmin[riser] = _a(table.zrun_lo)[zi]
-        lmax[riser] = _a(table.zrun_hi)[zi]
+        zi = table.wire_zrun_start[:-1][riser]
+        ymin[riser] = table.zrun_y[zi]
+        ymax[riser] = table.zrun_y[zi]
+        lmin[riser] = table.zrun_lo[zi]
+        lmax[riser] = table.zrun_hi[zi]
     return ymin.tolist(), ymax.tolist(), lmin.tolist(), lmax.tolist()
 
 
@@ -444,7 +486,12 @@ def wire_extents(table):
 
 
 def cut_profile(n: int, pairs) -> int:
-    """Max prefix-gap cut (difference array, vectorized)."""
+    """Max prefix-gap cut of an order.
+
+    ``pairs`` are normalized ``(pu, pv)`` position pairs with
+    ``pu < pv``; each contributes +1 to every gap it spans (difference
+    array + prefix sum).
+    """
     if n == 0 or not pairs:
         return 0
     arr = np.asarray(pairs, dtype=np.int64)
@@ -458,7 +505,11 @@ def cut_profile(n: int, pairs) -> int:
 
 
 def cutwidth_dp(network, n: int):
-    """Vectorized DP: popcount layers, gather-min over bit removals.
+    """``(dp, cut)`` tables over all 2^n vertex subsets.
+
+    ``cut[S]`` counts edges between ``S`` and its complement and
+    ``dp[S] = min over v in S of max(dp[S - v], cut[S])``.  Popcount
+    layers, gather-min over bit removals:
 
     ``dp`` at popcount k depends only on popcount k-1, so each layer is
     one fancy-indexed gather per bit position -- O(2^n n) element ops
@@ -467,7 +518,7 @@ def cutwidth_dp(network, n: int):
     size = 1 << n
     states = np.arange(size, dtype=np.int64)
     cut = np.zeros(size, dtype=np.int64)
-    for (iu, iv), wt in edge_weights(network).items():
+    for (iu, iv), wt in _edge_weights(network).items():
         differs = ((states >> iu) ^ (states >> iv)) & 1
         cut += wt * differs
     pc = np.zeros(size, dtype=np.int64)
@@ -488,46 +539,3 @@ def cutwidth_dp(network, n: int):
             best[has] = np.minimum(best[has], dp[members ^ bit])
         dp[layer] = np.maximum(cut[layer], best)
     return dp, cut
-
-
-# ---------------------------------------------------------------------------
-# Fast-engine kernel
-
-
-def classify_bucket(movers_raw, hop, t_now, tail, nhops, route_start, flat, starts):
-    """Batch bucket classification for the fast engine (see pure).
-
-    The array arguments (``nhops``, ``route_start``, ``flat``,
-    ``starts``) must be int64 ndarrays; ``movers_raw`` and ``hop`` are
-    plain python lists (mutable engine state).
-    """
-    nmv = len(movers_raw)
-    mv = np.asarray(movers_raw, dtype=np.int64)
-    h = np.fromiter((hop[i] for i in movers_raw), np.int64, count=nmv)
-    arr_mask = h >= nhops[mv]
-    n_done = 0
-    top = 0
-    done_lats: list[int] = []
-    if arr_mask.any():
-        arr = mv[arr_mask]
-        tails = np.where(nhops[arr] > 0, tail, 0)
-        done = t_now + tails
-        top = int(done.max())
-        done_lats = (done - starts[arr]).tolist()
-        n_done = int(arr.size)
-    groups: list[tuple[int, list[int]]] = []
-    movers = mv[~arr_mask]
-    if movers.size:
-        ml = flat[route_start[movers] + h[~arr_mask]]
-        order = np.argsort(ml, kind="stable")
-        sl = ml[order]
-        sm = movers[order].tolist()
-        n = len(sm)
-        is_first = np.empty(n, dtype=bool)
-        is_first[0] = True
-        is_first[1:] = sl[1:] != sl[:-1]
-        gs = np.flatnonzero(is_first)
-        ge = np.append(gs[1:], n)
-        for a0, b0 in zip(gs.tolist(), ge.tolist()):
-            groups.append((int(sl[a0]), sm[a0:b0]))
-    return n_done, top, done_lats, groups

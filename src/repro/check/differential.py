@@ -39,7 +39,7 @@ reference model:
 ``engine-parity``
     the batched event engine (:func:`repro.routing.simulate_fast`)
     reproduces the per-packet oracle field-for-field on seeded zoo
-    workloads -- on both its backends when numpy is importable.
+    workloads.
 
 A violated invariant (or a crash anywhere in a stage) becomes a
 :class:`Violation`; :func:`run_fuzz` streams cases from
@@ -81,7 +81,7 @@ from repro.grid.layout import GridLayout
 from repro.grid.oracle import OracleViolation, oracle_validate
 from repro.grid.validate import LayoutError, check_topology, validate_layout
 from repro.routing import layout_link_delays, make_workload, simulate
-from repro.routing.engine import HAVE_NUMPY, simulate_fast
+from repro.routing.engine import simulate_fast
 from repro.topology import DeBruijn, KAryNCube, Ring, ShuffleExchange, StarGraph
 
 __all__ = [
@@ -492,8 +492,7 @@ def _stage_traffic(case: CheckCase, res: CheckResult, opts: dict) -> None:
     taken from the orthogonal stage's largest-L layout when it was
     built (unit delays otherwise), under a seeded choice of switching
     mode and message length.  Every observable field of
-    :class:`~repro.routing.SimulationResult` must match, on the pure
-    python backend and -- when numpy imported -- the vectorized one.
+    :class:`~repro.routing.SimulationResult` must match.
     """
     net = case.network
     link_delay = None
@@ -504,7 +503,6 @@ def _stage_traffic(case: CheckCase, res: CheckResult, opts: dict) -> None:
     kinds = ["uniform", rng.choice(
         ["hotspot", "bursty", "adversarial", "bit-reversal"]
     )]
-    backends = [False] + ([True] if HAVE_NUMPY else [])
     for kind in kinds:
         msgs = make_workload(kind, net, seed=case.seed, rate=0.3, duration=8)
         mode, length = rng.choice(
@@ -514,15 +512,13 @@ def _stage_traffic(case: CheckCase, res: CheckResult, opts: dict) -> None:
             link_delay=link_delay, mode=mode, message_length=length,
         )
         oracle = simulate(net, msgs, **kwargs)
-        for use_numpy in backends:
-            fast = simulate_fast(net, msgs, use_numpy=use_numpy, **kwargs)
-            diff = _result_mismatch(oracle, fast)
-            if diff is not None:
-                res.add(
-                    "engine-parity", "traffic",
-                    f"{kind}/{mode}/ml={length} "
-                    f"use_numpy={use_numpy}: {diff}",
-                )
+        fast = simulate_fast(net, msgs, **kwargs)
+        diff = _result_mismatch(oracle, fast)
+        if diff is not None:
+            res.add(
+                "engine-parity", "traffic",
+                f"{kind}/{mode}/ml={length}: {diff}",
+            )
 
 
 _STAGE_FNS = {

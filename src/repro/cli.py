@@ -210,18 +210,6 @@ def _cmd_stats(args) -> int:
     """Run the zoo with tracing on; print the phase timing breakdown."""
     import time as _time
 
-    from repro.accel import backend_info
-
-    info = backend_info()
-    print(
-        f"backends: accel={info['accel']} table={info['table']} "
-        f"engine={info['engine']}"
-        + (
-            f" (REPRO_ACCEL_BACKEND={info['accel_env']})"
-            if info["accel_env"]
-            else ""
-        )
-    )
     if getattr(args, "mem", False):
         return _cmd_stats_mem(args)
     cache = None
@@ -321,7 +309,7 @@ def _cmd_stats_mem(args) -> int:
     reduction ratio.  The E7h performance gate asserts the ratio on
     the paper-scale 10-cube; this command is the interactive view.
     """
-    from repro.grid.table import HAVE_NUMPY, object_graph_bytes
+    from repro.grid.table import object_graph_bytes
 
     rows = []
     tot_obj = tot_tab = 0
@@ -341,8 +329,7 @@ def _cmd_stats_mem(args) -> int:
         f"{tot_obj:,}", f"{tot_tab:,}", f"{tot_obj / tot_tab:.1f}x",
     ])
     print_table(
-        f"layout representation memory, zoo at L={args.layers} "
-        f"(WireTable backend: {'numpy' if HAVE_NUMPY else 'fallback'})",
+        f"layout representation memory, zoo at L={args.layers}",
         ["network", "N", "wires", "segments", "object graph B",
          "wire table B", "reduction"],
         rows,

@@ -17,23 +17,16 @@ instances needed to certify the paper's orders:
 * the left-edge GHC(4,4) layout (18 tracks, beating the paper's
   recurrence value of 20) is certified optimal too.
 
-The DP kernels themselves -- the lowest-set-bit carry recurrence of
-the pure backend and the popcount-layer gather of the numpy backend --
-live in the :mod:`repro.accel` backend registry (``cutwidth_dp`` /
+The DP kernels themselves -- a popcount-layer gather over numpy
+arrays -- live in :mod:`repro.accel` (``cutwidth_dp`` /
 ``cut_profile``); this module keeps the public API, the node-limit
-policy and the backtracking, and dispatches to whichever backend the
-registry selected (``REPRO_ACCEL_BACKEND`` overrides).
+policy and the backtracking.
 """
 
 from __future__ import annotations
 
 from repro import accel as _accel
 from repro import obs
-
-# Shared bitmask/multigraph helpers now live in the accel package;
-# the old private names stay importable for callers and benches.
-from repro.accel import bit_adjacency as _bit_adjacency  # noqa: F401
-from repro.accel import edge_weights as _edge_weights  # noqa: F401
 from repro.topology.base import Network
 
 __all__ = [
@@ -62,13 +55,9 @@ def _check_limit(fn_name: str, n: int, limit: int) -> None:
 
 
 def _cutwidth_dp(network: Network, n: int):
-    """The full ``(dp, cut)`` tables over all 2^n vertex subsets.
-
-    Both tables index by subset bitmask; the numpy backend returns
-    ndarray rows, the pure backend plain lists -- callers only index
-    and compare.
-    """
-    return _accel.get_backend().cutwidth_dp(network, n)
+    """The full ``(dp, cut)`` ndarrays over all 2^n vertex subsets,
+    indexed by subset bitmask."""
+    return _accel.cutwidth_dp(network, n)
 
 
 def exact_cutwidth(network: Network, *, limit: int = DP_NODE_LIMIT) -> int:
@@ -107,7 +96,7 @@ def cutwidth_certificate(
         return 0, order
     # The order's max cut IS the cutwidth (backtracking preserves the
     # dp optimum); recompute it directly instead of re-running the DP.
-    # Each edge contributes +1 to every gap it spans: the backend's
+    # Each edge contributes +1 to every gap it spans: the
     # ``cut_profile`` kernel accumulates a difference array and
     # prefix-sums it, O(E + n) instead of the O(E * span) of walking
     # every gap per edge.
@@ -118,7 +107,7 @@ def cutwidth_certificate(
         if pu > pv:
             pu, pv = pv, pu
         pairs.append((pu, pv))
-    best = _accel.get_backend().cut_profile(len(order), pairs)
+    best = _accel.cut_profile(len(order), pairs)
     return int(best), order
 
 

@@ -109,9 +109,9 @@ class DirtyTracker:
         from the (already hot) wire table and arm incremental mode."""
         from repro import accel
 
-        table = layout.wire_table()
-        ext = accel.get_backend().wire_extents(table)
-        self.ymin, self.ymax, self.lmin, self.lmax = (list(a) for a in ext)
+        self.ymin, self.ymax, self.lmin, self.lmax = accel.wire_extents(
+            layout.wire_table()
+        )
         self.full = False
         self.validated = True
         self.bands = []

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable
 
+from repro import obs
 from repro.grid.geometry import Rect, Segment
 from repro.grid.wire import Wire
 
@@ -109,6 +110,10 @@ class GridLayout:
         Mutating a ``Wire``'s own ``segments`` list in place is still
         not detected -- wires are immutable by convention; replace
         them instead, or call ``invalidate_table()``.
+
+        A rebuild runs inside a ``wire_table.build`` span, so traces
+        charge it to the table rather than to whichever caller first
+        asked for it.
         """
         from repro.grid.table import WireTable
 
@@ -119,7 +124,8 @@ class GridLayout:
             or len(stamp[1]) != len(self.wires)
             or any(a is not b for a, b in zip(stamp[1], self.wires))
         ):
-            self._table = WireTable.from_layout(self)
+            with obs.span("wire_table.build", wires=len(self.wires)):
+                self._table = WireTable(self)
             self._table_stamp = (len(self.placements), tuple(self.wires))
         return self._table
 

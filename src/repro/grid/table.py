@@ -22,50 +22,25 @@ in :mod:`repro.check` does exactly that) all invalidate it.  Mutating a
 unsupported everywhere in this codebase: wires are replaced, never
 edited.
 
-Like :mod:`repro.collinear.cutwidth`, the module has a vectorized numpy
-path and a pure-python fallback (``array``-module storage, loop
-reductions) selected at import; set ``REPRO_TABLE_FALLBACK=1`` to force
-the fallback even when numpy is importable (CI runs the parity suite
-both ways).  Both paths produce byte-identical consumer outputs.
+The arrays are numpy ndarrays, and the reductions below run on them
+directly.
 """
 
 from __future__ import annotations
 
-import os
 import sys
-from array import array as _stdarray
 from typing import TYPE_CHECKING
+
+import numpy as _np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (layout -> table)
     from repro.grid.layout import GridLayout
 
-try:  # vectorized path; the pure-python fallback mirrors it exactly
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    _np = None
-
-if os.environ.get("REPRO_TABLE_FALLBACK") == "1":
-    _np = None
-
-__all__ = ["WireTable", "object_graph_bytes", "HAVE_NUMPY"]
-
-#: Whether the vectorized path is active (numpy importable and not
-#: disabled via ``REPRO_TABLE_FALLBACK=1``).
-HAVE_NUMPY = _np is not None
+__all__ = ["WireTable", "object_graph_bytes"]
 
 
-def _freeze(values: list[int], use_numpy: bool):
-    """Materialize a built-up int list as the backing storage."""
-    if use_numpy:
-        return _np.asarray(values, dtype=_np.int64)
-    return _stdarray("q", values)
-
-
-def _freeze8(values: list[int], use_numpy: bool):
-    """Like :func:`_freeze` but one byte per entry (small flag arrays)."""
-    if use_numpy:
-        return _np.asarray(values, dtype=_np.int8)
-    return _stdarray("b", values)
+def _i64(values: list[int]):
+    return _np.asarray(values, dtype=_np.int64)
 
 
 class WireTable:
@@ -104,7 +79,7 @@ class WireTable:
     """
 
     __slots__ = (
-        "num_wires", "num_segments", "num_zruns", "uses_numpy",
+        "num_wires", "num_segments", "num_zruns",
         "seg_x1", "seg_y1", "seg_x2", "seg_y2", "seg_layer", "seg_rev",
         "wire_seg_start",
         "zrun_x", "zrun_y", "zrun_lo", "zrun_hi", "wire_zrun_start",
@@ -114,13 +89,7 @@ class WireTable:
         "_endpoints",
     )
 
-    def __init__(self, layout: "GridLayout", *, use_numpy: bool | None = None):
-        if use_numpy is None:
-            use_numpy = HAVE_NUMPY
-        elif use_numpy and not HAVE_NUMPY:  # pragma: no cover - guard
-            raise ValueError("numpy is not available")
-        self.uses_numpy = use_numpy
-
+    def __init__(self, layout: "GridLayout"):
         from repro.grid.wire import walk_path
 
         sx1: list[int] = []
@@ -188,36 +157,30 @@ class WireTable:
         self.num_wires = len(layout.wires)
         self.num_segments = len(sx1)
         self.num_zruns = len(zx)
-        self.seg_x1 = _freeze(sx1, use_numpy)
-        self.seg_y1 = _freeze(sy1, use_numpy)
-        self.seg_x2 = _freeze(sx2, use_numpy)
-        self.seg_y2 = _freeze(sy2, use_numpy)
-        self.seg_layer = _freeze(slay, use_numpy)
-        self.seg_rev = _freeze8(srev, use_numpy)
-        self.wire_seg_start = _freeze(seg_start, use_numpy)
-        self.zrun_x = _freeze(zx, use_numpy)
-        self.zrun_y = _freeze(zy, use_numpy)
-        self.zrun_lo = _freeze(zlo, use_numpy)
-        self.zrun_hi = _freeze(zhi, use_numpy)
-        self.wire_zrun_start = _freeze(zrun_start, use_numpy)
-        self.wire_length = _freeze(wlen, use_numpy)
-        self.wire_is_riser = _freeze(wriser, use_numpy)
-        self.node_x0 = _freeze(nx0, use_numpy)
-        self.node_y0 = _freeze(ny0, use_numpy)
-        self.node_x1 = _freeze(nx1, use_numpy)
-        self.node_y1 = _freeze(ny1, use_numpy)
-        self.node_layer = _freeze(nlay, use_numpy)
+        self.seg_x1 = _i64(sx1)
+        self.seg_y1 = _i64(sy1)
+        self.seg_x2 = _i64(sx2)
+        self.seg_y2 = _i64(sy2)
+        self.seg_layer = _i64(slay)
+        self.seg_rev = _np.asarray(srev, dtype=_np.int8)
+        self.wire_seg_start = _i64(seg_start)
+        self.zrun_x = _i64(zx)
+        self.zrun_y = _i64(zy)
+        self.zrun_lo = _i64(zlo)
+        self.zrun_hi = _i64(zhi)
+        self.wire_zrun_start = _i64(zrun_start)
+        self.wire_length = _i64(wlen)
+        self.wire_is_riser = _i64(wriser)
+        self.node_x0 = _i64(nx0)
+        self.node_y0 = _i64(ny0)
+        self.node_x1 = _i64(nx1)
+        self.node_y1 = _i64(ny1)
+        self.node_layer = _i64(nlay)
         self._seg_rows = None
         self._zrun_rows = None
         self._lengths_list = None
         self._units = None
         self._endpoints = None
-
-    @classmethod
-    def from_layout(
-        cls, layout: "GridLayout", *, use_numpy: bool | None = None
-    ) -> "WireTable":
-        return cls(layout, use_numpy=use_numpy)
 
     # -- measurement ----------------------------------------------------
 
@@ -227,45 +190,29 @@ class WireTable:
         matching the object path)."""
         if self.num_segments == 0 and len(self.node_x0) == 0:
             return None
-        if self.uses_numpy:
-            xs = (self.node_x0, self.node_x1, self.seg_x1, self.seg_x2)
-            ys = (self.node_y0, self.node_y1, self.seg_y1, self.seg_y2)
-            x0 = min(int(a.min()) for a in xs if len(a))
-            x1 = max(int(a.max()) for a in xs if len(a))
-            y0 = min(int(a.min()) for a in ys if len(a))
-            y1 = max(int(a.max()) for a in ys if len(a))
-            return (x0, y0, x1, y1)
-        xs = [a for a in (self.node_x0, self.node_x1, self.seg_x1, self.seg_x2) if len(a)]
-        ys = [a for a in (self.node_y0, self.node_y1, self.seg_y1, self.seg_y2) if len(a)]
-        return (
-            min(min(a) for a in xs),
-            min(min(a) for a in ys),
-            max(max(a) for a in xs),
-            max(max(a) for a in ys),
-        )
+        xs = (self.node_x0, self.node_x1, self.seg_x1, self.seg_x2)
+        ys = (self.node_y0, self.node_y1, self.seg_y1, self.seg_y2)
+        x0 = min(int(a.min()) for a in xs if len(a))
+        x1 = max(int(a.max()) for a in xs if len(a))
+        y0 = min(int(a.min()) for a in ys if len(a))
+        y1 = max(int(a.max()) for a in ys if len(a))
+        return (x0, y0, x1, y1)
 
     def wire_lengths(self) -> list[int]:
         """Per-wire routed lengths as plain ints (``Wire.length``)."""
         if self._lengths_list is None:
-            if self.uses_numpy:
-                self._lengths_list = self.wire_length.tolist()
-            else:
-                self._lengths_list = list(self.wire_length)
+            self._lengths_list = self.wire_length.tolist()
         return self._lengths_list
 
     def max_wire_length(self) -> int:
         if self.num_wires == 0:
             return 0
-        if self.uses_numpy:
-            return int(self.wire_length.max())
-        return max(self.wire_length)
+        return int(self.wire_length.max())
 
     def total_wire_length(self) -> int:
         if self.num_wires == 0:
             return 0
-        if self.uses_numpy:
-            return int(self.wire_length.sum())
-        return sum(self.wire_length)
+        return int(self.wire_length.sum())
 
     def via_count(self) -> int:
         """``sum(len(w.vias()))``: one via per z-run (a riser's single
@@ -276,10 +223,7 @@ class WireTable:
         """Union of segment layers and riser z-spans (inclusive),
         mirroring ``GridLayout.layers_used``: a via between two planar
         layers does *not* claim the layers it passes through."""
-        if self.uses_numpy:
-            used = set(_np.unique(self.seg_layer).tolist())
-        else:
-            used = set(self.seg_layer)
+        used = set(_np.unique(self.seg_layer).tolist())
         starts = self.wire_zrun_start
         for wi, riser in enumerate(self.wire_is_riser):
             if riser:
@@ -289,13 +233,8 @@ class WireTable:
 
     def link_delay_values(self, *, alpha: float = 1.0, base: float = 1.0) -> list[int]:
         """``max(1, ceil(base + alpha * length))`` per wire, vectorized."""
-        if self.uses_numpy:
-            d = _np.ceil(base + alpha * self.wire_length.astype(_np.float64))
-            return _np.maximum(1, d.astype(_np.int64)).tolist()
-        return [
-            max(1, int(-(-(base + alpha * ln) // 1)))
-            for ln in self.wire_length
-        ]
+        d = _np.ceil(base + alpha * self.wire_length.astype(_np.float64))
+        return _np.maximum(1, d.astype(_np.int64)).tolist()
 
     # -- row views (serialization, rendering) ---------------------------
 
@@ -303,19 +242,12 @@ class WireTable:
         """``[x1, y1, x2, y2, layer]`` per segment, wire-major path
         order -- exactly the lists ``layout_to_json`` serializes."""
         if self._seg_rows is None:
-            if self.uses_numpy:
-                stacked = _np.stack(
-                    (self.seg_x1, self.seg_y1, self.seg_x2, self.seg_y2,
-                     self.seg_layer),
-                    axis=1,
-                ) if self.num_segments else _np.empty((0, 5), dtype=_np.int64)
-                self._seg_rows = stacked.tolist()
-            else:
-                self._seg_rows = [
-                    [self.seg_x1[i], self.seg_y1[i], self.seg_x2[i],
-                     self.seg_y2[i], self.seg_layer[i]]
-                    for i in range(self.num_segments)
-                ]
+            stacked = _np.stack(
+                (self.seg_x1, self.seg_y1, self.seg_x2, self.seg_y2,
+                 self.seg_layer),
+                axis=1,
+            ) if self.num_segments else _np.empty((0, 5), dtype=_np.int64)
+            self._seg_rows = stacked.tolist()
         return self._seg_rows
 
     def wire_segment_rows(self, wi: int) -> list[list[int]]:
@@ -348,75 +280,40 @@ class WireTable:
         ``(sx[i], sy[i])`` is wire ``i``'s path start (``Wire.start``)
         and ``(ex[i], ey[i])`` its path end (``Wire.end``), recovered
         from ``seg_rev``; a riser's start and end share its planar
-        point.  Backing storage matches the table's (numpy arrays or
-        stdlib ``array``).
+        point.
         """
         if self._endpoints is not None:
             return self._endpoints
         W = self.num_wires
-        if self.uses_numpy:
-            if W == 0:
-                empty = _np.empty(0, dtype=_np.int64)
-                self._endpoints = (empty, empty, empty, empty)
-                return self._endpoints
-            starts = self.wire_seg_start
-            first = starts[:-1]
-            last = starts[1:] - 1
-            riser = self.wire_is_riser.astype(bool)
-            if self.num_segments:
-                f = _np.clip(first, 0, self.num_segments - 1)
-                l = _np.clip(last, 0, self.num_segments - 1)
-                revf = self.seg_rev[f].astype(bool)
-                revl = self.seg_rev[l].astype(bool)
-                sx = _np.where(revf, self.seg_x2[f], self.seg_x1[f])
-                sy = _np.where(revf, self.seg_y2[f], self.seg_y1[f])
-                ex = _np.where(revl, self.seg_x1[l], self.seg_x2[l])
-                ey = _np.where(revl, self.seg_y1[l], self.seg_y2[l])
-            else:
-                sx = _np.zeros(W, dtype=_np.int64)
-                sy = _np.zeros(W, dtype=_np.int64)
-                ex = _np.zeros(W, dtype=_np.int64)
-                ey = _np.zeros(W, dtype=_np.int64)
-            if riser.any():
-                zi = self.wire_zrun_start[:-1][riser]
-                sx[riser] = self.zrun_x[zi]
-                sy[riser] = self.zrun_y[zi]
-                ex[riser] = self.zrun_x[zi]
-                ey[riser] = self.zrun_y[zi]
-            self._endpoints = (sx, sy, ex, ey)
+        if W == 0:
+            empty = _np.empty(0, dtype=_np.int64)
+            self._endpoints = (empty, empty, empty, empty)
             return self._endpoints
-        sx_l: list[int] = []
-        sy_l: list[int] = []
-        ex_l: list[int] = []
-        ey_l: list[int] = []
         starts = self.wire_seg_start
-        zstarts = self.wire_zrun_start
-        for wi in range(W):
-            if self.wire_is_riser[wi]:
-                z = zstarts[wi]
-                sx_l.append(self.zrun_x[z])
-                sy_l.append(self.zrun_y[z])
-                ex_l.append(self.zrun_x[z])
-                ey_l.append(self.zrun_y[z])
-                continue
-            f = starts[wi]
-            l = starts[wi + 1] - 1
-            if self.seg_rev[f]:
-                sx_l.append(self.seg_x2[f])
-                sy_l.append(self.seg_y2[f])
-            else:
-                sx_l.append(self.seg_x1[f])
-                sy_l.append(self.seg_y1[f])
-            if self.seg_rev[l]:
-                ex_l.append(self.seg_x1[l])
-                ey_l.append(self.seg_y1[l])
-            else:
-                ex_l.append(self.seg_x2[l])
-                ey_l.append(self.seg_y2[l])
-        self._endpoints = (
-            _freeze(sx_l, False), _freeze(sy_l, False),
-            _freeze(ex_l, False), _freeze(ey_l, False),
-        )
+        first = starts[:-1]
+        last = starts[1:] - 1
+        riser = self.wire_is_riser.astype(bool)
+        if self.num_segments:
+            f = _np.clip(first, 0, self.num_segments - 1)
+            l = _np.clip(last, 0, self.num_segments - 1)
+            revf = self.seg_rev[f].astype(bool)
+            revl = self.seg_rev[l].astype(bool)
+            sx = _np.where(revf, self.seg_x2[f], self.seg_x1[f])
+            sy = _np.where(revf, self.seg_y2[f], self.seg_y1[f])
+            ex = _np.where(revl, self.seg_x1[l], self.seg_x2[l])
+            ey = _np.where(revl, self.seg_y1[l], self.seg_y2[l])
+        else:
+            sx = _np.zeros(W, dtype=_np.int64)
+            sy = _np.zeros(W, dtype=_np.int64)
+            ex = _np.zeros(W, dtype=_np.int64)
+            ey = _np.zeros(W, dtype=_np.int64)
+        if riser.any():
+            zi = self.wire_zrun_start[:-1][riser]
+            sx[riser] = self.zrun_x[zi]
+            sy[riser] = self.zrun_y[zi]
+            ex[riser] = self.zrun_x[zi]
+            ey[riser] = self.zrun_y[zi]
+        self._endpoints = (sx, sy, ex, ey)
         return self._endpoints
 
     # -- occupancy expansion (oracle) -----------------------------------
@@ -434,50 +331,35 @@ class WireTable:
         """
         if self._units is not None:
             return self._units
-        if self.uses_numpy and self.num_segments:
-            x1, y1 = self.seg_x1, self.seg_y1
-            lens = (self.seg_x2 - x1) + (self.seg_y2 - y1)
-            horiz = (self.seg_y1 == self.seg_y2)
-            cum = _np.concatenate(([0], _np.cumsum(lens)))
-
-            def expand(counts, count_cum):
-                sid = _np.repeat(_np.arange(self.num_segments), counts)
-                off = _np.arange(int(count_cum[-1])) - _np.repeat(
-                    count_cum[:-1], counts
-                )
-                h = horiz[sid]
-                ex = x1[sid] + _np.where(h, off, 0)
-                ey = y1[sid] + _np.where(h, 0, off)
-                return _np.stack(
-                    (ex, ey, self.seg_layer[sid], h.astype(_np.int64)),
-                    axis=1,
-                ).tolist()
-
-            edges = expand(lens, cum)
-            pcum = cum + _np.arange(self.num_segments + 1)
-            points = expand(lens + 1, pcum)
-            edge_start = cum[self.wire_seg_start].tolist()
-            point_start = pcum[self.wire_seg_start].tolist()
-        else:
+        if not self.num_segments:
             edges, points = [], []
-            edge_start, point_start = [0], [0]
-            starts = self.wire_seg_start
-            for wi in range(self.num_wires):
-                for i in range(int(starts[wi]), int(starts[wi + 1])):
-                    x, y = self.seg_x1[i], self.seg_y1[i]
-                    lay = self.seg_layer[i]
-                    if self.seg_y1[i] == self.seg_y2[i]:
-                        for xx in range(x, self.seg_x2[i]):
-                            edges.append([xx, y, lay, 1])
-                        for xx in range(x, self.seg_x2[i] + 1):
-                            points.append([xx, y, lay, 1])
-                    else:
-                        for yy in range(y, self.seg_y2[i]):
-                            edges.append([x, yy, lay, 0])
-                        for yy in range(y, self.seg_y2[i] + 1):
-                            points.append([x, yy, lay, 0])
-                edge_start.append(len(edges))
-                point_start.append(len(points))
+            edge_start = [0] * (self.num_wires + 1)
+            point_start = [0] * (self.num_wires + 1)
+            self._units = (edges, edge_start, points, point_start)
+            return self._units
+        x1, y1 = self.seg_x1, self.seg_y1
+        lens = (self.seg_x2 - x1) + (self.seg_y2 - y1)
+        horiz = (self.seg_y1 == self.seg_y2)
+        cum = _np.concatenate(([0], _np.cumsum(lens)))
+
+        def expand(counts, count_cum):
+            sid = _np.repeat(_np.arange(self.num_segments), counts)
+            off = _np.arange(int(count_cum[-1])) - _np.repeat(
+                count_cum[:-1], counts
+            )
+            h = horiz[sid]
+            ex = x1[sid] + _np.where(h, off, 0)
+            ey = y1[sid] + _np.where(h, 0, off)
+            return _np.stack(
+                (ex, ey, self.seg_layer[sid], h.astype(_np.int64)),
+                axis=1,
+            ).tolist()
+
+        edges = expand(lens, cum)
+        pcum = cum + _np.arange(self.num_segments + 1)
+        points = expand(lens + 1, pcum)
+        edge_start = cum[self.wire_seg_start].tolist()
+        point_start = pcum[self.wire_seg_start].tolist()
         self._units = (edges, edge_start, points, point_start)
         return self._units
 
@@ -522,11 +404,7 @@ class WireTable:
             "wire_zrun_start", "wire_length", "wire_is_riser",
             "node_x0", "node_y0", "node_x1", "node_y1", "node_layer",
         ):
-            arr = getattr(self, name)
-            if self.uses_numpy:
-                total += int(arr.nbytes)
-            else:
-                total += len(arr) * arr.itemsize
+            total += int(getattr(self, name).nbytes)
         return total
 
 

@@ -406,22 +406,10 @@ class LayoutServer:
             await send_json(writer, 200, self.stats(), close=close)
             return True
         if req.path == "/metrics" and req.method == "GET":
-            from repro.accel import backend_info
-            from repro.obs.export import prometheus_info, prometheus_text
+            from repro.obs.export import prometheus_text
 
             oslo.update_slo_gauges(self.slo)
-            info = backend_info()
-            body = (
-                prometheus_text()
-                + prometheus_info(
-                    "accel_backend",
-                    {
-                        "backend": info["accel"],
-                        "table": info["table"],
-                        "engine": info["engine"],
-                    },
-                )
-            ).encode()
+            body = prometheus_text().encode()
             from repro.serve.protocol import send_response
 
             await send_response(
@@ -900,14 +888,11 @@ class LayoutServer:
     # -- introspection -----------------------------------------------------
 
     def stats(self) -> dict:
-        from repro.accel import backend_info
-
         slo_doc = oslo.update_slo_gauges(self.slo)
         reg = obs.registry().snapshot()
         counters = reg.get("counters", {})
         return {
             "schema": SERVE_SCHEMA,
-            "backends": backend_info(),
             "uptime_s": round(time.time() - self.started_unix, 3),
             "requests": counters.get("serve.requests", 0),
             "hits": counters.get("serve.hits", 0),

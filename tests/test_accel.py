@@ -1,22 +1,25 @@
-"""The accel kernel registry: backend parity, byte for byte.
+"""The accel kernels against independent references.
 
 Every kernel in :mod:`repro.accel` promises that routing a check
-through it never changes an observable result: validator verdicts and
-error messages, cutwidth values and certificates, and the fast
-engine's ``SimulationResult`` fields must be identical whichever
-backend computed them.  This module checks the pure and numpy backends
-against each other on the same zoo x layers matrix (plus the
-counterexample corpus) as ``test_wiretable.py``, checks the kernelized
-validator against the scalar reference battery on legal *and*
-corrupted layouts, and runs a ``REPRO_ACCEL_BACKEND=pure`` subprocess
-to pin the env override end to end.
+through it never changes an observable result.  This module holds each
+kernel to a reference that shares none of its code:
+
+* validator kernels against the scalar sweeps of
+  :mod:`repro.grid.validate` -- exact kernels report clean on every
+  legal layout, and no kernel ever reports clean where its scalar
+  check rejects a corrupted one;
+* ``wire_extents`` against the per-wire object walk
+  :func:`repro.grid.dirty.wire_extent`;
+* ``cut_profile`` against a direct count of edges over every gap, and
+  the cutwidth DP against a brute-force minimum of
+  ``collinear_layout(...).num_tracks`` over every node order.
+
+The matrix is the zoo at two layer budgets plus the counterexample
+corpus, as in ``test_wiretable.py``.
 """
 
-import json
-import os
+import itertools
 import random
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -26,6 +29,8 @@ from repro.batch.spec import dispatch_scheme
 from repro.check.generate import mutate_layout
 from repro.check.shrink import iter_corpus
 from repro.cli import _zoo_networks
+from repro.grid import validate as V
+from repro.grid.dirty import wire_extent
 from repro.grid.io import clone_layout
 from repro.grid.validate import (
     LayoutError,
@@ -34,7 +39,6 @@ from repro.grid.validate import (
 )
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
-SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 _LAYOUT_CACHE: dict = {}
 
@@ -77,76 +81,58 @@ def _pin_rows(lay):
     return u_rows, v_rows
 
 
-# ---------------------------------------------------------------------------
-# Registry semantics
+def _accepts(scalar_check, lay) -> bool:
+    try:
+        scalar_check(lay)
+    except LayoutError:
+        return False
+    return True
 
 
-class TestRegistry:
-    def test_active_backend_is_registered(self):
-        assert accel.active_backend() in accel.BACKENDS
-        assert "pure" in accel.BACKENDS
-
-    def test_get_backend(self):
-        assert accel.get_backend("pure") is accel.pure
-        assert accel.get_backend() is accel.get_backend(
-            accel.active_backend()
-        )
-        with pytest.raises(ValueError, match="unknown accel backend"):
-            accel.get_backend("bogus")
-
-    def test_backend_info_shape(self):
-        info = accel.backend_info()
-        assert info["accel"] in ("pure", "numpy")
-        assert info["table"] in ("numpy", "fallback")
-        assert info["engine"] in ("numpy", "python")
-        assert isinstance(info["numpy_importable"], bool)
-
-    def test_bad_env_value_rejected(self):
-        proc = subprocess.run(
-            [sys.executable, "-c", "import repro.accel"],
-            env={**os.environ, "REPRO_ACCEL_BACKEND": "bogus",
-                 "PYTHONPATH": str(SRC_DIR)},
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode != 0
-        assert "REPRO_ACCEL_BACKEND" in proc.stderr
+def _kernel_verdicts(lay) -> dict:
+    """Each validator kernel's clean verdict, keyed by the scalar sweep
+    it stands in for."""
+    table = lay.wire_table()
+    return {
+        V._layer_budget_scalar: accel.layer_budget_clean(table, lay.layers),
+        V._parity_scalar: accel.parity_clean(table),
+        V._self_consistency_scalar: accel.self_consistency_clean(table),
+        V._edge_disjointness_scalar: accel.edge_sweep(table)[1],
+        V._bend_exclusivity_scalar: accel.bend_clean(table),
+        V._via_occupancy_scalar: accel.via_clean(table),
+        V._node_overlap_scalar: accel.node_overlap_clean(table),
+        V._node_seg_sweep_scalar: accel.node_sweep_clean(table),
+        V._pins_scalar: accel.pins_clean(table, *_pin_rows(lay)),
+    }
 
 
 # ---------------------------------------------------------------------------
-# Kernel parity: pure vs numpy on legal layouts
+# Legal layouts
 
 
-@pytest.mark.skipif(not accel.HAVE_NUMPY, reason="numpy not importable")
 @pytest.mark.parametrize(
     "case_id,net,layers", _CASES, ids=[c[0] for c in _CASES]
 )
 def test_kernel_parity_legal(case_id, net, layers):
-    """Every kernel agrees across backends on every zoo/corpus layout."""
+    """Kernels agree with their scalar references on legal layouts.
+
+    Every scalar sweep accepts these layouts, so every exact kernel
+    must report clean (``bend_clean`` and ``node_overlap_clean`` are
+    conservative and may not); ``edge_sweep`` counts every segment,
+    and ``wire_extents`` equals the per-wire object walk.
+    """
     lay = _layout(case_id, net, layers)
     table = lay.wire_table()
-    pure = accel.get_backend("pure")
-    vec = accel.get_backend("numpy")
-
-    assert pure.edge_sweep(table) == vec.edge_sweep(table)
-    assert pure.self_consistency_clean(table) == (
-        vec.self_consistency_clean(table)
+    verdicts = _kernel_verdicts(lay)
+    for scalar_check, clean in verdicts.items():
+        assert clean == _accepts(scalar_check, lay) or scalar_check in (
+            V._bend_exclusivity_scalar, V._node_overlap_scalar,
+        ), scalar_check.__name__
+    assert accel.edge_sweep(table)[0] == sum(
+        len(w.segments) for w in lay.wires
     )
-    assert pure.layer_budget_clean(table, lay.layers) == (
-        vec.layer_budget_clean(table, lay.layers)
-    )
-    assert pure.parity_clean(table) == vec.parity_clean(table)
-    assert pure.bend_clean(table) == vec.bend_clean(table)
-    assert pure.via_clean(table) == vec.via_clean(table)
-    assert pure.node_overlap_clean(table) == vec.node_overlap_clean(table)
-    assert pure.node_sweep_clean(table) == vec.node_sweep_clean(table)
-    u_rows, v_rows = _pin_rows(lay)
-    assert pure.pins_clean(table, u_rows, v_rows) == (
-        vec.pins_clean(table, u_rows, v_rows)
-    )
-    pe = pure.wire_extents(table)
-    ve = vec.wire_extents(table)
-    assert [list(a) for a in pe] == [[int(x) for x in a] for a in ve]
+    got = list(zip(*accel.wire_extents(table)))
+    assert got == [wire_extent(w) for w in lay.wires]
 
 
 @pytest.mark.parametrize(
@@ -160,7 +146,7 @@ def test_kernelized_validator_accepts_legal(case_id, net, layers):
 
 
 # ---------------------------------------------------------------------------
-# Verdict + message parity on corrupted layouts
+# Corrupted layouts
 
 
 @pytest.mark.parametrize(
@@ -171,9 +157,10 @@ def test_kernelized_validator_accepts_legal(case_id, net, layers):
 def test_corrupted_verdict_and_message_parity(case_id, net, layers):
     """Kernelized vs scalar: same verdict AND same message, always.
 
-    Random corruption of zoo layouts -- the kernel fast path must
-    never accept a layout the scalar battery rejects, and on rejection
-    the diagnosis re-runs the scalar sweep, so even the message text
+    Random corruption of zoo layouts -- no kernel may report clean
+    where its scalar sweep rejects, so the kernel fast path never
+    accepts a layout the scalar battery rejects, and on rejection the
+    diagnosis re-runs the scalar sweep, so even the message text
     matches.
     """
     base = _layout(case_id, net, layers)
@@ -185,6 +172,11 @@ def test_corrupted_verdict_and_message_parity(case_id, net, layers):
             applied += mutate_layout(lay, rng)
         if not applied:
             continue
+        for scalar_check, clean in _kernel_verdicts(lay).items():
+            assert not clean or _accepts(scalar_check, lay), (
+                f"round {round_no}: kernel clean but "
+                f"{scalar_check.__name__} rejects"
+            )
         try:
             validate_layout(lay, check_pins=False)
             fast = (True, "")
@@ -203,19 +195,37 @@ def test_corrupted_verdict_and_message_parity(case_id, net, layers):
 
 
 class TestCutwidthParity:
-    @pytest.mark.skipif(not accel.HAVE_NUMPY, reason="numpy not importable")
     def test_dp_tables_match(self):
-        from repro.topology import CompleteGraph, Hypercube, Ring
+        """The DP's full-set value is the brute-force minimum track
+        count over every node order (n <= 7)."""
+        from repro.collinear import collinear_layout
+        from repro.topology import (
+            CompleteGraph,
+            Hypercube,
+            KAryNCube,
+            Ring,
+            StarGraph,
+        )
+        from repro.topology.base import build_network
 
-        for net in (Ring(7), Hypercube(3), CompleteGraph(5)):
+        nets = [
+            Ring(7), Hypercube(2), CompleteGraph(5), KAryNCube(3, 1),
+            StarGraph(3),
+            build_network([0, 1, 2], [(0, 1), (0, 1), (1, 2)], "multi"),
+        ]
+        for net in nets:
             n = net.num_nodes
-            dp_p, cut_p = accel.get_backend("pure").cutwidth_dp(net, n)
-            dp_v, cut_v = accel.get_backend("numpy").cutwidth_dp(net, n)
-            assert list(dp_p) == [int(x) for x in dp_v]
-            assert list(cut_p) == [int(x) for x in cut_v]
+            assert n <= 7
+            dp, cut = accel.cutwidth_dp(net, n)
+            brute = min(
+                collinear_layout(net.nodes, net.edges, list(order)).num_tracks
+                for order in itertools.permutations(net.nodes)
+            )
+            assert int(dp[(1 << n) - 1]) == brute, net.name
+            assert int(cut[0]) == 0 and int(cut[(1 << n) - 1]) == 0
 
-    @pytest.mark.skipif(not accel.HAVE_NUMPY, reason="numpy not importable")
     def test_cut_profile_matches(self):
+        """The kernel's widest cut equals a direct count over gaps."""
         rng = random.Random(11)
         for _ in range(20):
             n = rng.randint(1, 12)
@@ -225,9 +235,11 @@ class TestCutwidthParity:
                 if a > b:
                     a, b = b, a
                 pairs.append((a, b))
-            p = accel.get_backend("pure").cut_profile(n, pairs)
-            v = accel.get_backend("numpy").cut_profile(n, pairs)
-            assert p == v
+            widest = max(
+                (sum(1 for a, b in pairs if a <= g < b) for g in range(n)),
+                default=0,
+            )
+            assert accel.cut_profile(n, pairs) == widest
 
     def test_certificate_profile_equals_dp_value(self):
         from repro.collinear.cutwidth import (
@@ -242,108 +254,3 @@ class TestCutwidthParity:
             assert sorted(map(repr, order)) == sorted(
                 map(repr, net.nodes)
             )
-
-
-# ---------------------------------------------------------------------------
-# Engine kernel
-
-
-@pytest.mark.skipif(not accel.HAVE_NUMPY, reason="numpy not importable")
-def test_classify_bucket_parity():
-    """Synthetic buckets: arrivals, latencies, and link groups match."""
-    import numpy as np
-
-    rng = random.Random(23)
-    pure = accel.get_backend("pure")
-    vec = accel.get_backend("numpy")
-    for trial in range(30):
-        n_msgs = rng.randint(20, 80)
-        nhops = [rng.randint(0, 5) for _ in range(n_msgs)]
-        offsets = [0]
-        flat = []
-        for h in nhops:
-            flat.extend(rng.randrange(10) for _ in range(h))
-            offsets.append(len(flat))
-        starts = [rng.randint(0, 4) for _ in range(n_msgs)]
-        hop = [rng.randint(0, nhops[i]) for i in range(n_msgs)]
-        movers = sorted(rng.sample(range(n_msgs), rng.randint(16, n_msgs)))
-        t_now = rng.randint(5, 40)
-        tail = rng.choice((0, 3))
-        p = pure.classify_bucket(
-            movers, hop, t_now, tail, nhops, offsets[:-1], flat, starts
-        )
-        v = vec.classify_bucket(
-            movers, hop, t_now, tail,
-            np.asarray(nhops, dtype=np.int64),
-            np.asarray(offsets[:-1], dtype=np.int64),
-            np.asarray(flat, dtype=np.int64),
-            np.asarray(starts, dtype=np.int64),
-        )
-        assert p[0] == v[0], f"trial {trial}: n_done"
-        if p[0]:
-            assert p[1] == v[1], f"trial {trial}: top"
-        assert p[2] == v[2], f"trial {trial}: done_lats"
-        assert p[3] == v[3], f"trial {trial}: groups"
-
-
-# ---------------------------------------------------------------------------
-# Env override, end to end
-
-
-_SUBPROC_SCRIPT = r"""
-import json, sys
-from repro import accel
-from repro.batch.spec import dispatch_scheme
-from repro.cli import _zoo_networks
-from repro.collinear.cutwidth import exact_cutwidth
-from repro.grid.validate import validate_layout
-from repro.routing.engine import HAVE_NUMPY, simulate_fast
-from repro.routing.traffic import make_workload
-from repro.topology import Hypercube, Ring
-
-out = {
-    "active": accel.active_backend(),
-    "engine_numpy": HAVE_NUMPY,
-    "info": accel.backend_info(),
-}
-net = Hypercube(3)
-lay = dispatch_scheme(net, layers=4, scheme="auto")
-out["report"] = validate_layout(lay)
-out["cutwidth"] = exact_cutwidth(Ring(7))
-msgs = make_workload("uniform", net, seed=5, rate=0.4, duration=6)
-out["sim"] = simulate_fast(net, msgs).as_dict()
-json.dump(out, sys.stdout)
-"""
-
-
-def _run_subproc(env_extra: dict) -> dict:
-    proc = subprocess.run(
-        [sys.executable, "-c", _SUBPROC_SCRIPT],
-        env={**os.environ, "PYTHONPATH": str(SRC_DIR), **env_extra},
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
-
-
-def test_forced_pure_backend_matches_active():
-    """``REPRO_ACCEL_BACKEND=pure`` flips every backend and changes
-    no observable result: validator report, cutwidth, engine fields."""
-    pure = _run_subproc({"REPRO_ACCEL_BACKEND": "pure"})
-    assert pure["active"] == "pure"
-    assert pure["engine_numpy"] is False
-    assert pure["info"]["accel"] == "pure"
-    assert pure["info"]["engine"] == "python"
-
-    default = _run_subproc({})
-    assert pure["report"] == default["report"]
-    assert pure["cutwidth"] == default["cutwidth"]
-    assert pure["sim"] == default["sim"]
-
-
-@pytest.mark.skipif(not accel.HAVE_NUMPY, reason="numpy not importable")
-def test_forced_numpy_backend(monkeypatch):
-    out = _run_subproc({"REPRO_ACCEL_BACKEND": "numpy"})
-    assert out["active"] == "numpy"
-    assert out["info"]["accel_env"] == "numpy"

@@ -132,29 +132,6 @@ class TestNodeLimit:
         assert exact_cutwidth(net, limit=4) == 1
 
 
-class TestFallbackAgreement:
-    """The pure-Python DP and the vectorized DP are interchangeable."""
-
-    @pytest.mark.parametrize(
-        "net",
-        [Ring(7), Hypercube(3), CompleteGraph(6), KAryNCube(3, 2),
-         build_network([0, 1, 2], [(0, 1), (0, 1), (1, 2)], "multi")],
-        ids=lambda n: n.name,
-    )
-    def test_python_fallback_matches(self, net, monkeypatch):
-        from repro import accel
-        from repro.collinear import cutwidth as mod
-
-        reference = exact_cutwidth(net)
-        pure = accel.get_backend("pure")
-        monkeypatch.setattr(mod._accel, "get_backend", lambda name=None: pure)
-        assert exact_cutwidth(net) == reference
-        cw, order = cutwidth_certificate(net)
-        assert cw == reference
-        lay = collinear_layout(net.nodes, net.edges, order)
-        assert lay.num_tracks == reference
-
-
 class TestOptimalOrder:
     @pytest.mark.parametrize(
         "net",

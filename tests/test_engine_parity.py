@@ -5,11 +5,7 @@
 latency histogram (hence avg/max/percentiles), per-link load and busy
 time (hence `link_utilization` dict contents and the busiest-link
 tie-break), and `queue_depth_hist`.  The matrix covers the network zoo
-under L=2/L=4 layout-derived delays x every workload kind x 5 seeds,
-on both backends.  The module runs without numpy installed (the CI
-traffic-parity job executes it inside the numpy-less venv and again
-under ``REPRO_ENGINE_FALLBACK=1``); the numpy arm simply drops out of
-the parametrization when the vectorized backend is unavailable.
+under L=2/L=4 layout-derived delays x every workload kind x 5 seeds.
 """
 
 import pytest
@@ -25,12 +21,7 @@ from repro.routing import (
     simulate_fast,
     uniform,
 )
-from repro.routing.engine import HAVE_NUMPY
 from repro.topology import CubeConnectedCycles, Hypercube, Mesh, Ring, StarGraph
-
-# use_numpy arms that can run in this interpreter; False (the pure
-# python mirror) always can, True only when numpy imported cleanly.
-BACKENDS = [False] + ([True] if HAVE_NUMPY else [])
 
 ZOO = {
     "hypercube4": Hypercube(4),
@@ -105,11 +96,8 @@ class TestZooParity:
         for seed in range(5):
             msgs = _workload(kind, net, seed)
             oracle = simulate(net, msgs, link_delay=link_delay)
-            for use_numpy in BACKENDS:
-                fast = simulate_fast(
-                    net, msgs, link_delay=link_delay, use_numpy=use_numpy
-                )
-                _assert_field_parity(oracle, fast)
+            fast = simulate_fast(net, msgs, link_delay=link_delay)
+            _assert_field_parity(oracle, fast)
 
 
 class TestModesAndRouters:
@@ -127,12 +115,11 @@ class TestModesAndRouters:
                 net, msgs, link_delay=link_delay, router=route,
                 mode=mode, message_length=length,
             )
-            for use_numpy in BACKENDS:
-                fast = simulate_fast(
-                    net, msgs, link_delay=link_delay, router=route,
-                    mode=mode, message_length=length, use_numpy=use_numpy,
-                )
-                _assert_field_parity(oracle, fast)
+            fast = simulate_fast(
+                net, msgs, link_delay=link_delay, router=route,
+                mode=mode, message_length=length,
+            )
+            _assert_field_parity(oracle, fast)
 
     def test_saturated_contention(self):
         # Everything funnels through one node: deep queues, the herd
@@ -141,28 +128,19 @@ class TestModesAndRouters:
         net = Ring(8)
         msgs = [(0, 4)] * 20 + [(1, 5)] * 10 + [(0, 4, 3)] * 5
         oracle = simulate(net, msgs, message_length=3)
-        for use_numpy in BACKENDS:
-            _assert_field_parity(
-                oracle,
-                simulate_fast(net, msgs, message_length=3,
-                              use_numpy=use_numpy),
-            )
+        _assert_field_parity(
+            oracle, simulate_fast(net, msgs, message_length=3)
+        )
 
     def test_timed_and_degenerate_messages(self):
         net = Ring(6)
         msgs = [(2, 2), (0, 3, 7), (1, 1, 4), (5, 2)]
         oracle = simulate(net, msgs)
-        for use_numpy in BACKENDS:
-            _assert_field_parity(
-                oracle, simulate_fast(net, msgs, use_numpy=use_numpy)
-            )
+        _assert_field_parity(oracle, simulate_fast(net, msgs))
 
     def test_empty_run(self):
         oracle = simulate(Ring(4), [])
-        for use_numpy in BACKENDS:
-            _assert_field_parity(
-                oracle, simulate_fast(Ring(4), [], use_numpy=use_numpy)
-            )
+        _assert_field_parity(oracle, simulate_fast(Ring(4), []))
 
 
 class TestErrorParity:
@@ -179,9 +157,3 @@ class TestErrorParity:
         msgs = make_workload("adversarial", net, seed=1)
         with pytest.raises(RuntimeError, match="max_cycles"):
             simulate_fast(net, msgs, max_cycles=2)
-
-    def test_numpy_request_without_numpy(self):
-        if HAVE_NUMPY:
-            pytest.skip("numpy available: the request is satisfiable")
-        with pytest.raises(ValueError, match="numpy"):
-            simulate_fast(Ring(4), [(0, 1)], use_numpy=True)

@@ -3,10 +3,10 @@
 Every consumer rerouted onto :class:`~repro.grid.table.WireTable`
 (metrics, delays, serialization, renderers) promises *byte-identical*
 outputs.  This module checks that promise on the full topology zoo at
-two layer budgets plus every network in the counterexample corpus, and
-checks the numpy arrays against the pure-python fallback in-process
-(``WireTable(lay, use_numpy=False)``), so it is meaningful both with
-and without numpy installed -- CI runs it once in each mode.
+two layer budgets plus every network in the counterexample corpus:
+each table accessor against the same value computed by walking the
+``Wire``/``Segment`` objects, and every rendering against the
+rendering of an independently rebuilt copy of the layout.
 """
 
 from pathlib import Path
@@ -16,8 +16,7 @@ import pytest
 from repro.batch.spec import dispatch_scheme
 from repro.check.shrink import iter_corpus
 from repro.cli import _zoo_networks
-from repro.grid.io import layout_to_json
-from repro.grid.table import HAVE_NUMPY, WireTable
+from repro.grid.io import layout_from_json, layout_to_json
 from repro.routing.paths import layout_link_delays
 from repro.viz.ascii_art import ascii_grid_layout
 from repro.viz.svg import svg_layer_stack, svg_layout
@@ -56,12 +55,6 @@ def _layout(case_id: str, net, layers: int):
         lay = dispatch_scheme(net, layers=layers, scheme="auto")
         _LAYOUT_CACHE[case_id] = lay
     return lay
-
-
-def _install_table(lay, table) -> None:
-    """Plant ``table`` as the layout's cached kernel (test-only)."""
-    lay._table = table
-    lay._table_stamp = (len(lay.placements), tuple(map(id, lay.wires)))
 
 
 def _ceil_delay(length: int, alpha: float, base: float) -> int:
@@ -107,58 +100,73 @@ def test_object_graph_parity(case_id, net, layers):
         assert got == want, f"link delays differ at alpha={alpha}"
 
 
+def _segment_units(s):
+    """``(x, y, layer, horizontal)`` per grid point of one segment."""
+    return [(x, y, s.layer, int(s.horizontal)) for x, y in s.planar_points()]
+
+
 @pytest.mark.parametrize(
     "case_id,net,layers", _CASES, ids=[c[0] for c in _CASES]
 )
 def test_numpy_vs_fallback_parity(case_id, net, layers):
-    """Both backends produce identical values from identical layouts."""
-    lay = _layout(case_id, net, layers)
-    t_fb = WireTable(lay, use_numpy=False)
-    t_nat = lay.wire_table()  # whatever backend the install selected
+    """The table's array reductions equal the object-graph walks.
 
-    assert t_fb.bounds() == t_nat.bounds()
-    assert t_fb.wire_lengths() == t_nat.wire_lengths()
-    assert t_fb.via_count() == t_nat.via_count()
-    assert t_fb.layers_used() == t_nat.layers_used()
-    assert t_fb.segment_rows() == t_nat.segment_rows()
-    assert list(t_fb.wire_seg_start) == list(t_nat.wire_seg_start)
-    assert t_fb.zrun_rows() == t_nat.zrun_rows()
+    Bounds, CSR offsets, z-runs, link delays, and the oracle's unit
+    expansion, each recomputed from ``Wire``/``Segment`` objects.
+    """
+    lay = _layout(case_id, net, layers)
+    table = lay.wire_table()
+    wires = lay.wires
+
+    xs, ys = [], []
+    for p in lay.placements.values():
+        xs += [p.rect.x0, p.rect.x1]
+        ys += [p.rect.y0, p.rect.y1]
+    for w in wires:
+        for s in w.segments:
+            xs += [s.x1, s.x2]
+            ys += [s.y1, s.y2]
+    assert table.bounds() == (min(xs), min(ys), max(xs), max(ys))
+
+    seg_start = [0]
+    for w in wires:
+        seg_start.append(seg_start[-1] + len(w.segments))
+    assert table.wire_seg_start.tolist() == seg_start
+    assert table.zrun_rows() == [z for w in wires for z in w.z_occupancy()]
     for alpha, base in ((1.0, 1.0), (0.37, 2.5)):
-        assert t_fb.link_delay_values(alpha=alpha, base=base) == (
-            t_nat.link_delay_values(alpha=alpha, base=base)
-        )
-    for wi in range(t_nat.num_wires):
-        assert t_fb.wire_unit_edges(wi) == t_nat.wire_unit_edges(wi)
-        assert t_fb.wire_cover_points(wi) == t_nat.wire_cover_points(wi)
-        assert t_fb.wire_cover_point_rows(wi) == (
-            t_nat.wire_cover_point_rows(wi)
-        )
+        assert table.link_delay_values(alpha=alpha, base=base) == [
+            _ceil_delay(w.length, alpha, base) for w in wires
+        ]
+    for wi, w in enumerate(wires):
+        points = [u for s in w.segments for u in _segment_units(s)]
+        assert table.wire_cover_point_rows(wi) == [list(u) for u in points]
+        assert table.wire_cover_points(wi) == [u[:3] for u in points]
+        edges = []
+        for s in w.segments:
+            units = _segment_units(s)
+            edges += [(a[:3], b[:3]) for a, b in zip(units, units[1:])]
+        assert table.wire_unit_edges(wi) == edges
 
 
 @pytest.mark.parametrize(
     "case_id,net,layers", _CASES, ids=[c[0] for c in _CASES]
 )
 def test_rendered_bytes_parity(case_id, net, layers):
-    """JSON, SVGs and ASCII are byte-identical across backends."""
-    lay = _layout(case_id, net, layers)
-    native = (
-        layout_to_json(lay),
-        svg_layout(lay, legend=True),
-        svg_layer_stack(lay),
-        ascii_grid_layout(lay, max_width=10_000),
-    )
-    _install_table(lay, WireTable(lay, use_numpy=False))
-    try:
-        fallback = (
+    """JSON, SVGs and ASCII are byte-identical after a JSON round trip,
+    which rebuilds the object graph and its table from scratch."""
+    def render(lay):
+        return (
             layout_to_json(lay),
             svg_layout(lay, legend=True),
             svg_layer_stack(lay),
             ascii_grid_layout(lay, max_width=10_000),
         )
-    finally:
-        lay.invalidate_table()
-    for name, a, b in zip(("json", "svg", "stack", "ascii"), native, fallback):
-        assert a == b, f"{name} output differs between backends"
+
+    lay = _layout(case_id, net, layers)
+    original = render(lay)
+    rebuilt = render(layout_from_json(original[0]))
+    for name, a, b in zip(("json", "svg", "stack", "ascii"), original, rebuilt):
+        assert a == b, f"{name} output differs after a round trip"
 
 
 def test_table_cache_invalidation():
@@ -214,35 +222,3 @@ def test_table_cache_survives_id_reuse():
     # The old stamp kept w0 alive until the rebuild; the new one holds
     # the replacement.
     assert lay._table_stamp[1][0] is lay.wires[0]
-
-
-def test_fallback_env_flag():
-    """REPRO_TABLE_FALLBACK=1 forces the pure-python backend."""
-    import os
-    import subprocess
-    import sys
-
-    env = dict(os.environ, REPRO_TABLE_FALLBACK="1")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from repro.grid.table import HAVE_NUMPY; print(HAVE_NUMPY)"],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    assert out.stdout.strip() == "False"
-
-
-def test_fallback_storage_is_compact():
-    """nbytes() is meaningful in both backends (fallback uses
-    array('q'), not python lists), and both report identical sizes for
-    the core arrays."""
-    from repro.topology import Hypercube
-
-    lay = dispatch_scheme(Hypercube(4), layers=2, scheme="auto")
-    t_fb = WireTable(lay, use_numpy=False)
-    n_fb = t_fb.nbytes()
-    assert n_fb > 0
-    if HAVE_NUMPY:
-        t_np = WireTable(lay, use_numpy=True)
-        assert t_np.nbytes() == n_fb
