@@ -278,8 +278,11 @@ class LayoutCache:
             dir=path.parent, prefix=f".{key[:8]}.", suffix=".tmp"
         )
         try:
+            # One json.dumps call runs the C encoder; json.dump would
+            # stream through the pure-Python iterencode (same bytes).
+            text = json.dumps(doc)
             with os.fdopen(fd, "w") as fh:
-                json.dump(doc, fh)
+                fh.write(text)
             os.replace(tmp, path)
         except BaseException:
             try:

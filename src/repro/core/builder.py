@@ -26,6 +26,15 @@ Geometry (y grows downward)::
   source row's channel and one dedicated vertical track in the target
   column's channel.
 
+The routing phases emit oriented segment rows, not ``Segment``/``Wire``
+objects: the layout is handed a finished
+:class:`~repro.grid.table.WireTable` (:meth:`GridLayout.from_table`)
+and builds ``Wire`` objects from its rows only if someone reads
+``layout.wires``.  Pin and packing bookkeeping runs on integer
+link-end ids (see ``_Builder.__init__``); their integer sort keys order
+pins exactly as ``(direction, other, str((kind, index, end)))`` tuples
+would.
+
 Layer discipline: horizontal segments on odd layers, vertical segments
 on even layers; a channel's tracks are split into ``G = floor(L/2)``
 groups, group g using layers (2g+1, 2g+2) -- the multilayer transform
@@ -39,21 +48,38 @@ makes track sharing by touching intervals safe.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable
+from functools import lru_cache
+from typing import Hashable, Sequence
 
 from repro import obs
 from repro.core.multilayer import LayerGroups
 from repro.core.pins import PinAllocator
-from repro.core.spec import BlockCell, LayoutSpec, LinkSpec, NodeCell
-from repro.grid.geometry import Rect, Segment
-from repro.grid.layout import GridLayout
+from repro.core.spec import BlockCell, LayoutSpec, NodeCell
+from repro.grid.geometry import Rect
+from repro.grid.layout import GridLayout, Placement
+from repro.grid.table import WireTable
 from repro.grid.tracks import Interval, pack_intervals
-from repro.grid.wire import Wire
 
 __all__ = ["build_orthogonal_layout"]
 
 Node = Hashable
 CellPos = tuple[int, int]
+
+# Link kinds, numbered in the order their names sort ("col" < "extra" <
+# "row" < "strip"): pin and distribution-slot ties between two link ends
+# are broken by the string form of the end's (kind, index, end) token,
+# and integer keys built from these numbers sort exactly the same way.
+_COL, _EXTRA, _ROW, _STRIP = range(4)
+_SIDES = ("top", "right", "bottom", "left")
+
+
+@lru_cache(maxsize=None)
+def _decimal_rank(n: int) -> tuple[int, ...]:
+    """``rank[i]`` orders ``0 .. n-1`` the way their decimal strings sort."""
+    rank = [0] * n
+    for r, i in enumerate(sorted(range(n), key=str)):
+        rank[i] = r
+    return tuple(rank)
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +95,8 @@ class _BlockInfo:
     width: int
     strip_tracks: int  # logical intra-cluster tracks
     strip_extent: int  # physical grid lines below the node row
-    dist_slots: dict[Hashable, int] = field(default_factory=dict)  # token -> y offset
+    strip_base: int  # id of this block's first strip edge
+    dist_slots: dict[int, int] = field(default_factory=dict)  # end id -> y offset
     strip_assignment: dict[int, int] = field(default_factory=dict)
 
     @property
@@ -94,6 +121,35 @@ class _Geometry:
     row_heights: list[int]
 
 
+class _Rows:
+    """Oriented segment rows, wire-major, as the routing phases emit
+    them: ``[sx, sy, ex, ey, layer]`` per segment, from the segment's
+    path start to its path end."""
+
+    __slots__ = ("flat", "ends", "u", "v", "keys")
+
+    def __init__(self) -> None:
+        self.flat: list[int] = []
+        self.ends = [0]  # CSR segment offsets
+        self.u: list[Node] = []
+        self.v: list[Node] = []
+        self.keys: list = []
+
+    def wire(self, u: Node, v: Node, key, path: Sequence[int]) -> None:
+        self.flat += path
+        self.ends.append(len(self.flat) // 5)
+        self.u.append(u)
+        self.v.append(v)
+        self.keys.append(key)
+
+
+def _extend_reversed(path: list[int], segs: list[tuple]) -> None:
+    """Append ``segs`` (oriented pin -> channel) to ``path`` walked
+    back from the channel to the pin."""
+    for sx, sy, ex, ey, layer in reversed(segs):
+        path += (ex, ey, sx, sy, layer)
+
+
 def build_orthogonal_layout(spec: LayoutSpec) -> GridLayout:
     """Run the full orthogonal multilayer layout scheme on ``spec``."""
     spec.validate()
@@ -106,21 +162,47 @@ class _Builder:
         self.spec = spec
         self.G = max(spec.layers // 2, 1)
         self.pins = PinAllocator()
+        self.pin_off: dict[int, int] = {}  # link-end id -> pin offset
         self.blocks: dict[CellPos, _BlockInfo] = {}
+        # Link-end ids: end e (0 = u, 1 = v) of link idx of a kind is
+        # (kind * M + idx) * 2 + e, strip edges numbered across blocks.
+        # A pin or distribution-slot request sorts by the int
+        # (direction * O + other) * T + _tie(...), which orders ends as
+        # the tuples (direction, other, str((kind, idx, end))) would.
+        strips = sum(
+            len(c.edges) for c in spec.cells.values()
+            if isinstance(c, BlockCell)
+        )
+        self.M = 1 + max(
+            len(spec.row_links), len(spec.col_links),
+            len(spec.extra_links), strips,
+        )
+        self.T = 8 * self.M
+        self.O = 2 + max(
+            2 * spec.cols, spec.rows,
+            *(len(c.nodes) for c in spec.cells.values()
+              if isinstance(c, BlockCell)),
+        )
+        self.str_rank = _decimal_rank(1 << (self.M - 1).bit_length())
         # Per-link routing choices, filled in phase order.
-        self.row_track: dict[int, int] = {}  # row-link index -> track
-        self.col_track: dict[int, int] = {}
+        self.row_track: list[int] = []  # row-link index -> track
+        self.row_rank: list[tuple[int, int]] = []  # (u, v) pin abscissa offsets
+        self.col_track: list[int] = []
         # Extra links: (offset, group) per channel; both channels of a
         # link share the group so its via spans one layer pair only.
         self.extra_group: dict[int, int] = {}
         self.extra_h_offset: dict[int, int] = {}
         self.extra_v_offset: dict[int, int] = {}
-        self.row_packed: list[int] = []
-        self.col_packed: list[int] = []
+        self.row_groups: list[LayerGroups] = []  # per channel
+        self.col_groups: list[LayerGroups] = []
         self.row_tracks_total: list[int] = []
         self.col_tracks_total: list[int] = []
         self.row_extents: list[int] = []
         self.col_extents: list[int] = []
+
+    def _tie(self, kind: int, idx: int, end: int) -> int:
+        """Tie-break key of a link end, ordered as its old string token."""
+        return (kind * self.M + self.str_rank[idx]) * 2 + end
 
     # -- top level -------------------------------------------------------
 
@@ -131,7 +213,7 @@ class _Builder:
         ) as sp:
             layout = self._build_phases(sp)
         obs.count("builder.layouts_built")
-        obs.count("builder.wires_routed", len(layout.wires))
+        obs.count("builder.wires_routed", layout.wire_table().num_wires)
         obs.count(
             "builder.tracks_packed",
             sum(self.row_tracks_total) + sum(self.col_tracks_total),
@@ -144,25 +226,31 @@ class _Builder:
             self._allocate_dist_slots()
         with obs.span("request_pins"):
             self._request_pins()
-            self.pins.freeze()
+            self.pin_off = self.pins.freeze()
         with obs.span("pack_channels"):
             self._pack_channels()
         with obs.span("compute_geometry"):
             geo = self._compute_geometry()
-        layout = GridLayout(layers=self.spec.layers)
         with obs.span("place_nodes"):
-            self._place_nodes(geo, layout)
+            placements = self._place_nodes(geo)
+        rows = _Rows()
         with obs.span("route_row_links"):
-            self._route_row_links(geo, layout)
+            self._route_row_links(geo, rows)
         with obs.span("route_col_links"):
-            self._route_col_links(geo, layout)
+            self._route_col_links(geo, rows)
         with obs.span("route_extra_links"):
-            self._route_extra_links(geo, layout)
+            self._route_extra_links(geo, rows)
         with obs.span("route_strips"):
-            self._route_strips(geo, layout)
-        sp.add("wires", len(layout.wires))
-        layout.meta.update(
-            {
+            self._route_strips(geo, rows)
+        table = WireTable.from_paths(
+            rows.flat, rows.ends, rows.u, rows.v, rows.keys, placements
+        )
+        sp.add("wires", table.num_wires)
+        return GridLayout.from_table(
+            self.spec.layers,
+            placements,
+            table,
+            meta={
                 "scheme": "orthogonal-multilayer",
                 "name": self.spec.name,
                 "rows": self.spec.rows,
@@ -174,13 +262,13 @@ class _Builder:
                 "col_channel_extents": list(self.col_extents),
                 "col_widths": geo.col_widths,
                 "row_heights": geo.row_heights,
-            }
+            },
         )
-        return layout
 
     # -- phase 1: blocks ---------------------------------------------------
 
     def _prepare_blocks(self) -> None:
+        base = 0
         for pos, cell in self.spec.cells.items():
             if not isinstance(cell, BlockCell):
                 continue
@@ -192,7 +280,9 @@ class _Builder:
                 width=width,
                 strip_tracks=0,
                 strip_extent=0,
+                strip_base=base,
             )
+            base += len(cell.edges)
 
     def _allocate_dist_slots(self) -> None:
         """Give each side-entering link end a distribution track.
@@ -201,119 +291,107 @@ class _Builder:
         departing below; this is what lets two such links share a
         vertical channel track that touches at this block's row.
         """
-        requests: dict[CellPos, list[tuple[tuple, Hashable]]] = {}
+        M, O, T = self.M, self.O, self.T
+        requests: dict[CellPos, list[tuple[int, int]]] = {}
 
-        def ask(pos: CellPos, other_row: int, token: Hashable) -> None:
-            i = pos[0]
-            direction = 0 if other_row < i else 1
-            requests.setdefault(pos, []).append(
-                ((direction, other_row, str(token)), token)
-            )
+        def ask(pos: CellPos, other_row: int, kind: int, idx: int, end: int) -> None:
+            direction = 0 if other_row < pos[0] else 1
+            key = (direction * O + other_row) * T + self._tie(kind, idx, end)
+            requests.setdefault(pos, []).append((key, (kind * M + idx) * 2 + end))
 
         for idx, link in enumerate(self.spec.col_links):
-            for end, other in (("u", link.v_cell), ("v", link.u_cell)):
-                pos = link.u_cell if end == "u" else link.v_cell
-                if pos in self.blocks:
-                    ask(pos, other[0], ("col", idx, end))
+            if link.u_cell in self.blocks:
+                ask(link.u_cell, link.v_cell[0], _COL, idx, 0)
+            if link.v_cell in self.blocks:
+                ask(link.v_cell, link.u_cell[0], _COL, idx, 1)
         for idx, link in enumerate(self.spec.extra_links):
             # Only the v end of an extra link enters from the side; the
             # vertical run approaches from the source row's channel.
             if link.v_cell in self.blocks:
-                ask(link.v_cell, link.u_cell[0], ("extra", idx, "v"))
+                ask(link.v_cell, link.u_cell[0], _EXTRA, idx, 1)
 
         for pos, reqs in requests.items():
-            reqs.sort(key=lambda r: r[0])
+            reqs.sort()
             info = self.blocks[pos]
-            for slot, (_, token) in enumerate(reqs):
-                info.dist_slots[token] = slot
+            for slot, (_, end_id) in enumerate(reqs):
+                info.dist_slots[end_id] = slot
 
     # -- phase 2: pins -----------------------------------------------------
 
     def _request_pins(self) -> None:
-        # Capacities.
-        for pos, cell in self.spec.cells.items():
+        spec, blocks = self.spec, self.blocks
+        M, O, T, tie = self.M, self.O, self.T, self._tie
+        request = self.pins.request
+        capacity = self.pins.capacity
+        for cell in spec.cells.values():
             if isinstance(cell, NodeCell):
-                for side in ("top", "right", "bottom", "left"):
-                    self.pins.set_capacity(cell.node, side, cell.side)
+                for side in _SIDES:
+                    capacity[(cell.node, side)] = cell.side
             else:
                 for v in cell.nodes:
-                    for side in ("top", "right", "bottom", "left"):
-                        self.pins.set_capacity(v, side, cell.node_side)
+                    for side in _SIDES:
+                        capacity[(v, side)] = cell.node_side
 
         # Row links: both ends attach at top pins; ordering key places
         # wires arriving from the left before wires departing right.
-        for idx, link in enumerate(self.spec.row_links):
-            self._request_top_pin(link, idx, "row")
+        for idx, link in enumerate(spec.row_links):
+            ju, jv = link.u_cell[1], link.v_cell[1]
+            e = (_ROW * M + idx) * 2
+            t = tie(_ROW, idx, 0)
+            request(link.u_node, "top", ((jv >= ju) * O + jv) * T + t, e)
+            request(link.v_node, "top", ((ju >= jv) * O + ju) * T + t + 1, e + 1)
 
         # Column links: plain nodes use right-side pins (ordered by the
         # other end's row); block members use a top pin for the climb to
         # the distribution track (no ordering constraint).
-        for idx, link in enumerate(self.spec.col_links):
-            for end in ("u", "v"):
-                pos, node, other = self._end(link, end)
-                token = ("col", idx, end)
-                if pos in self.blocks:
-                    self.pins.request(node, "top", (2, 0, str(token)), token)
+        for idx, link in enumerate(spec.col_links):
+            e = (_COL * M + idx) * 2
+            t = tie(_COL, idx, 0)
+            for end, pos, node, other in (
+                (0, link.u_cell, link.u_node, link.v_cell[0]),
+                (1, link.v_cell, link.v_node, link.u_cell[0]),
+            ):
+                if pos in blocks:
+                    request(node, "top", 2 * O * T + t + end, e + end)
                 else:
-                    direction = 0 if other[0] < pos[0] else 1
-                    self.pins.request(
-                        node, "right", (direction, other[0], str(token)), token
+                    request(
+                        node, "right",
+                        ((other >= pos[0]) * O + other) * T + t + end, e + end,
                     )
 
         # Extra links: source uses a top pin (ordered like a row wire
         # toward the target column's channel); target enters from the
         # right side (plain node) or via a distribution track (block).
-        for idx, link in enumerate(self.spec.extra_links):
-            u_pos, u_node = link.u_cell, link.u_node
-            token_u = ("extra", idx, "u")
-            self_d = 2 * u_pos[1]
+        for idx, link in enumerate(spec.extra_links):
+            e = (_EXTRA * M + idx) * 2
+            t = tie(_EXTRA, idx, 0)
+            self_d = 2 * link.u_cell[1]
             other_d = 2 * link.v_cell[1] + 1  # the target column's channel
-            direction = 0 if other_d < self_d else 1
-            self.pins.request(
-                u_node, "top", (direction, other_d, str(token_u)), token_u
+            request(
+                link.u_node, "top", ((other_d >= self_d) * O + other_d) * T + t, e
             )
-            token_v = ("extra", idx, "v")
-            v_pos, v_node = link.v_cell, link.v_node
-            if v_pos in self.blocks:
-                self.pins.request(v_node, "top", (2, 0, str(token_v)), token_v)
+            v_pos, i_u = link.v_cell, link.u_cell[0]
+            if v_pos in blocks:
+                request(link.v_node, "top", 2 * O * T + t + 1, e + 1)
             else:
-                direction = 0 if link.u_cell[0] < v_pos[0] else 1
-                self.pins.request(
-                    v_node, "right", (direction, link.u_cell[0], str(token_v)),
-                    token_v,
+                request(
+                    link.v_node, "right",
+                    ((i_u >= v_pos[0]) * O + i_u) * T + t + 1, e + 1,
                 )
 
         # Intra-block strip wiring: bottom pins, ordered left-to-right.
-        for pos, info in self.blocks.items():
+        for info in blocks.values():
+            index = info.member_index
             for eidx, (u, v) in enumerate(info.cell.edges):
-                mu, mv = info.member_index[u], info.member_index[v]
-                for node, mine, other, end in (
-                    (u, mu, mv, "u"),
-                    (v, mv, mu, "v"),
-                ):
-                    token = ("strip", pos, eidx, end)
-                    direction = 0 if other < mine else 1
-                    self.pins.request(
-                        node, "bottom", (direction, other, str(token)), token
-                    )
-
-    def _request_top_pin(self, link: LinkSpec, idx: int, kind: str) -> None:
-        for end in ("u", "v"):
-            pos, node, other = self._end(link, end)
-            token = (kind, idx, end)
-            direction = 0 if other[1] < pos[1] else 1
-            self.pins.request(
-                node, "top", (direction, other[1], str(token)), token
-            )
-
-    def _end(self, link: LinkSpec, end: str) -> tuple[CellPos, Node, CellPos]:
-        if end == "u":
-            return link.u_cell, link.u_node, link.v_cell
-        return link.v_cell, link.v_node, link.u_cell
+                mu, mv = index[u], index[v]
+                e = (_STRIP * M + info.strip_base + eidx) * 2
+                t = tie(_STRIP, eidx, 0)
+                request(u, "bottom", ((mv >= mu) * O + mv) * T + t, e)
+                request(v, "bottom", ((mu >= mv) * O + mu) * T + t + 1, e + 1)
 
     # -- phase 3: channel packing ------------------------------------------
 
-    def _cell_rank(self, pos: CellPos, node: Node, token: Hashable, axis: str) -> int:
+    def _cell_rank(self, pos: CellPos, node: Node, end_id: int, axis: str) -> int:
         """The pin's offset within its cell along the channel axis.
 
         For row channels (axis 'x') this is the top-pin abscissa offset;
@@ -321,103 +399,103 @@ class _Builder:
         ordinate offset.  Ranks refine the doubled cell coordinate so
         interval packing reasons about true geometric extents.
         """
-        cell = self.spec.cells[pos]
+        info = self.blocks.get(pos)
         if axis == "x":
-            off = self.pins.offset(node, "top", token)
-            if isinstance(cell, BlockCell):
-                info = self.blocks[pos]
-                return info.member_index[node] * cell.node_side + off
+            off = self.pin_off[end_id]
+            if info is not None:
+                return info.member_index[node] * info.cell.node_side + off
             return off
         # axis == 'y'
-        if pos in self.blocks:
-            return self.blocks[pos].dist_slots[token]
-        return self.pins.offset(node, "right", token)
+        if info is not None:
+            return info.dist_slots[end_id]
+        return self.pin_off[end_id]
+
+    def _pack_channel_links(
+        self, links, kind: int, axis: int, count: int,
+    ) -> tuple[list[int], list[int], list[tuple[int, int]]]:
+        """Left-edge pack the links of every channel along one axis
+        (0: row channels, 1: column channels).
+
+        Returns ``(track per link, tracks per channel, (u, v) ranks per
+        link)``.  An end's extent is its doubled cell coordinate refined
+        by its rank, encoded as one int ``2 * cell * K + rank``.
+        """
+        M, rank = self.M, self._cell_rank
+        name = "xy"[axis]
+        ranks = []
+        for idx, link in enumerate(links):
+            e = (kind * M + idx) * 2
+            ranks.append((
+                rank(link.u_cell, link.u_node, e, name),
+                rank(link.v_cell, link.v_node, e + 1, name),
+            ))
+        K = 1 + max((max(r) for r in ranks), default=0)
+        cross = 1 - axis  # the cell coordinate along the channel
+        per_chan: list[list[int]] = [[] for _ in range(count)]
+        intervals: list[list[Interval]] = [[] for _ in range(count)]
+        for idx, link in enumerate(links):
+            ru, rv = ranks[idx]
+            a = 2 * link.u_cell[cross] * K + ru
+            b = 2 * link.v_cell[cross] * K + rv
+            c = link.u_cell[axis]
+            per_chan[c].append(idx)
+            intervals[c].append(Interval(a, b) if a < b else Interval(b, a))
+        track = [0] * len(links)
+        totals = []
+        for c in range(count):
+            assignment, n = pack_intervals(intervals[c])
+            for local, idx in enumerate(per_chan[c]):
+                track[idx] = assignment[local]
+            totals.append(n)
+        return track, totals, ranks
 
     def _pack_channels(self) -> None:
         spec = self.spec
-        # Row channels.
-        per_row: dict[int, list[tuple[int, Interval]]] = {}
-        for idx, link in enumerate(spec.row_links):
-            i = link.u_cell[0]
-            ends = []
-            for end in ("u", "v"):
-                pos, node, _ = self._end(link, end)
-                rank = self._cell_rank(pos, node, ("row", idx, end), "x")
-                ends.append((2 * pos[1], rank))
-            lo, hi = sorted(ends)
-            per_row.setdefault(i, []).append((idx, Interval(lo, hi)))
         G = self.G
-        extras_per_row: dict[int, list[int]] = {}
-        for idx, link in enumerate(spec.extra_links):
-            extras_per_row.setdefault(link.u_cell[0], []).append(idx)
+        for idx in range(len(spec.extra_links)):
             self.extra_group[idx] = idx % G
 
-        self.row_packed = [0] * spec.rows
-        self.row_tracks_total = [0] * spec.rows
-        self.row_extents = [0] * spec.rows
-        for i in range(spec.rows):
-            items = per_row.get(i, [])
-            assignment, count = pack_intervals([iv for _, iv in items])
-            for local, (idx, _) in enumerate(items):
-                self.row_track[idx] = assignment[local]
-            extras = extras_per_row.get(i, [])
-            cap = LayerGroups(count, spec.layers).per_group
-            per_group: dict[int, int] = {}
-            for idx in extras:
-                g = self.extra_group[idx]
-                self.extra_h_offset[idx] = cap + per_group.get(g, 0)
-                per_group[g] = per_group.get(g, 0) + 1
-            self.row_packed[i] = count
-            self.row_tracks_total[i] = count + len(extras)
-            self.row_extents[i] = cap + max(per_group.values(), default=0)
-
-        # Column channels.
-        per_col: dict[int, list[tuple[int, Interval]]] = {}
-        for idx, link in enumerate(spec.col_links):
-            j = link.u_cell[1]
-            ends = []
-            for end in ("u", "v"):
-                pos, node, _ = self._end(link, end)
-                rank = self._cell_rank(pos, node, ("col", idx, end), "y")
-                ends.append((2 * pos[0], rank))
-            lo, hi = sorted(ends)
-            per_col.setdefault(j, []).append((idx, Interval(lo, hi)))
-        extras_per_col: dict[int, list[int]] = {}
-        for idx, link in enumerate(spec.extra_links):
-            extras_per_col.setdefault(link.v_cell[1], []).append(idx)
-
-        self.col_packed = [0] * spec.cols
-        self.col_tracks_total = [0] * spec.cols
-        self.col_extents = [0] * spec.cols
-        for j in range(spec.cols):
-            items = per_col.get(j, [])
-            assignment, count = pack_intervals([iv for _, iv in items])
-            for local, (idx, _) in enumerate(items):
-                self.col_track[idx] = assignment[local]
-            extras = extras_per_col.get(j, [])
-            cap = LayerGroups(count, spec.layers).per_group
-            per_group: dict[int, int] = {}
-            for idx in extras:
-                g = self.extra_group[idx]
-                self.extra_v_offset[idx] = cap + per_group.get(g, 0)
-                per_group[g] = per_group.get(g, 0) + 1
-            self.col_packed[j] = count
-            self.col_tracks_total[j] = count + len(extras)
-            self.col_extents[j] = cap + max(per_group.values(), default=0)
+        # Row channels, then column channels; each channel's extra
+        # links get dedicated tracks past the packed ones, per group.
+        self.row_track, row_packed, self.row_rank = self._pack_channel_links(
+            spec.row_links, _ROW, 0, spec.rows
+        )
+        self.col_track, col_packed, _ = self._pack_channel_links(
+            spec.col_links, _COL, 1, spec.cols
+        )
+        for packed, groups, totals, extents, offsets, chan_of in (
+            (row_packed, self.row_groups, self.row_tracks_total,
+             self.row_extents, self.extra_h_offset,
+             lambda link: link.u_cell[0]),
+            (col_packed, self.col_groups, self.col_tracks_total,
+             self.col_extents, self.extra_v_offset,
+             lambda link: link.v_cell[1]),
+        ):
+            extras: list[list[int]] = [[] for _ in packed]
+            for idx, link in enumerate(spec.extra_links):
+                extras[chan_of(link)].append(idx)
+            for c, count in enumerate(packed):
+                groups.append(LayerGroups(count, spec.layers))
+                cap = groups[-1].per_group
+                per_group: dict[int, int] = {}
+                for idx in extras[c]:
+                    g = self.extra_group[idx]
+                    offsets[idx] = cap + per_group.get(g, 0)
+                    per_group[g] = per_group.get(g, 0) + 1
+                totals.append(count + len(extras[c]))
+                extents.append(cap + max(per_group.values(), default=0))
 
         # Intra-block strips.
-        for pos, info in self.blocks.items():
+        M, off = self.M, self.pin_off
+        for info in self.blocks.values():
+            index = info.member_index
+            K = info.cell.node_side  # bottom pin offsets are below it
             intervals = []
             for eidx, (u, v) in enumerate(info.cell.edges):
-                ends = []
-                for node, end in ((u, "u"), (v, "v")):
-                    m = info.member_index[node]
-                    off = self.pins.offset(
-                        node, "bottom", ("strip", pos, eidx, end)
-                    )
-                    ends.append((m, off))
-                lo, hi = sorted(ends)
-                intervals.append(Interval(lo, hi))
+                e = (_STRIP * M + info.strip_base + eidx) * 2
+                a = index[u] * K + off[e]
+                b = index[v] * K + off[e + 1]
+                intervals.append(Interval(a, b) if a < b else Interval(b, a))
             assignment, count = pack_intervals(intervals)
             info.strip_tracks = count
             # One grid line of clearance below the deepest strip track so
@@ -485,169 +563,140 @@ class _Builder:
 
     # -- phase 5: placement & routing ----------------------------------------
 
-    def _place_nodes(self, geo: _Geometry, layout: GridLayout) -> None:
+    def _place_nodes(self, geo: _Geometry) -> dict[Node, Placement]:
+        placements: dict[Node, Placement] = {}
+
+        def place(node: Node, rect: Rect) -> None:
+            if node in placements:
+                raise ValueError(f"node placed twice: {node!r}")
+            placements[node] = Placement(node, rect)
+
         for pos, cell in self.spec.cells.items():
             i, j = pos
             x0, y0 = geo.cell_x[j], geo.cell_y[i]
             if isinstance(cell, NodeCell):
-                layout.place(cell.node, Rect(x0, y0, cell.side, cell.side))
+                place(cell.node, Rect(x0, y0, cell.side, cell.side))
             else:
                 info = self.blocks[pos]
                 s = cell.node_side
                 ny = y0 + info.dist_extent
                 for m, v in enumerate(cell.nodes):
-                    layout.place(v, Rect(x0 + m * s, ny, s, s))
+                    place(v, Rect(x0 + m * s, ny, s, s))
+        return placements
 
     # pin coordinate helpers ---------------------------------------------
 
-    def _top_pin_x(self, pos: CellPos, node: Node, token: Hashable, geo: _Geometry) -> int:
-        j = pos[1]
-        return geo.cell_x[j] + self._cell_rank(pos, node, token, "x")
-
     def _node_top_y(self, pos: CellPos, geo: _Geometry) -> int:
-        i = pos[0]
-        if pos in self.blocks:
-            return geo.cell_y[i] + self.blocks[pos].dist_extent
-        return geo.cell_y[i]
+        info = self.blocks.get(pos)
+        if info is None:
+            return geo.cell_y[pos[0]]
+        return geo.cell_y[pos[0]] + info.dist_extent
 
-    def _right_pin(self, pos: CellPos, node: Node, token: Hashable, geo: _Geometry) -> tuple[int, int]:
-        """(x, y) of a plain node's right-side pin."""
+    def _pin_end(
+        self, pos: CellPos, node: Node, end_id: int, x_t: int, h: int,
+        geo: _Geometry,
+    ) -> tuple[list[tuple], int]:
+        """Oriented segments from a side-entering link end's pin to the
+        vertical channel track at ``x_t``, plus the ordinate where the
+        channel run meets them.
+
+        A plain node leaves through its right-side pin; a block member
+        climbs from its top pin to its distribution track, then rides
+        it to the channel.
+        """
+        info = self.blocks.get(pos)
         i, j = pos
-        cell = self.spec.cells[pos]
-        assert isinstance(cell, NodeCell)
-        y = geo.cell_y[i] + self.pins.offset(node, "right", token)
-        x = geo.cell_x[j] + cell.side
-        return x, y
-
-    def _dist_y(self, pos: CellPos, token: Hashable, geo: _Geometry) -> int:
-        return geo.cell_y[pos[0]] + self.blocks[pos].dist_slots[token]
+        if info is None:
+            x = geo.cell_x[j] + self.spec.cells[pos].side
+            y = geo.cell_y[i] + self.pin_off[end_id]
+            return ([(x, y, x_t, y, h)] if x != x_t else []), y
+        px = geo.cell_x[j] + self._cell_rank(pos, node, end_id, "x")
+        py = geo.cell_y[i] + info.dist_extent
+        dy = geo.cell_y[i] + info.dist_slots[end_id]
+        return [(px, py, px, dy, h + 1), (px, dy, x_t, dy, h)], dy
 
     # routing ---------------------------------------------------------------
 
-    def _route_row_links(self, geo: _Geometry, layout: GridLayout) -> None:
-        spec = self.spec
-        for idx, link in enumerate(spec.row_links):
+    def _route_row_links(self, geo: _Geometry, rows: _Rows) -> None:
+        cell_x, chan_y = geo.cell_x, geo.chan_y
+        top_y = self._node_top_y
+        wire = rows.wire
+        for idx, link in enumerate(self.spec.row_links):
             i = link.u_cell[0]
-            groups = LayerGroups(self.row_packed[i], spec.layers)
-            slot = groups.slot(self.row_track[idx])
-            y_t = geo.chan_y[i] + slot.offset
-            xu = self._top_pin_x(link.u_cell, link.u_node, ("row", idx, "u"), geo)
-            xv = self._top_pin_x(link.v_cell, link.v_node, ("row", idx, "v"), geo)
-            yu = self._node_top_y(link.u_cell, geo)
-            yv = self._node_top_y(link.v_cell, geo)
-            segs = [
-                Segment.make(xu, yu, xu, y_t, slot.v_layer),
-                Segment.make(xu, y_t, xv, y_t, slot.h_layer),
-                Segment.make(xv, y_t, xv, yv, slot.v_layer),
-            ]
-            layout.add_wire(
-                Wire(link.u_node, link.v_node, segs, edge_key=link.edge_key)
-            )
+            o, h, v = self.row_groups[i].locate(self.row_track[idx])
+            y_t = chan_y[i] + o
+            ru, rv = self.row_rank[idx]
+            xu = cell_x[link.u_cell[1]] + ru
+            xv = cell_x[link.v_cell[1]] + rv
+            yu = top_y(link.u_cell, geo)
+            yv = top_y(link.v_cell, geo)
+            wire(link.u_node, link.v_node, link.edge_key, (
+                xu, yu, xu, y_t, v,
+                xu, y_t, xv, y_t, h,
+                xv, y_t, xv, yv, v,
+            ))
 
-    def _route_col_links(self, geo: _Geometry, layout: GridLayout) -> None:
-        spec = self.spec
-        for idx, link in enumerate(spec.col_links):
+    def _route_col_links(self, geo: _Geometry, rows: _Rows) -> None:
+        M = self.M
+        wire = rows.wire
+        for idx, link in enumerate(self.spec.col_links):
             j = link.u_cell[1]
-            groups = LayerGroups(self.col_packed[j], spec.layers)
-            slot = groups.slot(self.col_track[idx])
-            x_t = geo.chan_x[j] + slot.offset
-            head, (xu, yu) = self._col_end_path(
-                link, "u", idx, x_t, slot.h_layer, geo
-            )
-            tail, (xv, yv) = self._col_end_path(
-                link, "v", idx, x_t, slot.h_layer, geo
-            )
-            run = Segment.make(x_t, yu, x_t, yv, slot.v_layer)
-            segs = head + [run] + [s for s in reversed(tail)]
-            layout.add_wire(
-                Wire(link.u_node, link.v_node, segs, edge_key=link.edge_key)
-            )
+            o, h, v = self.col_groups[j].locate(self.col_track[idx])
+            x_t = geo.chan_x[j] + o
+            e = (_COL * M + idx) * 2
+            head, yu = self._pin_end(link.u_cell, link.u_node, e, x_t, h, geo)
+            tail, yv = self._pin_end(link.v_cell, link.v_node, e + 1, x_t, h, geo)
+            path = [c for seg in head for c in seg]
+            path += (x_t, yu, x_t, yv, v)
+            _extend_reversed(path, tail)
+            wire(link.u_node, link.v_node, link.edge_key, path)
 
-    def _col_end_path(
-        self,
-        link: LinkSpec,
-        end: str,
-        idx: int,
-        x_t: int,
-        h_layer: int,
-        geo: _Geometry,
-    ) -> tuple[list[Segment], tuple[int, int]]:
-        """Segments from this end's pin toward the channel, plus the
-        (x, y) where the vertical channel run meets them."""
-        pos, node, _ = self._end(link, end)
-        token = ("col", idx, end)
-        if pos in self.blocks:
-            # climb from the member's top pin to the distribution track,
-            # then ride it to the channel.
-            px = self._top_pin_x(pos, node, token, geo)
-            py = self._node_top_y(pos, geo)
-            dy = self._dist_y(pos, token, geo)
-            segs = [
-                Segment.make(px, py, px, dy, h_layer + 1),  # climb
-                Segment.make(px, dy, x_t, dy, h_layer),
-            ]
-            return segs, (x_t, dy)
-        x, y = self._right_pin(pos, node, token, geo)
-        segs = []
-        if x != x_t:
-            segs.append(Segment.make(x, y, x_t, y, h_layer))
-        return segs, (x_t, y)
-
-    def _route_extra_links(self, geo: _Geometry, layout: GridLayout) -> None:
-        spec = self.spec
-        for idx, link in enumerate(spec.extra_links):
+    def _route_extra_links(self, geo: _Geometry, rows: _Rows) -> None:
+        M = self.M
+        for idx, link in enumerate(self.spec.extra_links):
             i_u = link.u_cell[0]
             j_v = link.v_cell[1]
             g = self.extra_group[idx]
             h_layer, v_layer = 2 * g + 1, 2 * g + 2
             y_h = geo.chan_y[i_u] + self.extra_h_offset[idx]
             x_v = geo.chan_x[j_v] + self.extra_v_offset[idx]
+            e = (_EXTRA * M + idx) * 2
 
-            xu = self._top_pin_x(link.u_cell, link.u_node, ("extra", idx, "u"), geo)
-            yu = self._node_top_y(link.u_cell, geo)
-            segs = [
-                Segment.make(xu, yu, xu, y_h, v_layer),
-                Segment.make(xu, y_h, x_v, y_h, h_layer),
-            ]
-            # Target entry.
-            token_v = ("extra", idx, "v")
-            if link.v_cell in self.blocks:
-                px = self._top_pin_x(link.v_cell, link.v_node, token_v, geo)
-                py = self._node_top_y(link.v_cell, geo)
-                dy = self._dist_y(link.v_cell, token_v, geo)
-                segs.append(Segment.make(x_v, y_h, x_v, dy, v_layer))
-                segs.append(Segment.make(x_v, dy, px, dy, h_layer))
-                segs.append(Segment.make(px, dy, px, py, v_layer))
-            else:
-                x, y = self._right_pin(link.v_cell, link.v_node, token_v, geo)
-                segs.append(Segment.make(x_v, y_h, x_v, y, v_layer))
-                if x != x_v:
-                    segs.append(Segment.make(x_v, y, x, y, h_layer))
-            layout.add_wire(
-                Wire(link.u_node, link.v_node, segs, edge_key=link.edge_key)
+            xu = geo.cell_x[link.u_cell[1]] + self._cell_rank(
+                link.u_cell, link.u_node, e, "x"
             )
+            yu = self._node_top_y(link.u_cell, geo)
+            path = [
+                xu, yu, xu, y_h, v_layer,
+                xu, y_h, x_v, y_h, h_layer,
+            ]
+            # Target entry: down the dedicated vertical track, then
+            # the v end's pin path walked back from the channel.
+            tail, y = self._pin_end(
+                link.v_cell, link.v_node, e + 1, x_v, h_layer, geo
+            )
+            path += (x_v, y_h, x_v, y, v_layer)
+            _extend_reversed(path, tail)
+            rows.wire(link.u_node, link.v_node, link.edge_key, path)
 
-    def _route_strips(self, geo: _Geometry, layout: GridLayout) -> None:
+    def _route_strips(self, geo: _Geometry, rows: _Rows) -> None:
+        M, off = self.M, self.pin_off
         for pos, info in self.blocks.items():
             cell = info.cell
+            index = info.member_index
+            s = cell.node_side
             assignment = info.strip_assignment
             groups = LayerGroups(max(info.strip_tracks, 1), self.spec.layers)
-            node_bottom = (
-                geo.cell_y[pos[0]] + info.dist_extent + cell.node_side
-            )
+            node_bottom = geo.cell_y[pos[0]] + info.dist_extent + s
             x0 = geo.cell_x[pos[1]]
             for eidx, (u, v) in enumerate(cell.edges):
-                slot = groups.slot(assignment[eidx])
-                y_t = node_bottom + 1 + slot.offset
-                xs = []
-                for node, end in ((u, "u"), (v, "v")):
-                    m = info.member_index[node]
-                    off = self.pins.offset(node, "bottom", ("strip", pos, eidx, end))
-                    xs.append(x0 + m * cell.node_side + off)
-                xu, xv = xs
-                segs = [
-                    Segment.make(xu, node_bottom, xu, y_t, slot.v_layer),
-                    Segment.make(xu, y_t, xv, y_t, slot.h_layer),
-                    Segment.make(xv, y_t, xv, node_bottom, slot.v_layer),
-                ]
-                layout.add_wire(Wire(u, v, segs, edge_key=("strip", eidx)))
+                o, h_layer, v_layer = groups.locate(assignment[eidx])
+                y_t = node_bottom + 1 + o
+                e = (_STRIP * M + info.strip_base + eidx) * 2
+                xu = x0 + index[u] * s + off[e]
+                xv = x0 + index[v] * s + off[e + 1]
+                rows.wire(u, v, ("strip", eidx), (
+                    xu, node_bottom, xu, y_t, v_layer,
+                    xu, y_t, xv, y_t, h_layer,
+                    xv, y_t, xv, node_bottom, v_layer,
+                ))

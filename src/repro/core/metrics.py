@@ -58,14 +58,14 @@ def wire_length_weights(layout: GridLayout) -> dict[Hashable, list[tuple[Hashabl
     Parallel wires keep the shortest routed length per node pair.
     """
     adj: dict[Hashable, dict[Hashable, int]] = {}
-    lengths = layout.wire_table().wire_lengths()
-    for w, wlen in zip(layout.wires, lengths):
-        best = adj.setdefault(w.u, {})
-        if w.v not in best or wlen < best[w.v]:
-            best[w.v] = wlen
-        best2 = adj.setdefault(w.v, {})
-        if w.u not in best2 or wlen < best2[w.u]:
-            best2[w.u] = wlen
+    table = layout.wire_table()
+    for u, v, wlen in zip(table.wire_u, table.wire_v, table.wire_lengths()):
+        best = adj.setdefault(u, {})
+        if v not in best or wlen < best[v]:
+            best[v] = wlen
+        best2 = adj.setdefault(v, {})
+        if u not in best2 or wlen < best2[u]:
+            best2[u] = wlen
     return {u: list(nbrs.items()) for u, nbrs in adj.items()}
 
 

@@ -48,11 +48,14 @@ class LayerGroups:
     def slot(self, track: int) -> TrackSlot:
         if not (0 <= track < self.tracks):
             raise ValueError(f"track {track} outside 0..{self.tracks - 1}")
-        cap = self.per_group
-        g = track // cap
-        return TrackSlot(
-            offset=track % cap, h_layer=2 * g + 1, v_layer=2 * g + 2
-        )
+        return TrackSlot(*self.locate(track))
+
+    def locate(self, track: int) -> tuple[int, int, int]:
+        """``(offset, h_layer, v_layer)`` of an in-range track: the
+        :meth:`slot` arithmetic without the range check or the object,
+        for the builder's per-wire loops."""
+        g, offset = divmod(track, self.per_group)
+        return offset, 2 * g + 1, 2 * g + 2
 
     def physical_extent(self) -> int:
         """Grid lines the channel occupies (its width or height)."""

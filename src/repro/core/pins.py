@@ -16,65 +16,60 @@ with a sort key, then freeze; pins are handed out in key order).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Hashable
 
-__all__ = ["PinAllocator", "PinRequest"]
+__all__ = ["PinAllocator"]
 
 Node = Hashable
 Side = str  # "top" | "right" | "bottom" | "left"
 
 
 @dataclass(slots=True)
-class PinRequest:
-    """A wire's request for one pin on a node side."""
-
-    node: Node
-    side: Side
-    sort_key: tuple
-    token: Hashable  # identifies the requesting wire end
-
-
-@dataclass(slots=True)
 class PinAllocator:
-    """Collects pin requests, then assigns ordered offsets per side."""
+    """Collects pin requests, then assigns ordered offsets per side.
+
+    A request names the node side, a sort key, and a *token*
+    identifying the requesting wire end -- the orthogonal builder uses
+    integer link-end ids.  A wire end asks for one pin, so a token is
+    unique across the allocator.
+    """
 
     capacity: dict[tuple[Node, Side], int] = field(default_factory=dict)
-    _requests: list[PinRequest] = field(default_factory=list)
-    _assigned: dict[tuple[Node, Side, Hashable], int] | None = None
+    _groups: dict[tuple[Node, Side], list[tuple]] = field(default_factory=dict)
+    _assigned: dict[Hashable, int] | None = None
 
     def set_capacity(self, node: Node, side: Side, pins: int) -> None:
         self.capacity[(node, side)] = pins
 
     def request(
-        self, node: Node, side: Side, sort_key: tuple, token: Hashable
+        self, node: Node, side: Side, sort_key, token: Hashable
     ) -> None:
         if self._assigned is not None:
             raise RuntimeError("allocator already frozen")
-        self._requests.append(PinRequest(node, side, sort_key, token))
+        self._groups.setdefault((node, side), []).append((sort_key, token))
 
-    def freeze(self) -> None:
+    def freeze(self) -> dict[Hashable, int]:
         """Assign offsets: per (node, side), requests sorted by key get
-        offsets 0, 1, 2, ...  Raises if capacity is exceeded."""
-        groups: dict[tuple[Node, Side], list[PinRequest]] = {}
-        for req in self._requests:
-            groups.setdefault((req.node, req.side), []).append(req)
-        assigned: dict[tuple[Node, Side, Hashable], int] = {}
-        for (node, side), reqs in groups.items():
+        offsets 0, 1, 2, ...  Raises if capacity is exceeded.  Returns
+        the token -> offset mapping :meth:`offset` reads."""
+        assigned: dict[Hashable, int] = {}
+        for (node, side), reqs in self._groups.items():
             cap = self.capacity.get((node, side))
             if cap is not None and len(reqs) > cap:
                 raise ValueError(
                     f"node {node!r} side {side}: {len(reqs)} pins requested "
                     f"but the square only offers {cap} (raise node_side)"
                 )
-            reqs.sort(key=lambda r: r.sort_key)
-            for off, req in enumerate(reqs):
-                key = (node, side, req.token)
-                if key in assigned:
-                    raise ValueError(f"duplicate pin token {key!r}")
-                assigned[key] = off
+            reqs.sort(key=itemgetter(0))
+            for off, (_, token) in enumerate(reqs):
+                if token in assigned:
+                    raise ValueError(f"duplicate pin token {token!r}")
+                assigned[token] = off
         self._assigned = assigned
+        return assigned
 
-    def offset(self, node: Node, side: Side, token: Hashable) -> int:
+    def offset(self, token: Hashable) -> int:
         if self._assigned is None:
             raise RuntimeError("freeze() the allocator before reading pins")
-        return self._assigned[(node, side, token)]
+        return self._assigned[token]

@@ -81,38 +81,69 @@ decode_label = _decode_label
 def layout_to_json(layout: GridLayout) -> str:
     """Serialize a layout to a JSON string.
 
-    Segment rows come from the layout's cached
-    :class:`~repro.grid.table.WireTable` -- the arrays store segments
-    in exactly the per-wire order the object path would serialize, so
-    the emitted JSON is byte-identical to walking ``w.segments``.
+    Everything per wire -- labels, edge key, segment rows, riser --
+    comes from the layout's cached :class:`~repro.grid.table.WireTable`
+    columns, which store wires and segments in exactly the order the
+    object path would serialize them, so the emitted JSON is
+    byte-identical to walking ``layout.wires`` (and a table-born
+    layout never builds its ``Wire`` objects here).  Each distinct
+    label is encoded once per call.
     """
     table = layout.wire_table()
     seg_rows = table.segment_rows()
-    starts = table.wire_seg_start
+    starts = table.wire_seg_start.tolist()
+    zstarts = table.wire_zrun_start.tolist()
+    risers = table.wire_is_riser.tolist()
+    label = _Memo(_encode_label)
+    edge_key = _Memo(_encode_edge_key)
+    wires = []
+    for wi, (u, v, key) in enumerate(
+        zip(table.wire_u, table.wire_v, table.wire_edge_key)
+    ):
+        wire = {
+            "u": label[u],
+            "v": label[v],
+            "edge_key": edge_key[key],
+            "segments": seg_rows[starts[wi]:starts[wi + 1]],
+        }
+        if risers[wi]:
+            z = zstarts[wi]
+            wire["riser"] = [
+                int(table.zrun_x[z]), int(table.zrun_y[z]),
+                int(table.zrun_lo[z]), int(table.zrun_hi[z]),
+            ]
+        wires.append(wire)
     doc = {
         "format": FORMAT_VERSION,
         "layers": layout.layers,
         "meta": _jsonable_meta(layout.meta),
         "placements": [
             {
-                "node": _encode_label(p.node),
+                "node": label[p.node],
                 "rect": [p.rect.x0, p.rect.y0, p.rect.w, p.rect.h],
                 "layer": p.layer,
             }
             for p in layout.placements.values()
         ],
-        "wires": [
-            {
-                "u": _encode_label(w.u),
-                "v": _encode_label(w.v),
-                "edge_key": _encode_edge_key(w.edge_key),
-                "segments": seg_rows[int(starts[wi]):int(starts[wi + 1])],
-                **({"riser": list(w.riser)} if w.riser is not None else {}),
-            }
-            for wi, w in enumerate(layout.wires)
-        ],
+        "wires": wires,
     }
-    return json.dumps(doc)
+    # The document is freshly built and acyclic (memoized codes are
+    # shared, never nested in themselves): skip the cycle bookkeeping.
+    return json.dumps(doc, check_circular=False)
+
+
+class _Memo(dict):
+    """``memo[x] == fn(x)``, computed once per distinct ``x``."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
 
 
 def _jsonable_meta(meta: dict) -> dict:

@@ -8,17 +8,21 @@ model is the paper's own grid model rather than a physical substrate.
 Measurement methods route through the layout's cached
 :class:`~repro.grid.table.WireTable` -- a structure-of-arrays flattening
 of the wire geometry built once per layout (see :meth:`GridLayout.wire_table`
-for the cache-invalidation rule).
+for the cache-invalidation rule).  A layout can also be *table-born*
+(:meth:`GridLayout.from_table`, the orthogonal builder's output): the
+table is its geometry from the start, and the ``Wire`` list is built
+from the table's rows on first access to :attr:`GridLayout.wires`, so
+code that only measures, validates or serializes never creates one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable, Iterable
 
 from repro import obs
 from repro.grid.geometry import Rect, Segment
-from repro.grid.wire import Wire
+from repro.grid.wire import Wire, sorted_pair
 
 __all__ = ["Placement", "GridLayout"]
 
@@ -32,7 +36,6 @@ class Placement:
     layer: int = 1
 
 
-@dataclass(slots=True)
 class GridLayout:
     """A complete multilayer grid layout.
 
@@ -47,28 +50,86 @@ class GridLayout:
         Node squares, keyed by node label.
     wires:
         Routed nets, one per network edge (parallel edges are separate
-        wires distinguished by ``edge_key``).
+        wires distinguished by ``edge_key``).  A table-born layout (see
+        :meth:`from_table`) builds this list from its table's rows on
+        first access.
     meta:
         Free-form provenance written by the layout schemes (scheme name,
         channel structure, track counts); benches and tests read it.
     """
 
-    layers: int
-    placements: dict[Hashable, Placement] = field(default_factory=dict)
-    wires: list[Wire] = field(default_factory=list)
-    meta: dict = field(default_factory=dict)
-    _table: object = field(default=None, repr=False, compare=False)
-    _table_stamp: tuple = field(default=(), repr=False, compare=False)
-    #: Lazily attached :class:`repro.grid.dirty.DirtyTracker`; ``None``
-    #: until the first ``validate_layout(..., incremental=True)`` call
-    #: opts this layout into dirty-region bookkeeping.
-    _dirty: object = field(default=None, repr=False, compare=False)
+    __slots__ = (
+        "layers", "placements", "_wires", "meta",
+        "_table", "_table_stamp", "_dirty",
+    )
+
+    def __init__(
+        self,
+        layers: int,
+        placements: dict[Hashable, Placement] | None = None,
+        wires: list[Wire] | None = None,
+        meta: dict | None = None,
+    ):
+        self.layers = layers
+        self.placements = {} if placements is None else placements
+        self._wires: list[Wire] | None = [] if wires is None else wires
+        self.meta = {} if meta is None else meta
+        self._table = None
+        self._table_stamp: tuple = ()
+        #: Lazily attached :class:`repro.grid.dirty.DirtyTracker`;
+        #: ``None`` until the first ``validate_layout(...,
+        #: incremental=True)`` call opts this layout into dirty-region
+        #: bookkeeping.
+        self._dirty = None
+
+    @classmethod
+    def from_table(
+        cls,
+        layers: int,
+        placements: dict[Hashable, Placement],
+        table,
+        meta: dict | None = None,
+    ) -> "GridLayout":
+        """A layout whose geometry is ``table`` (a
+        :class:`~repro.grid.table.WireTable` built over ``placements``).
+
+        The table is the layout's cached kernel from the start, and the
+        ``Wire`` list is built from its rows only when something reads
+        :attr:`wires`; from then on the identity stamp of
+        :meth:`wire_table` applies as for any layout.
+        """
+        layout = cls(layers=layers, placements=placements, meta=meta)
+        layout._wires = None
+        layout._table = table
+        return layout
+
+    def __repr__(self) -> str:
+        n = self._table.num_wires if self._wires is None else len(self._wires)
+        return (
+            f"GridLayout(layers={self.layers!r}, "
+            f"placements={len(self.placements)}, wires={n}, "
+            f"meta={self.meta!r})"
+        )
+
+    @property
+    def wires(self) -> list[Wire]:
+        return self._build_wires()
+
+    def _build_wires(self) -> list[Wire]:
+        """The wire list, built from the table rows on first use by a
+        table-born layout (which then caches its table by stamp)."""
+        wires = self._wires
+        if wires is None:
+            wires = self._wires = self._table.build_wires()
+            self._table_stamp = (len(self.placements), tuple(wires))
+        return wires
 
     # -- construction ---------------------------------------------------
 
     def place(self, node: Hashable, rect: Rect, layer: int = 1) -> None:
         if node in self.placements:
             raise ValueError(f"node placed twice: {node!r}")
+        self._build_wires()
         self.placements[node] = Placement(node, rect, layer)
         self._table = None
         if self._dirty is not None:
@@ -99,10 +160,12 @@ class GridLayout:
     def wire_table(self):
         """The layout's structure-of-arrays geometry kernel, cached.
 
-        The mutation API (``place``, ``add_wire``, ``replace_wire``)
-        drops the cache directly; direct ``wires[i] = ...`` assignment
-        is caught by an identity stamp -- placement count plus the wire
-        objects themselves, compared by ``is``.  The stamp holds strong
+        A table-born layout (:meth:`from_table`) returns its table as
+        is until its wires are built.  Otherwise the mutation API
+        (``place``, ``add_wire``, ``replace_wire``) drops the cache
+        directly; direct ``wires[i] = ...`` assignment is caught by an
+        identity stamp -- placement count plus the wire objects
+        themselves, compared by ``is``.  The stamp holds strong
         references, so a replaced wire cannot be freed and have its
         ``id()`` recycled by a lookalike while the cache is alive (the
         allocator reuses addresses eagerly; comparing stored ``id()``
@@ -117,25 +180,34 @@ class GridLayout:
         """
         from repro.grid.table import WireTable
 
+        if self._wires is None:
+            if len(self.placements) == len(self._table.node_x0):
+                return self._table
+            # Placements changed behind place(): rebuild from wires.
+            self._build_wires()
+            self._table = None
         stamp = self._table_stamp
+        wires = self._wires
         if (
             self._table is None
             or stamp[0] != len(self.placements)
-            or len(stamp[1]) != len(self.wires)
-            or any(a is not b for a, b in zip(stamp[1], self.wires))
+            or len(stamp[1]) != len(wires)
+            or any(a is not b for a, b in zip(stamp[1], wires))
         ):
-            with obs.span("wire_table.build", wires=len(self.wires)):
+            with obs.span("wire_table.build", wires=len(wires)):
                 self._table = WireTable(self)
-            self._table_stamp = (len(self.placements), tuple(self.wires))
+            self._table_stamp = (len(self.placements), tuple(wires))
         return self._table
 
     def invalidate_table(self) -> None:
         """Drop the cached :class:`WireTable` (rebuilt on next use).
 
-        Also poisons any attached dirty tracker: an explicit
+        A table-born layout builds its wires first, so no geometry is
+        lost.  Also poisons any attached dirty tracker: an explicit
         invalidation signals out-of-band mutation, so the next
         incremental validation falls back to a full sweep.
         """
+        self._build_wires()
         self._table = None
         self._table_stamp = ()
         if self._dirty is not None:
@@ -184,17 +256,23 @@ class GridLayout:
 
     def edge_multiset(self) -> dict[tuple, int]:
         """Multiset of routed node pairs, for topology verification."""
+        table = self.wire_table()
         out: dict[tuple, int] = {}
-        for w in self.wires:
-            a, b, _ = w.key()
-            key = (a, b)
+        for u, v in zip(table.wire_u, table.wire_v):
+            key = sorted_pair(u, v)
             out[key] = out.get(key, 0) + 1
         return out
 
     def wire_lengths_by_edge(self) -> dict[tuple, int]:
         """Map (u, v, edge_key) -> routed length, endpoints sorted."""
-        lengths = self.wire_table().wire_lengths()
-        return {w.key(): ln for w, ln in zip(self.wires, lengths)}
+        table = self.wire_table()
+        return {
+            (*sorted_pair(u, v), k): ln
+            for u, v, k, ln in zip(
+                table.wire_u, table.wire_v, table.wire_edge_key,
+                table.wire_lengths(),
+            )
+        }
 
     def segments(self) -> Iterable[tuple[Wire, Segment]]:
         for w in self.wires:
@@ -206,7 +284,7 @@ class GridLayout:
         bb = self.bounding_box()
         return {
             "nodes": len(self.placements),
-            "wires": len(self.wires),
+            "wires": self.wire_table().num_wires,
             "layers": self.layers,
             "layers_used": len(self.layers_used()),
             "width": bb.w,

@@ -12,15 +12,21 @@ table is both the fast path and the compact representation: on the
 paper-scale cases it is several times smaller than the object graph
 (``python -m repro stats --mem`` prints the accounting).
 
-The table is **derived, immutable data**: it is built once per layout by
-:meth:`GridLayout.wire_table` and cached there.  The cache is
-revalidated against an identity stamp -- the number of placements plus
-the ``id()`` of every ``Wire`` in ``layout.wires`` -- so appending a
-wire, placing a node, or replacing a wire object (the mutation harness
-in :mod:`repro.check` does exactly that) all invalidate it.  Mutating a
-``Wire``'s *own* ``segments`` list in place is not detected and is
-unsupported everywhere in this codebase: wires are replaced, never
-edited.
+The table is **immutable data** with two origins.  The orthogonal
+builder routes straight into it: :meth:`WireTable.from_paths` takes the
+oriented segment rows its phases emit, and :meth:`WireTable.from_rows`
+runs the ``Segment``/``Wire`` construction checks on them with numpy;
+the layout is then *table-born* and builds its ``Wire`` objects from
+the rows (:meth:`WireTable.build_wires`) only when something reads
+``layout.wires``.  Any other layout's table is derived from its wires
+by ``WireTable(layout)``, once, and cached by
+:meth:`GridLayout.wire_table`.  The cache is revalidated against an
+identity stamp -- the number of placements plus the ``Wire`` objects
+in ``layout.wires`` -- so appending a wire, placing a node, or
+replacing a wire object (the mutation harness in :mod:`repro.check`
+does exactly that) all invalidate it.  Mutating a ``Wire``'s *own*
+``segments`` list in place is not detected and is unsupported
+everywhere in this codebase: wires are replaced, never edited.
 
 The arrays are numpy ndarrays, and the reductions below run on them
 directly.
@@ -72,6 +78,9 @@ class WireTable:
         z-extent).
     ``wire_is_riser``
         1 for riser wires, else 0.
+    ``wire_u, wire_v, wire_edge_key``
+        Per-wire node labels and parallel-edge key (plain lists: labels
+        are arbitrary hashables shared with the layout).
     ``node_x0, node_y0, node_x1, node_y1, node_layer``
         Placement rectangle corners and active layer, in
         ``layout.placements`` order (bounding-box input; node identity
@@ -84,6 +93,7 @@ class WireTable:
         "wire_seg_start",
         "zrun_x", "zrun_y", "zrun_lo", "zrun_hi", "wire_zrun_start",
         "wire_length", "wire_is_riser",
+        "wire_u", "wire_v", "wire_edge_key",
         "node_x0", "node_y0", "node_x1", "node_y1", "node_layer",
         "_seg_rows", "_zrun_rows", "_lengths_list", "_units",
         "_endpoints",
@@ -106,8 +116,9 @@ class WireTable:
         zrun_start = [0]
         wlen: list[int] = []
         wriser: list[int] = []
+        wires = layout.wires
 
-        for w in layout.wires:
+        for w in wires:
             if w.riser is not None:
                 x, y, lo, hi = w.riser
                 zx.append(x)
@@ -142,19 +153,7 @@ class WireTable:
             seg_start.append(len(sx1))
             zrun_start.append(len(zx))
 
-        nx0: list[int] = []
-        ny0: list[int] = []
-        nx1: list[int] = []
-        ny1: list[int] = []
-        nlay: list[int] = []
-        for p in layout.placements.values():
-            nx0.append(p.rect.x0)
-            ny0.append(p.rect.y0)
-            nx1.append(p.rect.x1)
-            ny1.append(p.rect.y1)
-            nlay.append(p.layer)
-
-        self.num_wires = len(layout.wires)
+        self.num_wires = len(wires)
         self.num_segments = len(sx1)
         self.num_zruns = len(zx)
         self.seg_x1 = _i64(sx1)
@@ -171,6 +170,23 @@ class WireTable:
         self.wire_zrun_start = _i64(zrun_start)
         self.wire_length = _i64(wlen)
         self.wire_is_riser = _i64(wriser)
+        self.wire_u = [w.u for w in wires]
+        self.wire_v = [w.v for w in wires]
+        self.wire_edge_key = [w.edge_key for w in wires]
+        self._set_nodes(layout.placements)
+
+    def _set_nodes(self, placements) -> None:
+        nx0: list[int] = []
+        ny0: list[int] = []
+        nx1: list[int] = []
+        ny1: list[int] = []
+        nlay: list[int] = []
+        for p in placements.values():
+            nx0.append(p.rect.x0)
+            ny0.append(p.rect.y0)
+            nx1.append(p.rect.x1)
+            ny1.append(p.rect.y1)
+            nlay.append(p.layer)
         self.node_x0 = _i64(nx0)
         self.node_y0 = _i64(ny0)
         self.node_x1 = _i64(nx1)
@@ -181,6 +197,173 @@ class WireTable:
         self._lengths_list = None
         self._units = None
         self._endpoints = None
+
+    # -- construction from rows -----------------------------------------
+
+    @classmethod
+    def from_paths(
+        cls, paths, wire_seg_start, wire_u, wire_v, wire_edge_key,
+        placements,
+    ) -> "WireTable":
+        """A table from *oriented* segment rows, as a router emits them.
+
+        ``paths`` is an ``(S, 5)`` int array of ``[sx, sy, ex, ey,
+        layer]`` rows, each segment running from its path start to its
+        path end, wire-major.  The rows are normalized here -- endpoint
+        order and ``seg_rev`` exactly as :class:`Segment` and
+        :func:`~repro.grid.wire.walk_path` would store them, so a
+        single-segment wire keeps ``seg_rev = 0`` -- and handed to
+        :meth:`from_rows`, which runs the construction checks.
+        """
+        p = _np.asarray(paths, dtype=_np.int64).reshape(-1, 5)
+        sx, sy, ex, ey = p[:, 0], p[:, 1], p[:, 2], p[:, 3]
+        flip = (sx > ex) | ((sx == ex) & (sy > ey))
+        starts = _i64(wire_seg_start)
+        rev = flip.astype(_np.int8)
+        rev[starts[:-1][_np.diff(starts) == 1]] = 0
+        return cls.from_rows(
+            _np.where(flip, ex, sx), _np.where(flip, ey, sy),
+            _np.where(flip, sx, ex), _np.where(flip, sy, ey), p[:, 4],
+            rev, starts, wire_u, wire_v, wire_edge_key, placements,
+        )
+
+    @classmethod
+    def from_rows(
+        cls, seg_x1, seg_y1, seg_x2, seg_y2, seg_layer, seg_rev,
+        wire_seg_start, wire_u, wire_v, wire_edge_key, placements,
+    ) -> "WireTable":
+        """A table straight from planar segment columns (no risers).
+
+        The columns follow the class schema; ``wire_u``/``wire_v``/
+        ``wire_edge_key`` name each wire and ``placements`` is the
+        layout's placement dict.  The rows get the checks ``Segment``
+        and ``Wire`` construction would run, vectorized, raising the
+        same exception types: segments are axis-aligned, non-zero, on
+        layers >= 1 and endpoint-normalized (``ValueError``); every
+        wire has a segment, its consecutive segments chain -- segment
+        ``i``'s path end is segment ``i + 1``'s path start -- and its
+        first two do not share both endpoints (``WirePathError``).
+        """
+        from repro.grid.wire import WirePathError
+
+        x1, y1 = _i64(seg_x1), _i64(seg_y1)
+        x2, y2 = _i64(seg_x2), _i64(seg_y2)
+        layer = _i64(seg_layer)
+        rev = _np.asarray(seg_rev, dtype=_np.int8)
+        starts = _i64(wire_seg_start)
+        S, W = len(x1), len(wire_u)
+        if not (
+            len(y1) == len(x2) == len(y2) == len(layer) == len(rev) == S
+            and len(starts) == W + 1 == len(wire_v) + 1
+            == len(wire_edge_key) + 1
+            and starts[0] == 0 and starts[-1] == S
+        ):
+            raise ValueError("segment and wire columns do not line up")
+
+        def first(mask, why: str) -> None:
+            if mask.any():
+                i = int(_np.argmax(mask))
+                row = (int(x1[i]), int(y1[i]), int(x2[i]), int(y2[i]),
+                       int(layer[i]))
+                raise ValueError(f"segment {why}: {row}")
+
+        first((x1 != x2) & (y1 != y2), "is not axis-aligned")
+        first((x1 == x2) & (y1 == y2), "has zero length")
+        first(layer < 1, "layer must be >= 1")
+        first((x1 > x2) | ((x1 == x2) & (y1 > y2)),
+              "endpoints are not in normalized order")
+        counts = _np.diff(starts)
+        if (counts < 1).any():
+            wi = int(_np.argmax(counts < 1))
+            raise WirePathError(
+                f"wire {wire_u[wi]}-{wire_v[wi]} has no segments"
+            )
+        single = starts[:-1][counts == 1]
+        if rev[single].any():
+            raise ValueError("a single-segment wire must have seg_rev 0")
+
+        r = rev.astype(bool)
+        sx, sy = _np.where(r, x2, x1), _np.where(r, y2, y1)
+        ex, ey = _np.where(r, x1, x2), _np.where(r, y1, y2)
+        # Pair i joins segments i and i + 1 of one wire.
+        same = _np.ones(max(S - 1, 0), dtype=bool)
+        same[starts[1:-1] - 1] = False
+        broken = same & ((ex[:-1] != sx[1:]) | (ey[:-1] != sy[1:]))
+        firsts = starts[:-1][counts > 1]
+        uturn = _np.zeros(max(S - 1, 0), dtype=bool)
+        uturn[firsts] = (sx[firsts] == ex[firsts + 1]) & (
+            sy[firsts] == ey[firsts + 1]
+        )
+        bad = broken | uturn
+        if bad.any():
+            i = int(_np.argmax(bad))
+            wi = int(_np.searchsorted(starts, i, side="right")) - 1
+            why = (
+                "shares both endpoints with segment 0" if uturn[i]
+                else "does not continue the path"
+            )
+            raise WirePathError(
+                f"wire {wire_u[wi]}-{wire_v[wi]}: segment "
+                f"{i + 1 - int(starts[wi])} {why} at "
+                f"{(int(ex[i]), int(ey[i]))}"
+            )
+
+        via = _np.zeros(S, dtype=bool)
+        via[:-1] = same & (layer[:-1] != layer[1:])
+        (zi,) = _np.nonzero(via)
+        lens = (x2 - x1) + (y2 - y1)
+
+        self = cls.__new__(cls)
+        self.num_wires = W
+        self.num_segments = S
+        self.num_zruns = len(zi)
+        self.seg_x1, self.seg_y1 = x1, y1
+        self.seg_x2, self.seg_y2 = x2, y2
+        self.seg_layer = layer
+        self.seg_rev = rev
+        self.wire_seg_start = starts
+        self.zrun_x = ex[zi]
+        self.zrun_y = ey[zi]
+        self.zrun_lo = _np.minimum(layer[zi], layer[zi + 1])
+        self.zrun_hi = _np.maximum(layer[zi], layer[zi + 1])
+        self.wire_zrun_start = _np.concatenate(
+            ([0], _np.cumsum(via))
+        )[starts].astype(_np.int64)
+        self.wire_length = (
+            _np.add.reduceat(lens, starts[:-1]) if W else _i64([])
+        )
+        self.wire_is_riser = _np.zeros(W, dtype=_np.int64)
+        self.wire_u = list(wire_u)
+        self.wire_v = list(wire_v)
+        self.wire_edge_key = list(wire_edge_key)
+        self._set_nodes(placements)
+        return self
+
+    def build_wires(self) -> list:
+        """The :class:`~repro.grid.wire.Wire` objects the rows describe,
+        in table order -- what a table-born layout's ``wires`` holds."""
+        from repro.grid.geometry import Segment
+        from repro.grid.wire import Wire
+
+        rows = self.segment_rows()
+        starts = self.wire_seg_start.tolist()
+        zstarts = self.wire_zrun_start.tolist()
+        riser = self.wire_is_riser.tolist()
+        out = []
+        for wi in range(self.num_wires):
+            u, v = self.wire_u[wi], self.wire_v[wi]
+            key = self.wire_edge_key[wi]
+            if riser[wi]:
+                z = zstarts[wi]
+                out.append(Wire.make_riser(
+                    u, v, int(self.zrun_x[z]), int(self.zrun_y[z]),
+                    int(self.zrun_lo[z]), int(self.zrun_hi[z]),
+                    edge_key=key,
+                ))
+            else:
+                segs = [Segment(*row) for row in rows[starts[wi]:starts[wi + 1]]]
+                out.append(Wire(u, v, segs, edge_key=key))
+        return out
 
     # -- measurement ----------------------------------------------------
 

@@ -56,7 +56,7 @@ from typing import Hashable
 from repro import accel as _accel
 from repro import obs
 from repro.grid.layout import GridLayout
-from repro.grid.wire import Wire
+from repro.grid.wire import Wire, sorted_pair
 
 __all__ = ["LayoutError", "validate_layout"]
 
@@ -143,8 +143,9 @@ def _run_checks(
         checks.append(_check_pins)
 
     seg_count = 0
+    num_wires = layout.wire_table().num_wires
     with obs.span(
-        "validate", wires=len(layout.wires), layers=layout.layers
+        "validate", wires=num_wires, layers=layout.layers
     ) as sp:
         for check in checks:
             with obs.span(check.__name__.lstrip("_")):
@@ -157,7 +158,7 @@ def _run_checks(
     obs.count("validator.segments_checked", seg_count)
     return {
         "segments": seg_count,
-        "wires": len(layout.wires),
+        "wires": num_wires,
         "nodes": len(layout.placements),
         "layers": layout.layers,
         "checks": len(checks),
@@ -598,9 +599,9 @@ def _check_pins(layout: GridLayout) -> None:
         rows[label] = i
     u_rows: list[int] = []
     v_rows: list[int] = []
-    for w in layout.wires:
-        iu = rows.get(w.u)
-        iv = rows.get(w.v)
+    for u, v in zip(table.wire_u, table.wire_v):
+        iu = rows.get(u)
+        iv = rows.get(v)
         if iu is None or iv is None:
             # Unplaced endpoint: let the scalar check raise its message.
             return _pins_scalar(layout)
@@ -686,7 +687,7 @@ def check_topology(layout: GridLayout, expected_edges: list[tuple]) -> None:
     """
     want: dict[tuple, int] = {}
     for u, v in expected_edges:
-        a, b = _norm_pair(u, v)
+        a, b = sorted_pair(u, v)
         want[(a, b)] = want.get((a, b), 0) + 1
     have = layout.edge_multiset()
     if want != have:
@@ -697,11 +698,3 @@ def check_topology(layout: GridLayout, expected_edges: list[tuple]) -> None:
             f"missing/changed {dict(list(missing.items())[:5])} ... "
             f"extra/changed {dict(list(extra.items())[:5])}"
         )
-
-
-def _norm_pair(u, v):
-    from repro.grid.wire import _sort_key
-
-    if _sort_key(v) < _sort_key(u):
-        return v, u
-    return u, v

@@ -24,7 +24,7 @@ from typing import Hashable, Iterator, Sequence
 
 from repro.grid.geometry import Point, Segment
 
-__all__ = ["Wire", "WirePathError", "walk_path"]
+__all__ = ["Wire", "WirePathError", "sorted_pair", "walk_path"]
 
 
 class WirePathError(ValueError):
@@ -162,15 +162,19 @@ class Wire:
 
     def key(self) -> tuple[Hashable, Hashable, int]:
         """Canonical (sorted-endpoint) identity of the routed edge."""
-        a, b = self.u, self.v
-        if _sort_key(b) < _sort_key(a):
-            a, b = b, a
-        return (a, b, self.edge_key)
+        return (*sorted_pair(self.u, self.v), self.edge_key)
 
 
 def _sort_key(node: Hashable) -> tuple:
     """Total order over heterogeneous node labels."""
     return (str(type(node)), repr(node))
+
+
+def sorted_pair(u: Hashable, v: Hashable) -> tuple[Hashable, Hashable]:
+    """``(u, v)`` with the endpoints in the canonical label order."""
+    if _sort_key(v) < _sort_key(u):
+        return v, u
+    return u, v
 
 
 def walk_path(

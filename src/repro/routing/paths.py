@@ -145,9 +145,10 @@ def layout_link_delays(
     link delays without walking any per-wire segment objects.
     """
     out: dict[tuple[Node, Node], int] = {}
-    delays = layout.wire_table().link_delay_values(alpha=alpha, base=base)
-    for w, d in zip(layout.wires, delays):
-        for key in ((w.u, w.v), (w.v, w.u)):
+    table = layout.wire_table()
+    delays = table.link_delay_values(alpha=alpha, base=base)
+    for u, v, d in zip(table.wire_u, table.wire_v, delays):
+        for key in ((u, v), (v, u)):
             if key not in out or d < out[key]:
                 out[key] = d
     return out

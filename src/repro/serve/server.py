@@ -34,6 +34,7 @@ from __future__ import annotations
 import asyncio
 import json
 import os
+import signal
 import time
 from dataclasses import dataclass
 
@@ -922,7 +923,19 @@ def _parse_net(network: str):
 
 
 async def run_server(config: ServeConfig) -> None:
-    """Start, announce, and serve until cancelled (the CLI entry)."""
+    """Start, announce, and serve until cancelled (the CLI entry).
+
+    SIGTERM cancels the serving task just as SIGINT does, so the
+    ``finally`` below closes the server and reaps the worker pool
+    instead of the process dying with its workers still running.
+    """
+    task = asyncio.current_task()
+    try:
+        asyncio.get_running_loop().add_signal_handler(
+            signal.SIGTERM, task.cancel
+        )
+    except (NotImplementedError, RuntimeError):
+        pass  # no signal handlers off the main thread or on Windows
     server = await LayoutServer(config).start()
     print(
         f"repro serve: listening on {config.host}:{server.port} "

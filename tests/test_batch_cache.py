@@ -90,6 +90,20 @@ class TestRoundTrip:
         assert layout_to_json(entry.layout()) == payload
         assert cache.stats.hits == 1 and cache.stats.writes == 1
 
+    def test_stored_entry_text_is_json_dumps(self, cache):
+        """An entry file holds exactly ``json.dumps`` of its document
+        (the C encoder; ``json.dump`` would stream the same bytes)."""
+        import hashlib
+
+        key, doc, payload, metrics = _store(cache, Hypercube(3))
+        text = cache._path(key).read_text()
+        assert text == json.dumps({
+            "key": doc,
+            "layout": payload,
+            "layout_sha256": hashlib.sha256(payload.encode()).hexdigest(),
+            "metrics": metrics,
+        })
+
     def test_miss_on_absent_key(self, cache):
         key, doc = cache.key_for(Ring(5), scheme="auto", layers=2)
         assert cache.get(key, doc) is None

@@ -265,9 +265,12 @@ class TestServeLoadgenCli:
     def test_serve_then_loadgen_reports_percentiles(self, tmp_path):
         import time
 
+        from repro.obs.live import read_heartbeats
+
         ready = tmp_path / "ready.json"
         report_path = tmp_path / "report.json"
         trace_path = tmp_path / "trace.jsonl"
+        run_dir = tmp_path / "run"
         env = dict(os.environ)
         env["PYTHONPATH"] = str(SRC)
         server = subprocess.Popen(
@@ -276,6 +279,7 @@ class TestServeLoadgenCli:
                 "--port", "0", "--workers", "2",
                 "--cache-dir", str(tmp_path / "cache"),
                 "--ready-file", str(ready),
+                "--run-dir", str(run_dir),
             ],
             env=env,
             stdout=subprocess.PIPE,
@@ -307,6 +311,10 @@ class TestServeLoadgenCli:
             )
             assert p.returncode == 0, p.stderr
             assert "20/20 ok" in p.stdout
+            worker_pids = [
+                doc["pid"] for doc in read_heartbeats(run_dir).values()
+            ]
+            assert len(worker_pids) == 2
         finally:
             server.terminate()
             try:
@@ -314,3 +322,7 @@ class TestServeLoadgenCli:
             except subprocess.TimeoutExpired:
                 server.kill()
                 server.wait(timeout=10)
+        # SIGTERM shuts down through the pool: no worker outlives it.
+        for pid in worker_pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)

@@ -12,16 +12,16 @@ class TestPinAllocator:
         alloc.request("n", "top", (0, 9), "a")
         alloc.freeze()
         # Sorted by key: (0,9) before (1,5).
-        assert alloc.offset("n", "top", "a") == 0
-        assert alloc.offset("n", "top", "b") == 1
+        assert alloc.offset("a") == 0
+        assert alloc.offset("b") == 1
 
     def test_sides_independent(self):
         alloc = PinAllocator()
         alloc.request("n", "top", (0,), "t")
         alloc.request("n", "right", (0,), "r")
         alloc.freeze()
-        assert alloc.offset("n", "top", "t") == 0
-        assert alloc.offset("n", "right", "r") == 0
+        assert alloc.offset("t") == 0
+        assert alloc.offset("r") == 0
 
     def test_capacity_enforced(self):
         alloc = PinAllocator()
@@ -42,7 +42,7 @@ class TestPinAllocator:
         alloc = PinAllocator()
         alloc.request("n", "top", (0,), "a")
         with pytest.raises(RuntimeError, match="freeze"):
-            alloc.offset("n", "top", "a")
+            alloc.offset("a")
 
     def test_no_requests_after_freeze(self):
         alloc = PinAllocator()
@@ -58,6 +58,6 @@ class TestPinAllocator:
         for i, d in enumerate([1, 0, 1, 0, 0]):
             alloc.request("n", "top", (d, i), f"w{i}")
         alloc.freeze()
-        arriving = [alloc.offset("n", "top", f"w{i}") for i, d in enumerate([1, 0, 1, 0, 0]) if d == 0]
-        departing = [alloc.offset("n", "top", f"w{i}") for i, d in enumerate([1, 0, 1, 0, 0]) if d == 1]
+        arriving = [alloc.offset(f"w{i}") for i, d in enumerate([1, 0, 1, 0, 0]) if d == 0]
+        departing = [alloc.offset(f"w{i}") for i, d in enumerate([1, 0, 1, 0, 0]) if d == 1]
         assert max(arriving) < min(departing)

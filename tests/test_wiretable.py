@@ -208,6 +208,10 @@ def test_table_cache_survives_id_reuse():
 
     lay = dispatch_scheme(Ring(6), layers=2, scheme="auto")
     t1 = lay.wire_table()
+    # The builder hands over a finished table; the stamp applies once
+    # the wires are built from its rows.
+    lay.wires
+    assert lay.wire_table() is t1
     stamped = lay._table_stamp[1]
     assert len(stamped) == len(lay.wires)
     assert all(a is b for a, b in zip(stamped, lay.wires))
