@@ -31,9 +31,9 @@ objects: the layout is handed a finished
 :class:`~repro.grid.table.WireTable` (:meth:`GridLayout.from_table`)
 and builds ``Wire`` objects from its rows only if someone reads
 ``layout.wires``.  Pin and packing bookkeeping runs on integer
-link-end ids (see ``_Builder.__init__``); their integer sort keys order
-pins exactly as ``(direction, other, str((kind, index, end)))`` tuples
-would.
+link-end ids (see ``_Builder.__init__``); pin and distribution-slot
+sort keys end in ``(kind, str(index), end)``, which orders ties as the
+string form of a ``(kind, index, end)`` token does.
 
 Layer discipline: horizontal segments on odd layers, vertical segments
 on even layers; a channel's tracks are split into ``G = floor(L/2)``
@@ -48,7 +48,6 @@ makes track sharing by touching intervals safe.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Hashable, Sequence
 
 from repro import obs
@@ -66,20 +65,12 @@ Node = Hashable
 CellPos = tuple[int, int]
 
 # Link kinds, numbered in the order their names sort ("col" < "extra" <
-# "row" < "strip"): pin and distribution-slot ties between two link ends
-# are broken by the string form of the end's (kind, index, end) token,
-# and integer keys built from these numbers sort exactly the same way.
+# "row" < "strip").  Pin and distribution-slot ties between two link
+# ends are broken by the string form of the end's (kind, index, end)
+# token; the key tail (kind, str(index), end) sorts the same way, as ","
+# sorts before every digit.
 _COL, _EXTRA, _ROW, _STRIP = range(4)
 _SIDES = ("top", "right", "bottom", "left")
-
-
-@lru_cache(maxsize=None)
-def _decimal_rank(n: int) -> tuple[int, ...]:
-    """``rank[i]`` orders ``0 .. n-1`` the way their decimal strings sort."""
-    rank = [0] * n
-    for r, i in enumerate(sorted(range(n), key=str)):
-        rank[i] = r
-    return tuple(rank)
 
 
 # ---------------------------------------------------------------------------
@@ -162,13 +153,11 @@ class _Builder:
         self.spec = spec
         self.G = max(spec.layers // 2, 1)
         self.pins = PinAllocator()
-        self.pin_off: dict[int, int] = {}  # link-end id -> pin offset
         self.blocks: dict[CellPos, _BlockInfo] = {}
         # Link-end ids: end e (0 = u, 1 = v) of link idx of a kind is
         # (kind * M + idx) * 2 + e, strip edges numbered across blocks.
-        # A pin or distribution-slot request sorts by the int
-        # (direction * O + other) * T + _tie(...), which orders ends as
-        # the tuples (direction, other, str((kind, idx, end))) would.
+        # A pin or distribution-slot request sorts by the tuple
+        # (direction, other, kind, str(idx), end).
         strips = sum(
             len(c.edges) for c in spec.cells.values()
             if isinstance(c, BlockCell)
@@ -177,13 +166,6 @@ class _Builder:
             len(spec.row_links), len(spec.col_links),
             len(spec.extra_links), strips,
         )
-        self.T = 8 * self.M
-        self.O = 2 + max(
-            2 * spec.cols, spec.rows,
-            *(len(c.nodes) for c in spec.cells.values()
-              if isinstance(c, BlockCell)),
-        )
-        self.str_rank = _decimal_rank(1 << (self.M - 1).bit_length())
         # Per-link routing choices, filled in phase order.
         self.row_track: list[int] = []  # row-link index -> track
         self.row_rank: list[tuple[int, int]] = []  # (u, v) pin abscissa offsets
@@ -199,10 +181,6 @@ class _Builder:
         self.col_tracks_total: list[int] = []
         self.row_extents: list[int] = []
         self.col_extents: list[int] = []
-
-    def _tie(self, kind: int, idx: int, end: int) -> int:
-        """Tie-break key of a link end, ordered as its old string token."""
-        return (kind * self.M + self.str_rank[idx]) * 2 + end
 
     # -- top level -------------------------------------------------------
 
@@ -226,7 +204,7 @@ class _Builder:
             self._allocate_dist_slots()
         with obs.span("request_pins"):
             self._request_pins()
-            self.pin_off = self.pins.freeze()
+            self.pins.freeze()
         with obs.span("pack_channels"):
             self._pack_channels()
         with obs.span("compute_geometry"):
@@ -291,12 +269,11 @@ class _Builder:
         departing below; this is what lets two such links share a
         vertical channel track that touches at this block's row.
         """
-        M, O, T = self.M, self.O, self.T
-        requests: dict[CellPos, list[tuple[int, int]]] = {}
+        M = self.M
+        requests: dict[CellPos, list[tuple[tuple, int]]] = {}
 
         def ask(pos: CellPos, other_row: int, kind: int, idx: int, end: int) -> None:
-            direction = 0 if other_row < pos[0] else 1
-            key = (direction * O + other_row) * T + self._tie(kind, idx, end)
+            key = (other_row >= pos[0], other_row, kind, str(idx), end)
             requests.setdefault(pos, []).append((key, (kind * M + idx) * 2 + end))
 
         for idx, link in enumerate(self.spec.col_links):
@@ -319,64 +296,63 @@ class _Builder:
     # -- phase 2: pins -----------------------------------------------------
 
     def _request_pins(self) -> None:
-        spec, blocks = self.spec, self.blocks
-        M, O, T, tie = self.M, self.O, self.T, self._tie
-        request = self.pins.request
-        capacity = self.pins.capacity
+        # A key's direction is 0 when the other end lies before this one
+        # along the side (it arrives) and 1 when it lies at or after it
+        # (it departs); block members climbing to a distribution track
+        # sort last, with direction 2.
+        spec, blocks, M = self.spec, self.blocks, self.M
+        request, set_capacity = self.pins.request, self.pins.set_capacity
         for cell in spec.cells.values():
             if isinstance(cell, NodeCell):
                 for side in _SIDES:
-                    capacity[(cell.node, side)] = cell.side
+                    set_capacity(cell.node, side, cell.side)
             else:
                 for v in cell.nodes:
                     for side in _SIDES:
-                        capacity[(v, side)] = cell.node_side
+                        set_capacity(v, side, cell.node_side)
 
         # Row links: both ends attach at top pins; ordering key places
         # wires arriving from the left before wires departing right.
         for idx, link in enumerate(spec.row_links):
             ju, jv = link.u_cell[1], link.v_cell[1]
-            e = (_ROW * M + idx) * 2
-            t = tie(_ROW, idx, 0)
-            request(link.u_node, "top", ((jv >= ju) * O + jv) * T + t, e)
-            request(link.v_node, "top", ((ju >= jv) * O + ju) * T + t + 1, e + 1)
+            e, s = (_ROW * M + idx) * 2, str(idx)
+            request(link.u_node, "top", (jv >= ju, jv, _ROW, s, 0), e)
+            request(link.v_node, "top", (ju >= jv, ju, _ROW, s, 1), e + 1)
 
         # Column links: plain nodes use right-side pins (ordered by the
         # other end's row); block members use a top pin for the climb to
         # the distribution track (no ordering constraint).
         for idx, link in enumerate(spec.col_links):
-            e = (_COL * M + idx) * 2
-            t = tie(_COL, idx, 0)
+            e, s = (_COL * M + idx) * 2, str(idx)
             for end, pos, node, other in (
                 (0, link.u_cell, link.u_node, link.v_cell[0]),
                 (1, link.v_cell, link.v_node, link.u_cell[0]),
             ):
                 if pos in blocks:
-                    request(node, "top", 2 * O * T + t + end, e + end)
+                    request(node, "top", (2, 0, _COL, s, end), e + end)
                 else:
                     request(
                         node, "right",
-                        ((other >= pos[0]) * O + other) * T + t + end, e + end,
+                        (other >= pos[0], other, _COL, s, end), e + end,
                     )
 
         # Extra links: source uses a top pin (ordered like a row wire
         # toward the target column's channel); target enters from the
         # right side (plain node) or via a distribution track (block).
         for idx, link in enumerate(spec.extra_links):
-            e = (_EXTRA * M + idx) * 2
-            t = tie(_EXTRA, idx, 0)
+            e, s = (_EXTRA * M + idx) * 2, str(idx)
             self_d = 2 * link.u_cell[1]
             other_d = 2 * link.v_cell[1] + 1  # the target column's channel
             request(
-                link.u_node, "top", ((other_d >= self_d) * O + other_d) * T + t, e
+                link.u_node, "top", (other_d >= self_d, other_d, _EXTRA, s, 0), e
             )
             v_pos, i_u = link.v_cell, link.u_cell[0]
             if v_pos in blocks:
-                request(link.v_node, "top", 2 * O * T + t + 1, e + 1)
+                request(link.v_node, "top", (2, 0, _EXTRA, s, 1), e + 1)
             else:
                 request(
                     link.v_node, "right",
-                    ((i_u >= v_pos[0]) * O + i_u) * T + t + 1, e + 1,
+                    (i_u >= v_pos[0], i_u, _EXTRA, s, 1), e + 1,
                 )
 
         # Intra-block strip wiring: bottom pins, ordered left-to-right.
@@ -384,10 +360,9 @@ class _Builder:
             index = info.member_index
             for eidx, (u, v) in enumerate(info.cell.edges):
                 mu, mv = index[u], index[v]
-                e = (_STRIP * M + info.strip_base + eidx) * 2
-                t = tie(_STRIP, eidx, 0)
-                request(u, "bottom", ((mv >= mu) * O + mv) * T + t, e)
-                request(v, "bottom", ((mu >= mv) * O + mu) * T + t + 1, e + 1)
+                e, s = (_STRIP * M + info.strip_base + eidx) * 2, str(eidx)
+                request(u, "bottom", (mv >= mu, mv, _STRIP, s, 0), e)
+                request(v, "bottom", (mu >= mv, mu, _STRIP, s, 1), e + 1)
 
     # -- phase 3: channel packing ------------------------------------------
 
@@ -401,14 +376,14 @@ class _Builder:
         """
         info = self.blocks.get(pos)
         if axis == "x":
-            off = self.pin_off[end_id]
+            off = self.pins.offset(end_id)
             if info is not None:
                 return info.member_index[node] * info.cell.node_side + off
             return off
         # axis == 'y'
         if info is not None:
             return info.dist_slots[end_id]
-        return self.pin_off[end_id]
+        return self.pins.offset(end_id)
 
     def _pack_channel_links(
         self, links, kind: int, axis: int, count: int,
@@ -486,15 +461,15 @@ class _Builder:
                 extents.append(cap + max(per_group.values(), default=0))
 
         # Intra-block strips.
-        M, off = self.M, self.pin_off
+        M, off = self.M, self.pins.offset
         for info in self.blocks.values():
             index = info.member_index
             K = info.cell.node_side  # bottom pin offsets are below it
             intervals = []
             for eidx, (u, v) in enumerate(info.cell.edges):
                 e = (_STRIP * M + info.strip_base + eidx) * 2
-                a = index[u] * K + off[e]
-                b = index[v] * K + off[e + 1]
+                a = index[u] * K + off(e)
+                b = index[v] * K + off(e + 1)
                 intervals.append(Interval(a, b) if a < b else Interval(b, a))
             assignment, count = pack_intervals(intervals)
             info.strip_tracks = count
@@ -608,7 +583,7 @@ class _Builder:
         i, j = pos
         if info is None:
             x = geo.cell_x[j] + self.spec.cells[pos].side
-            y = geo.cell_y[i] + self.pin_off[end_id]
+            y = geo.cell_y[i] + self.pins.offset(end_id)
             return ([(x, y, x_t, y, h)] if x != x_t else []), y
         px = geo.cell_x[j] + self._cell_rank(pos, node, end_id, "x")
         py = geo.cell_y[i] + info.dist_extent
@@ -680,7 +655,7 @@ class _Builder:
             rows.wire(link.u_node, link.v_node, link.edge_key, path)
 
     def _route_strips(self, geo: _Geometry, rows: _Rows) -> None:
-        M, off = self.M, self.pin_off
+        M, off = self.M, self.pins.offset
         for pos, info in self.blocks.items():
             cell = info.cell
             index = info.member_index
@@ -693,8 +668,8 @@ class _Builder:
                 o, h_layer, v_layer = groups.locate(assignment[eidx])
                 y_t = node_bottom + 1 + o
                 e = (_STRIP * M + info.strip_base + eidx) * 2
-                xu = x0 + index[u] * s + off[e]
-                xv = x0 + index[v] * s + off[e + 1]
+                xu = x0 + index[u] * s + off(e)
+                xv = x0 + index[v] * s + off(e + 1)
                 rows.wire(u, v, ("strip", eidx), (
                     xu, node_bottom, xu, y_t, v_layer,
                     xu, y_t, xv, y_t, h_layer,

@@ -49,10 +49,9 @@ class PinAllocator:
             raise RuntimeError("allocator already frozen")
         self._groups.setdefault((node, side), []).append((sort_key, token))
 
-    def freeze(self) -> dict[Hashable, int]:
+    def freeze(self) -> None:
         """Assign offsets: per (node, side), requests sorted by key get
-        offsets 0, 1, 2, ...  Raises if capacity is exceeded.  Returns
-        the token -> offset mapping :meth:`offset` reads."""
+        offsets 0, 1, 2, ...  Raises if capacity is exceeded."""
         assigned: dict[Hashable, int] = {}
         for (node, side), reqs in self._groups.items():
             cap = self.capacity.get((node, side))
@@ -67,7 +66,6 @@ class PinAllocator:
                     raise ValueError(f"duplicate pin token {token!r}")
                 assigned[token] = off
         self._assigned = assigned
-        return assigned
 
     def offset(self, token: Hashable) -> int:
         if self._assigned is None:

@@ -927,25 +927,31 @@ async def run_server(config: ServeConfig) -> None:
 
     SIGTERM cancels the serving task just as SIGINT does, so the
     ``finally`` below closes the server and reaps the worker pool
-    instead of the process dying with its workers still running.
+    instead of the process dying with its workers still running.  The
+    handler covers serving only: it is removed before the pool is
+    reaped, so a second SIGTERM still ends a stuck shutdown.
     """
-    task = asyncio.current_task()
-    try:
-        asyncio.get_running_loop().add_signal_handler(
-            signal.SIGTERM, task.cancel
-        )
-    except (NotImplementedError, RuntimeError):
-        pass  # no signal handlers off the main thread or on Windows
     server = await LayoutServer(config).start()
-    print(
-        f"repro serve: listening on {config.host}:{server.port} "
-        f"({config.workers} worker{'s' if config.workers != 1 else ''}, "
-        f"cache={'on' if config.cache_dir else 'off'})",
-        flush=True,
-    )
+    loop = asyncio.get_running_loop()
+    on_term = False
     try:
+        try:
+            loop.add_signal_handler(
+                signal.SIGTERM, asyncio.current_task().cancel
+            )
+            on_term = True
+        except (NotImplementedError, RuntimeError):
+            pass  # no signal handlers off the main thread or on Windows
+        print(
+            f"repro serve: listening on {config.host}:{server.port} "
+            f"({config.workers} worker{'s' if config.workers != 1 else ''}, "
+            f"cache={'on' if config.cache_dir else 'off'})",
+            flush=True,
+        )
         await server.serve_forever()
     except asyncio.CancelledError:
         pass
     finally:
+        if on_term:
+            loop.remove_signal_handler(signal.SIGTERM)
         await server.aclose()

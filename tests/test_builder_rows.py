@@ -10,6 +10,7 @@ and the sweep-job path (build -> validate -> measure -> serialize ->
 cache) never creates a ``Wire``.
 """
 
+import hashlib
 import json
 
 import numpy as np
@@ -20,7 +21,10 @@ from repro.batch.cache import LayoutCache
 from repro.batch.runner import run_sweep_job
 from repro.batch.spec import SweepJob, dispatch_scheme
 from repro.cli import _zoo_networks
+from repro.core import builder
+from repro.core.builder import build_orthogonal_layout
 from repro.core.metrics import measure
+from repro.core.spec import BlockCell, LayoutSpec, LinkSpec, NodeCell
 from repro.grid.geometry import Rect, Segment
 from repro.grid.io import layout_to_json
 from repro.grid.layout import GridLayout
@@ -256,3 +260,71 @@ def test_job_path_builds_no_wires(monkeypatch, tmp_path):
         SweepJob(0, "hypercube:5", 4), LayoutCache(tmp_path), validate=True
     )
     assert res.source == "built"
+
+
+# -- pin order ---------------------------------------------------------------
+#
+# Pins and distribution slots are handed out in (direction, other, token)
+# order, ties broken by the string form of the link end's old
+# ``(kind, index, end)`` token.  The hashes below are the layouts the
+# Wire-building builder produced, before link ends became integer ids;
+# both networks have ties between kinds with link indices >= 10.
+
+
+def test_tie_key_sorts_as_token_string():
+    kinds = {
+        builder._COL: "col", builder._EXTRA: "extra",
+        builder._ROW: "row", builder._STRIP: "strip",
+    }
+    ends = [(k, i, e) for k in kinds for i in range(1100) for e in (0, 1)]
+    by_key = sorted(ends, key=lambda t: (t[0], str(t[1]), t[2]))
+    by_token = sorted(ends, key=lambda t: str((kinds[t[0]], t[1], "uv"[t[2]])))
+    assert by_key == by_token
+
+
+def _ties_spec(layers: int) -> LayoutSpec:
+    """Column and extra links tie on a plain node's right side, in a
+    block's distribution slots and on its members' top pins; row and
+    extra links tie on a top side.  Every kind has >= 10 links."""
+    members = [f"b{m}" for m in range(4)]
+    strips = [(members[k % 4], members[(k + 1 + k // 4) % 4]) for k in range(12)]
+    cells = {
+        (0, 0): NodeCell("p", 40), (0, 1): NodeCell("r", 40),
+        (0, 3): NodeCell("q", 40), (2, 0): NodeCell("x", 40),
+        (1, 0): BlockCell("B", members, strips, 24),
+    }
+    col = [LinkSpec((0, 0), (1, 0), "p", members[i % 4], i // 4) for i in range(12)]
+    col += [LinkSpec((0, 0), (2, 0), "p", "x", i) for i in range(4)]
+    col += [LinkSpec((1, 0), (2, 0), members[i], "x") for i in range(2)]
+    extra = [LinkSpec((0, 3), (1, 0), "q", members[i]) for i in range(3)]
+    extra += [LinkSpec((0, 3), (2, 0), "q", "x", i) for i in range(8)]
+    row = [LinkSpec((0, 3), (0, 1), "q", "r", i) for i in range(12)]
+    return LayoutSpec(
+        rows=3, cols=4, cells=cells, row_links=row, col_links=col,
+        extra_links=extra, layers=layers, name="ties",
+    )
+
+
+_PINNED_ORDER = {
+    ("ties", 2): "85543da2fc1e0ba017f9ab9c764814ba118bc30caeaf299b338aee0aa7677810",
+    ("ties", 3): "bac86d3fc15247c224094a2b13e6868ab6e688ffa60025e51cbeda3b667e9018",
+    ("ties", 4): "93be22bd02a640c71420170933f9840021104425eebbeb2136d4ce572d9de4e7",
+    ("ties", 8): "18f38d96606aa11247028efe1ad02e487f2eff94f9d69ef0950c9baaf19a73ad",
+    ("enhanced", 2): "3a5ad61d327b6fe419ca3c40f898d47ce0bf72cb86644e1c14a800f9174288ee",
+    ("enhanced", 3): "134d709b334a47ea503030ce14ea1ba9f6697d2074590f2415470a2aa7780605",
+    ("enhanced", 4): "eef7d23e32e9797f2d5cc9dc20d818407773f54e8d465851224d54ff9e7d69ea",
+    ("enhanced", 8): "abc4f1c6b1be3bc01d0471c554893dabab801859f2b83d205016a7f7020f5c67",
+}
+
+
+@pytest.mark.parametrize(
+    "name,layers", sorted(_PINNED_ORDER), ids=lambda v: str(v)
+)
+def test_pin_order_is_pinned(name, layers):
+    if name == "ties":
+        lay = build_orthogonal_layout(_ties_spec(layers))
+    else:
+        lay = _build(EnhancedCube(6), layers)
+    validate_layout(lay)
+    digest = hashlib.sha256(layout_to_json(lay).encode()).hexdigest()
+    assert digest == _PINNED_ORDER[(name, layers)]
