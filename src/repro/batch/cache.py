@@ -43,6 +43,7 @@ from repro import obs
 from repro.obs import logging as olog
 from repro.grid.io import (
     FORMAT_VERSION,
+    _Memo,
     canonical_json,
     encode_label,
     layout_from_json,
@@ -73,14 +74,14 @@ def network_fingerprint(net: Network) -> dict:
     labels through the :mod:`repro.grid.io` codec, edges as emitted
     (parallel edges and endpoint order included).  Two constructions of
     the same labelled graph share an entry precisely when they would
-    build byte-identical layouts.
+    build byte-identical layouts.  Each distinct label is encoded once
+    per call, as :func:`~repro.grid.io.layout_to_json` does.
     """
+    label = _Memo(encode_label)
     return {
         "name": net.name,
-        "nodes": [encode_label(v) for v in net.nodes],
-        "edges": [
-            [encode_label(u), encode_label(v)] for u, v in net.edges
-        ],
+        "nodes": [label[v] for v in net.nodes],
+        "edges": [[label[u], label[v]] for u, v in net.edges],
     }
 
 

@@ -32,14 +32,14 @@ percentiles can be cross-checked against the server's own.
 from __future__ import annotations
 
 import asyncio
-import json
 import os
 import signal
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro import obs
-from repro.batch.cache import LayoutCache
+from repro.batch.cache import CacheEntry, LayoutCache
 from repro.batch.spec import SCHEMES, SweepSpec, parse_network
 from repro.obs import context as ocontext
 from repro.obs import live
@@ -54,8 +54,11 @@ from repro.serve.protocol import (
     ChunkedJsonWriter,
     HttpError,
     HttpRequest,
+    json_body,
+    json_body_spliced,
     read_request,
     send_json,
+    send_response,
 )
 from repro.serve.quotas import AdmissionGate, QuotaManager
 
@@ -99,6 +102,21 @@ class ServeConfig:
     #: Watchdog poll cadence when ``run_dir`` is set (None = derive
     #: from the stall threshold, as sweeps do).
     watch_interval_s: float | None = None
+
+
+class _Answer(NamedTuple):
+    """One resolved key, as a flight hands it to every waiter.
+
+    ``doc`` is the response document.  The cache entry a hit already
+    read and verified -- or, after a build, the key the worker wrote
+    under -- travels beside it, never inside the shared document, so
+    a payload request can send the stored layout text without probing
+    the cache again.
+    """
+
+    doc: dict
+    entry: CacheEntry | None = None
+    key: tuple[str, dict] | None = None
 
 
 class LayoutServer:
@@ -411,8 +429,6 @@ class LayoutServer:
 
             oslo.update_slo_gauges(self.slo)
             body = prometheus_text().encode()
-            from repro.serve.protocol import send_response
-
             await send_response(
                 writer,
                 200,
@@ -451,7 +467,7 @@ class LayoutServer:
             rt = self._begin_request(req)
             token = ocontext.set_context(rt.ctx)
             try:
-                doc = await self._layout_request(req, rt)
+                doc, layout_json = await self._layout_request(req, rt)
             except HttpError as exc:
                 self._finish_request(rt, exc.status, error=exc.message)
                 raise
@@ -477,7 +493,15 @@ class LayoutServer:
                 scheme=doc.get("scheme"),
                 layers=doc.get("layers"),
             )
-            await send_json(writer, 200, doc, close=close)
+            await send_response(
+                writer,
+                200,
+                json_body(doc)
+                if layout_json is None
+                else json_body_spliced(doc, "layout", layout_json),
+                content_type="application/json",
+                close=close,
+            )
             return True
         if req.path == "/v1/sweep" and req.method == "POST":
             rt = self._begin_request(req)
@@ -585,7 +609,11 @@ class LayoutServer:
 
     async def _layout_request(
         self, req: HttpRequest, rt: ocontext.RequestTrace
-    ) -> dict:
+    ) -> tuple[dict, str | None]:
+        """The response document, and the stored layout text when the
+        request asked for it (spliced into the body verbatim: a cache
+        entry's text is valid JSON once ``LayoutCache.get`` has checked
+        its SHA-256)."""
         network, scheme, layers, include_layout = self._parse_layout_body(
             req.json()
         )
@@ -605,14 +633,24 @@ class LayoutServer:
                 retry_after=1.0,
             )
         try:
-            doc = await self._resolve(network, scheme, layers, rt)
+            answer = await self._resolve(network, scheme, layers, rt)
         finally:
             self.gate.leave()
-        if include_layout:
-            entry = await self._cache_probe(network, scheme, layers)
-            if entry is not None:
-                doc = {**doc, "layout": json.loads(entry.layout_json)}
-        return doc
+        if not include_layout:
+            return answer.doc, None
+        entry = answer.entry
+        if entry is None:
+            # This flight built the key: read the entry the worker wrote.
+            entry = await asyncio.get_running_loop().run_in_executor(
+                None, self._read_entry, answer.key
+            )
+            if entry is None:
+                raise HttpError(
+                    503,
+                    "the built layout is missing from the cache; retry",
+                    retry_after=1.0,
+                )
+        return answer.doc, entry.layout_json
 
     async def _resolve(
         self,
@@ -620,8 +658,8 @@ class LayoutServer:
         scheme: str,
         layers: int,
         rt: ocontext.RequestTrace,
-    ) -> dict:
-        """One coalesced lookup-or-build; returns a response document.
+    ) -> _Answer:
+        """One coalesced lookup-or-build.
 
         The *leader* request (the one that starts the flight) owns
         the build spans: cache probe, pool dispatch, and the worker's
@@ -636,9 +674,11 @@ class LayoutServer:
             leader_trace = getattr(task, "leader_trace", None)
             link = rt.link(leader_trace or "unknown")
             t_wait = time.perf_counter()
-            doc = await self._await_flight(task)
+            answer = await self._await_flight(task)
             link.duration = time.perf_counter() - t_wait
-            return {**doc, "source": "coalesced"}
+            return answer._replace(
+                doc={**answer.doc, "source": "coalesced"}
+            )
         task = asyncio.ensure_future(
             self._lookup_or_build(network, scheme, layers, rt)
         )
@@ -649,7 +689,7 @@ class LayoutServer:
         )
         return await self._await_flight(task)
 
-    async def _await_flight(self, task: asyncio.Task) -> dict:
+    async def _await_flight(self, task: asyncio.Task) -> _Answer:
         try:
             return await asyncio.wait_for(
                 asyncio.shield(task), self.config.request_timeout_s
@@ -662,22 +702,24 @@ class LayoutServer:
             ) from None
 
     async def _cache_probe(
-        self, network: str, scheme: str, layers: int
-    ):
-        """Probe the cache off-loop; None on miss or no cache."""
+        self, net, scheme: str, layers: int
+    ) -> tuple[tuple[str, dict] | None, CacheEntry | None]:
+        """Key ``net`` and read its entry off-loop: ``(key, entry)``,
+        the entry None on a miss; both None without a cache."""
         if self.cache is None:
-            return None
-        net = _parse_net(network)
+            return None, None
 
         def probe():
-            key, key_doc = self.cache.key_for(
-                net, scheme=scheme, layers=layers
-            )
-            return self.cache.get(key, key_doc)
+            key = self.cache.key_for(net, scheme=scheme, layers=layers)
+            return key, self._read_entry(key)
 
-        entry = await asyncio.get_running_loop().run_in_executor(
+        return await asyncio.get_running_loop().run_in_executor(
             None, probe
         )
+
+    def _read_entry(self, key: tuple[str, dict]) -> CacheEntry | None:
+        """``LayoutCache.get``; an entry without metrics is a miss."""
+        entry = self.cache.get(*key)
         if entry is not None and entry.metrics is None:
             return None
         return entry
@@ -688,17 +730,17 @@ class LayoutServer:
         scheme: str,
         layers: int,
         rt: ocontext.RequestTrace,
-    ) -> dict:
+    ) -> _Answer:
         t0 = time.perf_counter()
         net = _parse_net(network)  # 400 before the pool sees bad specs
         with rt.child("cache.probe", network=network):
-            entry = await self._cache_probe(network, scheme, layers)
+            key, entry = await self._cache_probe(net, scheme, layers)
         if entry is not None:
             obs.count("serve.hits")
             olog.debug(
                 "serve.hit", network=network, scheme=scheme, layers=layers
             )
-            return {
+            doc = {
                 "schema": SERVE_SCHEMA,
                 "job_id": f"{network}@L{layers}/{scheme}",
                 "network": network,
@@ -712,6 +754,7 @@ class LayoutServer:
                     (time.perf_counter() - t0) * 1000.0, 3
                 ),
             }
+            return _Answer(doc, entry=entry)
         obs.count("serve.built")
         olog.info(
             "serve.build", network=network, scheme=scheme, layers=layers
@@ -728,7 +771,7 @@ class LayoutServer:
             )
             self._graft_worker_spans(build_span, env)
         res = env["result"]
-        return {
+        doc = {
             "schema": SERVE_SCHEMA,
             "job_id": res["job_id"],
             "network": res["network"],
@@ -740,6 +783,7 @@ class LayoutServer:
             "source": res["source"],
             "elapsed_ms": round((time.perf_counter() - t0) * 1000.0, 3),
         }
+        return _Answer(doc, key=key)
 
     @staticmethod
     def _graft_worker_spans(
@@ -844,7 +888,7 @@ class LayoutServer:
                 for task in done:
                     job = pending.pop(task)
                     try:
-                        doc = task.result()
+                        doc = task.result().doc
                     except HttpError as exc:
                         errors += 1
                         await stream.send(

@@ -10,6 +10,7 @@ from repro.batch.cache import (
     cache_key,
     network_fingerprint,
 )
+from repro.batch.spec import parse_network
 from repro.core.metrics import measure
 from repro.core.schemes import layout_network
 from repro.grid.io import layout_to_json
@@ -77,6 +78,38 @@ class TestKeys:
         net = Hypercube(3)
         clone = build_network(net.nodes, net.edges, net.name)
         assert network_fingerprint(net) == network_fingerprint(clone)
+
+    #: ``key_for(parse_network(spec), scheme="auto", layers=4)`` as
+    #: computed before labels were memoized: keys must never drift.
+    PINNED_KEYS = {
+        "ring:12": "25245e13fd5c2662054f7ed76dc5341320b754a5d61bd78d8cfb42a6b11966c7",
+        "hypercube:5": "62ce299d9d9d0c55094fce7425872521af720703a6710a7d6a888d24d9b37006",
+        "complete:10": "cd8e1062e8823a7d9af14025b1641d5d6e2c9ed260239eb1d784accc394d3ee7",
+        "de-bruijn:5": "53811bdd5ed76c5fc96727cacd70bcd788b2807545c5c70a0f4b130b627d06f5",
+        "kary:4,2": "9f034bff9be8192e059ca9993dc007f9645c6e1eda4a71702802f520e0d92735",
+        "kary:6,3": "04b9b4e9793687d7867caf40adac8ae779d3c0317c3b7c40f5dc8e6369c97e9b",
+        "ghc:4,4": "8f50a6d0c47985a766a704dfdb4eb010dad96a07cad93b335a207d3291ff1e05",
+        "ghc:5,5,5": "46535358f8838eaa1fda88cadae8fdbe71e4de746873470eb4e9b5b72840f82b",
+        "butterfly:3": "d4e64d0ea71a1fa512206873b8a947dfd07b2f940b7ef40f9b30049520c5f551",
+        "ccc:4": "faf4eb29f7a6f982da49b5336e0358d4aa4bb940ea6834b7a277b4413295ffd2",
+        "star:4": "f991dcefda464ef95eb2b51a4db2dea0e4ab93cf06440387237d3961fad9dd93",
+        "hsn:4,2": "b21ce25a310d8efbef77a7a5e46aaae5c9f628296415f51d57e3a9d8d4edf19e",
+        "scc:4": "2689acd33447e9dbed46a8b3769e645e5b0436e59e8153197f3238f2830035f1",
+        "kary-cluster:4,2,2": "4cdc0049e8f3fa3a5c01480dd81cf6689a43874d4ea8d5f402c58d647234376b",
+    }
+
+    @pytest.mark.parametrize("spec", sorted(PINNED_KEYS))
+    def test_keys_pinned(self, cache, spec):
+        key, _ = cache.key_for(parse_network(spec), scheme="auto", layers=4)
+        assert key == self.PINNED_KEYS[spec]
+
+    @pytest.mark.parametrize(
+        "nodes", [[True, 2], [(0, True), (1, 2)]], ids=["bare", "nested"]
+    )
+    def test_bool_label_still_raises(self, nodes):
+        net = build_network(nodes, [tuple(nodes)], "b")
+        with pytest.raises(TypeError, match="unsupported node label"):
+            network_fingerprint(net)
 
 
 class TestRoundTrip:

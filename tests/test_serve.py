@@ -10,13 +10,16 @@ deterministic instead of scheduler-lucky.
 
 import asyncio
 import json
+import shutil
 
 import pytest
 
 from repro import obs
+from repro.batch.spec import dispatch_scheme, parse_network
+from repro.grid.io import layout_to_json
 from repro.serve import LayoutServer, ServeConfig, http_request
 from repro.serve.pool import POOL_DELAY_ENV
-from repro.serve.protocol import CLIENT_HEADER
+from repro.serve.protocol import CLIENT_HEADER, json_body, json_body_spliced
 from repro.serve.quotas import AdmissionGate, QuotaManager, TokenBucket
 
 
@@ -127,6 +130,150 @@ class TestLayoutEndpoint:
             assert "cache-dir" in json.loads(body)["error"]
 
         _serve(t)
+
+
+def _library_layout(network, layers):
+    """The layout document the library builds for ``network`` at L."""
+    net = parse_network(network)
+    lay = dispatch_scheme(net, layers=layers, scheme="auto")
+    return json.loads(layout_to_json(lay))
+
+
+def _without(doc, *keys):
+    return {k: v for k, v in doc.items() if k not in keys}
+
+
+#: Response fields that differ between any two requests.
+PER_REQUEST = ("elapsed_ms", "request_id", "trace_id")
+
+
+class TestLayoutPayload:
+    """``include_layout`` splices the stored layout text into the reply."""
+
+    def test_payload_matches_library_for_every_source(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv(POOL_DELAY_ENV, "0.3")
+        cache_dir = tmp_path / "cache"
+        network, layers = "hypercube:3", 4
+        want = _library_layout(network, layers)
+
+        def check_pair(heavy, plain, source):
+            assert heavy["source"] == plain["source"] == source
+            assert heavy["layout"] == want
+            assert _without(heavy, "layout", *PER_REQUEST) == _without(
+                plain, *PER_REQUEST
+            )
+
+        async def t(server, port):
+            async def post(payload):
+                st, _, body = await _post_layout(
+                    port, network, layers=layers,
+                    body={"include_layout": payload},
+                )
+                assert st == 200
+                doc = json.loads(body)  # one JSON object, nothing after
+                assert isinstance(doc, dict)
+                assert ("layout" in doc) == payload
+                return doc
+
+            # Cold: one build, three followers; at least one payload
+            # and one plain request are among the coalesced.
+            docs = await asyncio.gather(
+                post(True), post(True), post(False), post(False)
+            )
+            assert sorted(d["source"] for d in docs) == [
+                "built", "coalesced", "coalesced", "coalesced",
+            ]
+            for d in docs:
+                if "layout" in d:
+                    assert d["layout"] == want
+            heavy = next(
+                d for d in docs
+                if "layout" in d and d["source"] == "coalesced"
+            )
+            plain = next(
+                d for d in docs
+                if "layout" not in d and d["source"] == "coalesced"
+            )
+            check_pair(heavy, plain, "coalesced")
+            # Warm: both straight from the cache.
+            check_pair(await post(True), await post(False), "cache")
+            # Emptied cache: each request is built afresh.
+            shutil.rmtree(cache_dir)
+            heavy = await post(True)
+            shutil.rmtree(cache_dir)
+            check_pair(heavy, await post(False), "built")
+
+        _serve(t, cache_dir=str(cache_dir))
+
+    def test_warm_payload_reads_the_cache_once(self, tmp_path):
+        n = 5
+
+        async def t(server, port):
+            await _post_layout(port, "ring:6")  # build + store
+            gets = []
+            real_get = server.cache.get
+
+            def counting_get(*args, **kw):
+                gets.append(args[0])
+                return real_get(*args, **kw)
+
+            server.cache.get = counting_get
+            hits0 = server.stats()["cache"]["hits"]
+            counter0 = obs.registry().snapshot()["counters"].get(
+                "cache.hits", 0
+            )
+            for _ in range(n):
+                st, _, body = await _post_layout(
+                    port, "ring:6", body={"include_layout": True}
+                )
+                assert st == 200
+                assert json.loads(body)["source"] == "cache"
+            assert len(gets) == n
+            assert server.stats()["cache"]["hits"] == hits0 + n
+            counters = obs.registry().snapshot()["counters"]
+            assert counters["cache.hits"] == counter0 + n
+
+        _serve(t, cache_dir=str(tmp_path / "cache"))
+
+    def test_post_build_miss_is_503_not_a_bare_200(self, tmp_path):
+        async def t(server, port):
+            # The pool worker stores the entry through its own cache
+            # handle; the server's handle then fails to read it back.
+            server.cache.get = lambda *args, **kw: None
+            st, headers, body = await _post_layout(
+                port, "ring:6", body={"include_layout": True}
+            )
+            assert st == 503
+            assert int(headers["retry-after"]) >= 1
+            assert "layout" in json.loads(body)["error"]
+            # A request without the payload still gets its answer.
+            st, _, body = await _post_layout(port, "ring:6")
+            assert st == 200 and "layout" not in json.loads(body)
+
+        _serve(t, cache_dir=str(tmp_path / "cache"))
+
+
+class TestSplicedBody:
+    @pytest.mark.parametrize("key", ["a", "layout", "zz"])
+    def test_same_bytes_as_json_body_for_sorted_text(self, key):
+        obj = {"b": 1, "metrics": {"y": 2.5, "x": [1, 2]}, "n": "s\"q"}
+        value = {"wires": [{"v": 1, "u": [0, 1]}], "layers": 4}
+        raw = json.dumps(value, sort_keys=True)
+        assert json_body_spliced(obj, key, raw) == json_body(
+            {**obj, key: value}
+        )
+
+    def test_raw_text_is_kept_verbatim(self):
+        raw = '{"z": 1, "a": [2, 3]}'
+        body = json_body_spliced({"x": 0}, "layout", raw)
+        assert raw.encode() in body
+        assert json.loads(body) == {"x": 0, "layout": json.loads(raw)}
+        assert body.endswith(b"}\n")
+
+    def test_lone_key(self):
+        assert json_body_spliced({}, "k", "[1]") == b'{"k": [1]}\n'
 
 
 class TestValidation:
