@@ -339,16 +339,18 @@ def _worker_main(payload: dict) -> None:
 
 
 def reroot_worker_spans(
-    worker_id: int, span_docs: list, **attrs
+    worker_id: int, span_docs: list, name: str = "sweep.worker", **attrs
 ) -> None:
     """Attach a worker's serialized span forest to the live trace.
 
-    The forest is rebuilt and wrapped in one ``sweep.worker`` span
-    whose attrs carry ``worker_id`` (the exporters key process rows
-    off it) plus anything the caller adds; timing is derived from the
-    children (monotonic clocks are shared across ``fork``, so child
-    timestamps line up with the parent's spans).  No-op when tracing
-    is disabled or the worker produced no spans.
+    The forest is rebuilt and wrapped in one ``name`` span (sweep and
+    fuzz workers use ``sweep.worker``, the daemon's pool
+    ``pool.worker``) whose attrs carry ``worker_id`` (the exporters
+    key process rows off it) plus anything the caller adds; timing is
+    derived from the children (monotonic clocks are shared across
+    ``fork``, so child timestamps line up with the parent's spans).
+    It lands under the innermost open span.  No-op when tracing is
+    disabled or the worker produced no spans.
     """
     if not span_docs or not obs.enabled():
         return
@@ -356,7 +358,7 @@ def reroot_worker_spans(
     start = min((c.start for c in children if c.start), default=0.0)
     end = max((c.end() for c in children), default=start)
     wrapper = obs.SpanRecord(
-        name="sweep.worker",
+        name=name,
         attrs={"worker_id": worker_id, **attrs},
         start=start,
         duration=max(0.0, end - start),

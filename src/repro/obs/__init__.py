@@ -3,8 +3,9 @@
 Zero-dependency observability for the layout pipeline:
 
 * :func:`span` -- nestable timing spans with attributes and counts,
-  collected into a tree by a thread-safe in-process collector
-  (:mod:`repro.obs.trace`);
+  collected into a tree by an in-process collector whose current span
+  is context-local, so threads and asyncio tasks each build their own
+  trees (:mod:`repro.obs.trace`);
 * :func:`count` / :func:`observe` / :func:`gauge` -- named counters,
   histograms, and gauges in a process-wide registry
   (:mod:`repro.obs.metrics`);
@@ -38,7 +39,6 @@ from repro.obs import slo  # noqa: F401  (latency objectives, burn rate)
 from repro.obs.context import (
     RequestLog,
     RequestRecord,
-    RequestTrace,
     TraceContext,
     current_context,
     new_context,
@@ -72,6 +72,7 @@ from repro.obs.trace import (
     Span,
     SpanRecord,
     attach,
+    current_span,
     current_span_name,
     disable,
     enable,
@@ -83,6 +84,7 @@ from repro.obs.trace import (
     span,
     span_names,
     trace_roots,
+    use_span,
 )
 
 __all__ = [
@@ -100,13 +102,14 @@ __all__ = [
     "reset_trace",
     "phase_totals",
     "format_span_tree",
+    "current_span",
     "current_span_name",
+    "use_span",
     "span_names",
     "find_spans",
     # trace context + request telemetry
     "context",
     "TraceContext",
-    "RequestTrace",
     "RequestLog",
     "RequestRecord",
     "new_context",

@@ -6,17 +6,13 @@ decision across process and machine boundaries.  The wire format is
 the familiar ``00-<trace_id>-<span_id>-<flags>`` string carried in
 the ``x-repro-trace`` header (see ``repro.serve.protocol``).
 
-Two more pieces live here because every layer of the stack needs
-them and none may import anything heavy:
-
-* ``RequestTrace`` -- an *explicit* span-tree builder for contexts
-  where the thread-local collector in ``repro.obs.trace`` cannot be
-  used (the asyncio server multiplexes many requests on one thread,
-  so nesting through the global stack would interleave strangers).
-* ``RequestLog`` -- a tail-sampling ring buffer of completed
-  requests: a bounded window of recent traffic that *always* retains
-  errors and the slowest decile, so "why was p99 high" has an answer
-  after the fact.
+One more piece lives here because every layer of the stack needs it
+and none may import anything heavy: ``RequestLog``, a tail-sampling
+ring buffer of completed requests -- a bounded window of recent
+traffic that *always* retains errors and the slowest decile, so "why
+was p99 high" has an answer after the fact.  The request span trees
+it keeps are built by ordinary ``obs.span`` calls under a root the
+server scopes with :func:`repro.obs.trace.use_span`.
 
 Everything here is stdlib-only and safe to import from anywhere.
 """
@@ -30,7 +26,7 @@ import random
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .trace import SpanRecord
 
@@ -160,92 +156,6 @@ def use_context(ctx: Optional[TraceContext]) -> Iterator[Optional[TraceContext]]
         yield ctx
     finally:
         reset_context(token)
-
-
-# ---------------------------------------------------------------------------
-# Explicit span-tree assembly for multiplexed (asyncio) request handling.
-
-
-class RequestTrace:
-    """Builds one request's span tree without the thread-local stack.
-
-    The asyncio server runs every in-flight request on the same
-    thread, so ``obs.span`` would nest concurrent requests into each
-    other.  ``RequestTrace`` assembles the per-request ``SpanRecord``
-    tree explicitly instead; the finished root is interchangeable
-    with collector-produced spans (same clock, same exporters).
-    """
-
-    def __init__(
-        self, ctx: TraceContext, request_id: str,
-        name: str = "serve.request", **attrs: Any,
-    ) -> None:
-        self.ctx = ctx
-        self.request_id = request_id
-        self.root = SpanRecord(
-            name=name,
-            attrs={
-                "trace_id": ctx.trace_id,
-                "request_id": request_id,
-                **attrs,
-            },
-            start=time.perf_counter(),
-        )
-        self.status: Optional[int] = None
-        self.error: Optional[str] = None
-        self._done = False
-
-    def annotate(self, **attrs: Any) -> None:
-        self.root.attrs.update(attrs)
-
-    @contextlib.contextmanager
-    def child(self, name: str, **attrs: Any) -> Iterator[SpanRecord]:
-        """A timed child span; safe to hold across ``await``."""
-        rec = SpanRecord(
-            name=name, attrs=dict(attrs), start=time.perf_counter()
-        )
-        try:
-            yield rec
-        finally:
-            rec.duration = time.perf_counter() - rec.start
-            self.root.children.append(rec)
-
-    def attach(self, rec: SpanRecord) -> None:
-        """Graft a prebuilt subtree (e.g. a worker forest) under root."""
-        self.root.children.append(rec)
-
-    def link(self, trace_id: str, reason: str = "coalesced") -> SpanRecord:
-        """Record a link-span pointing at another trace.
-
-        Used by coalesced followers: rather than duplicating the
-        leader's build subtree, the follower's trace carries exactly
-        one span whose attrs name the leader's trace id.
-        """
-        rec = SpanRecord(
-            name="serve.link",
-            attrs={"linked_trace_id": trace_id, "link": reason},
-            start=time.perf_counter(),
-        )
-        self.root.children.append(rec)
-        return rec
-
-    def finish(self, status: int, **attrs: Any) -> SpanRecord:
-        if not self._done:
-            self._done = True
-            self.root.duration = time.perf_counter() - self.root.start
-        self.status = status
-        self.root.attrs["status"] = status
-        self.root.attrs.update(attrs)
-        if status >= 500:
-            self.error = str(attrs.get("error") or f"http {status}")
-        return self.root
-
-    @property
-    def latency_ms(self) -> float:
-        dur = self.root.duration
-        if dur is None:
-            dur = time.perf_counter() - self.root.start
-        return dur * 1000.0
 
 
 # ---------------------------------------------------------------------------

@@ -8,22 +8,27 @@ run yields a tree mirroring the pipeline's call structure
 
 Tracing is **off by default** and the disabled path is a single module
 global check returning a shared no-op span, so instrumentation costs
-~nothing unless :func:`enable` was called.  The collector keeps one
-span stack per thread (spans opened on different threads never
-interleave into each other's trees) and guards the shared root list
-with a lock, so concurrent traced runs are safe.
+~nothing unless :func:`enable` was called.  The innermost open span
+lives in one :class:`contextvars.ContextVar`: every asyncio task copies
+its creator's context and every thread starts with an empty one, so
+spans opened by concurrent tasks or threads never interleave into each
+other's trees.  The shared root list is guarded by a lock.
 """
 
 from __future__ import annotations
 
+import contextlib
 import threading
 import time
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 __all__ = [
     "Span",
     "SpanRecord",
+    "current_span",
     "current_span_name",
+    "use_span",
     "enable",
     "disable",
     "enabled",
@@ -95,66 +100,41 @@ class SpanRecord:
             stack.extend(reversed(rec.children))
 
 
-class _Collector:
-    """Thread-safe span sink: per-thread stacks, shared root list."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._roots: list[SpanRecord] = []
-        self._local = threading.local()
-
-    def _stack(self) -> list[SpanRecord]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
-
-    def push(self, rec: SpanRecord) -> None:
-        stack = self._stack()
-        if stack:
-            stack[-1].children.append(rec)
-        else:
-            with self._lock:
-                self._roots.append(rec)
-        stack.append(rec)
-
-    def pop(self, rec: SpanRecord) -> None:
-        stack = self._stack()
-        # Pop back to (and including) rec; tolerates a span closed out
-        # of order rather than corrupting the tree.
-        while stack:
-            if stack.pop() is rec:
-                break
-
-    def roots(self) -> list[SpanRecord]:
-        with self._lock:
-            return list(self._roots)
-
-    def reset(self) -> None:
-        with self._lock:
-            self._roots.clear()
-        self._local = threading.local()
+#: The innermost open span of the running task or thread.
+_current: ContextVar[SpanRecord | None] = ContextVar(
+    "repro_span", default=None
+)
+_roots_lock = threading.Lock()
+_roots: list[SpanRecord] = []
 
 
-_collector = _Collector()
+def _adopt(rec: SpanRecord) -> None:
+    """Make ``rec`` a child of the innermost open span, else a root."""
+    parent = _current.get()
+    if parent is not None:
+        parent.children.append(rec)
+    else:
+        with _roots_lock:
+            _roots.append(rec)
 
 
 class Span:
     """Context manager recording one :class:`SpanRecord`."""
 
-    __slots__ = ("_rec",)
+    __slots__ = ("_rec", "_token")
 
     def __init__(self, name: str, attrs: dict):
         self._rec = SpanRecord(name=name, attrs=attrs)
 
     def __enter__(self) -> "Span":
         self._rec.start = time.perf_counter()
-        _collector.push(self._rec)
+        _adopt(self._rec)
+        self._token = _current.set(self._rec)
         return self
 
     def __exit__(self, *exc) -> bool:
         self._rec.duration = time.perf_counter() - self._rec.start
-        _collector.pop(self._rec)
+        _current.reset(self._token)
         return False
 
     def set(self, **attrs) -> "Span":
@@ -206,24 +186,39 @@ def span(name: str, /, **attrs):
 def attach(rec: SpanRecord) -> None:
     """Graft an already-built span tree into the live trace.
 
-    The subtree lands under the innermost span currently open on this
-    thread, or as a new root when none is open.  This is the parent
+    The subtree lands under the innermost span open in the current
+    context, or as a new root when none is open.  This is the parent
     side of cross-process tracing: worker forests come home as dicts,
     are rebuilt with :meth:`SpanRecord.from_dict`, wrapped in a
     per-worker span, and attached under the orchestrating span.
     """
-    if not _enabled:
-        return
-    stack = _collector._stack()
-    if stack:
-        stack[-1].children.append(rec)
-    else:
-        with _collector._lock:
-            _collector._roots.append(rec)
+    if _enabled:
+        _adopt(rec)
+
+
+@contextlib.contextmanager
+def use_span(rec: SpanRecord):
+    """Make a caller-owned ``rec`` the current span for the block.
+
+    Spans opened inside (in this task, and in tasks it creates) nest
+    under ``rec``, but ``rec`` itself never joins :func:`trace_roots`:
+    the caller keeps the tree.  The daemon scopes each request this
+    way, so a long-lived process collects no unbounded root list.
+    """
+    token = _current.set(rec)
+    try:
+        yield rec
+    finally:
+        _current.reset(token)
+
+
+def current_span() -> SpanRecord | None:
+    """The innermost span open in the current context, or None."""
+    return _current.get()
 
 
 def current_span_name() -> str | None:
-    """The innermost span open on this thread, or None.
+    """The innermost span's name, or None.
 
     This is the span context the structured logger stamps on every
     record: a log line emitted inside ``with span("build")`` carries
@@ -231,10 +226,8 @@ def current_span_name() -> str | None:
     through.  Returns None while tracing is disabled or outside any
     span.
     """
-    if not _enabled:
-        return None
-    stack = _collector._stack()
-    return stack[-1].name if stack else None
+    rec = _current.get() if _enabled else None
+    return rec.name if rec is not None else None
 
 
 def enable() -> None:
@@ -254,12 +247,20 @@ def enabled() -> bool:
 
 def trace_roots() -> list[SpanRecord]:
     """The collected root spans (each a tree), in start order."""
-    return _collector.roots()
+    with _roots_lock:
+        return list(_roots)
 
 
 def reset_trace() -> None:
-    """Drop all collected spans (the enabled flag is untouched)."""
-    _collector.reset()
+    """Drop all collected spans (the enabled flag is untouched).
+
+    The calling context also leaves any span still open in it, so a
+    forked worker that resets starts its own roots instead of nesting
+    under a span it inherited from the parent.
+    """
+    with _roots_lock:
+        _roots.clear()
+    _current.set(None)
 
 
 def span_names(roots: list[SpanRecord] | None = None) -> set[str]:

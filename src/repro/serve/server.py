@@ -32,6 +32,7 @@ percentiles can be cross-checked against the server's own.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import os
 import signal
 import time
@@ -40,6 +41,7 @@ from typing import NamedTuple
 
 from repro import obs
 from repro.batch.cache import CacheEntry, LayoutCache
+from repro.batch.runner import reroot_worker_spans
 from repro.batch.spec import SCHEMES, SweepSpec, parse_network
 from repro.obs import context as ocontext
 from repro.obs import live
@@ -318,12 +320,19 @@ class LayoutServer:
 
     # -- request tracing ---------------------------------------------------
 
-    def _begin_request(self, req: HttpRequest) -> ocontext.RequestTrace:
-        """Open the per-request root span and assign a request id.
+    @contextlib.contextmanager
+    def _traced(self, req: HttpRequest):
+        """Scope one request: its root span and trace context.
 
         The inbound ``x-repro-trace`` header (stamped by loadgen or
         an upstream) wins; a request without one gets a fresh context
-        head-sampled at ``--trace-sample``.
+        head-sampled at ``--trace-sample``.  The root is current for
+        every ``obs.span`` the request opens, and for the flight task
+        it starts, but never joins ``obs.trace_roots()``: the daemon
+        collects for its whole life, and only ``self.requests``
+        retains request trees.  The request is finished as the block
+        exits: with the failure's status, or 200 and the ``source``
+        the block set on the root.
         """
         ctx = ocontext.parse_traceparent(req.headers.get(TRACE_HEADER))
         if ctx is None:
@@ -331,22 +340,38 @@ class LayoutServer:
                 sampled=ocontext.should_sample(self.config.trace_sample)
             )
         self._req_seq += 1
-        request_id = f"r{self._req_seq:06d}-{ctx.trace_id[:8]}"
-        return ocontext.RequestTrace(
-            ctx,
-            request_id,
-            path=req.path,
-            client=req.client_id,
+        root = SpanRecord(
+            name="serve.request",
+            attrs={
+                "trace_id": ctx.trace_id,
+                "request_id": f"r{self._req_seq:06d}-{ctx.trace_id[:8]}",
+                "path": req.path,
+                "client": req.client_id,
+            },
+            start=time.perf_counter(),
         )
+        with obs.use_span(root), ocontext.use_context(ctx):
+            try:
+                yield root
+            except HttpError as exc:
+                self._finish_request(root, ctx, exc.status, error=exc.message)
+                raise
+            except ConnectionError:
+                raise
+            except Exception as exc:
+                self._finish_request(
+                    root, ctx, 500, error=f"{type(exc).__name__}: {exc}"
+                )
+                raise
+            self._finish_request(root, ctx, 200)
 
     def _finish_request(
         self,
-        rt: ocontext.RequestTrace,
+        root: SpanRecord,
+        ctx: ocontext.TraceContext,
         status: int,
         *,
-        source: str | None = None,
         error: str | None = None,
-        **attrs,
     ) -> None:
         """Close the root span, observe latency, retain the request.
 
@@ -356,45 +381,46 @@ class LayoutServer:
         keeps the record (spans included when sampled) for
         ``/debug/requests`` / ``/debug/trace/<id>``.
         """
-        if source is not None:
-            attrs["source"] = source
+        root.duration = time.perf_counter() - root.start
+        latency_ms = root.duration * 1000.0
+        attrs = root.attrs
+        attrs["status"] = status
         if error is not None:
             attrs["error"] = error
-        root = rt.finish(status, **attrs)
+        source = attrs.get("source")
         obs.observe(
             "serve.request_ms",
-            rt.latency_ms,
+            latency_ms,
             LATENCY_BOUNDS_MS,
-            exemplar=rt.ctx.trace_id,
+            exemplar=ctx.trace_id,
         )
         if status >= 500:
             obs.count("serve.errors_5xx")
         self.requests.add(
             ocontext.RequestRecord(
-                request_id=rt.request_id,
-                trace_id=rt.ctx.trace_id,
-                path=str(root.attrs.get("path", "")),
+                request_id=attrs["request_id"],
+                trace_id=ctx.trace_id,
+                path=attrs["path"],
                 status=status,
-                latency_ms=rt.latency_ms,
+                latency_ms=latency_ms,
                 time_unix=time.time(),
-                sampled=rt.ctx.sampled,
+                sampled=ctx.sampled,
                 source=source,
                 error=error,
                 attrs={
                     k: v
-                    for k, v in root.attrs.items()
+                    for k, v in attrs.items()
                     if k in ("network", "scheme", "layers", "jobs", "client")
                 },
-                root=root if rt.ctx.sampled else None,
+                root=root if ctx.sampled else None,
             )
         )
         olog.info(
             "serve.request",
-            request_id=rt.request_id,
-            trace=rt.ctx.trace_id,
-            path=root.attrs.get("path"),
+            request_id=attrs["request_id"],
+            path=attrs["path"],
             status=status,
-            latency_ms=round(rt.latency_ms, 3),
+            latency_ms=round(latency_ms, 3),
             source=source,
         )
 
@@ -464,35 +490,14 @@ class LayoutServer:
             )
             return True
         if req.path == "/v1/layout" and req.method == "POST":
-            rt = self._begin_request(req)
-            token = ocontext.set_context(rt.ctx)
-            try:
-                doc, layout_json = await self._layout_request(req, rt)
-            except HttpError as exc:
-                self._finish_request(rt, exc.status, error=exc.message)
-                raise
-            except (ConnectionError, asyncio.CancelledError):
-                raise
-            except Exception as exc:
-                self._finish_request(
-                    rt, 500, error=f"{type(exc).__name__}: {exc}"
-                )
-                raise
-            finally:
-                ocontext.reset_context(token)
+            with self._traced(req) as root:
+                doc, layout_json = await self._layout_request(req)
+                root.attrs["source"] = doc["source"]
             doc = {
                 **doc,
-                "request_id": rt.request_id,
-                "trace_id": rt.ctx.trace_id,
+                "request_id": root.attrs["request_id"],
+                "trace_id": root.attrs["trace_id"],
             }
-            self._finish_request(
-                rt,
-                200,
-                source=doc.get("source"),
-                network=doc.get("network"),
-                scheme=doc.get("scheme"),
-                layers=doc.get("layers"),
-            )
             await send_response(
                 writer,
                 200,
@@ -504,23 +509,9 @@ class LayoutServer:
             )
             return True
         if req.path == "/v1/sweep" and req.method == "POST":
-            rt = self._begin_request(req)
-            token = ocontext.set_context(rt.ctx)
-            try:
-                await self._sweep_request(req, writer, rt)
-            except HttpError as exc:
-                self._finish_request(rt, exc.status, error=exc.message)
-                raise
-            except (ConnectionError, asyncio.CancelledError):
-                raise
-            except Exception as exc:
-                self._finish_request(
-                    rt, 500, error=f"{type(exc).__name__}: {exc}"
-                )
-                raise
-            finally:
-                ocontext.reset_context(token)
-            self._finish_request(rt, 200, source="sweep")
+            with self._traced(req) as root:
+                await self._sweep_request(req, writer)
+                root.attrs["source"] = "sweep"
             # Chunked responses end the framing cleanly, but any error
             # mid-stream already wrote a partial body: simplest safe
             # policy is one sweep per connection.
@@ -608,7 +599,7 @@ class LayoutServer:
         return network, scheme, layers, include_layout
 
     async def _layout_request(
-        self, req: HttpRequest, rt: ocontext.RequestTrace
+        self, req: HttpRequest
     ) -> tuple[dict, str | None]:
         """The response document, and the stored layout text when the
         request asked for it (spliced into the body verbatim: a cache
@@ -617,7 +608,9 @@ class LayoutServer:
         network, scheme, layers, include_layout = self._parse_layout_body(
             req.json()
         )
-        rt.annotate(network=network, scheme=scheme, layers=layers)
+        obs.current_span().attrs.update(
+            network=network, scheme=scheme, layers=layers
+        )
         if include_layout and self.cache is None:
             raise HttpError(
                 400,
@@ -633,7 +626,7 @@ class LayoutServer:
                 retry_after=1.0,
             )
         try:
-            answer = await self._resolve(network, scheme, layers, rt)
+            answer = await self._resolve(network, scheme, layers)
         finally:
             self.gate.leave()
         if not include_layout:
@@ -641,9 +634,7 @@ class LayoutServer:
         entry = answer.entry
         if entry is None:
             # This flight built the key: read the entry the worker wrote.
-            entry = await asyncio.get_running_loop().run_in_executor(
-                None, self._read_entry, answer.key
-            )
+            entry = await asyncio.to_thread(self._read_entry, answer.key)
             if entry is None:
                 raise HttpError(
                     503,
@@ -653,36 +644,34 @@ class LayoutServer:
         return answer.doc, entry.layout_json
 
     async def _resolve(
-        self,
-        network: str,
-        scheme: str,
-        layers: int,
-        rt: ocontext.RequestTrace,
+        self, network: str, scheme: str, layers: int
     ) -> _Answer:
         """One coalesced lookup-or-build.
 
         The *leader* request (the one that starts the flight) owns
-        the build spans: cache probe, pool dispatch, and the worker's
-        shipped forest all land under its root.  A coalesced follower
-        instead records exactly one link-span naming the leader's
-        trace id -- its trace shows the wait, not duplicated work.
+        the build spans: the flight task inherits its context, so the
+        cache probe, pool dispatch, and the worker's shipped forest
+        all land under its root.  A coalesced follower instead records
+        exactly one link-span naming the leader's trace id -- its
+        trace shows the wait, not duplicated work.
         """
         key = (network, scheme, layers)
         task = self._flights.get(key)
         if task is not None:
             obs.count("serve.coalesced")
-            leader_trace = getattr(task, "leader_trace", None)
-            link = rt.link(leader_trace or "unknown")
-            t_wait = time.perf_counter()
-            answer = await self._await_flight(task)
-            link.duration = time.perf_counter() - t_wait
+            with obs.span(
+                "serve.link",
+                linked_trace_id=task.leader_trace,
+                link="coalesced",
+            ):
+                answer = await self._await_flight(task)
             return answer._replace(
                 doc={**answer.doc, "source": "coalesced"}
             )
         task = asyncio.ensure_future(
-            self._lookup_or_build(network, scheme, layers, rt)
+            self._lookup_or_build(network, scheme, layers)
         )
-        task.leader_trace = rt.ctx.trace_id
+        task.leader_trace = ocontext.current_context().trace_id
         self._flights[key] = task
         task.add_done_callback(
             lambda _t, _k=key: self._flights.pop(_k, None)
@@ -713,9 +702,7 @@ class LayoutServer:
             key = self.cache.key_for(net, scheme=scheme, layers=layers)
             return key, self._read_entry(key)
 
-        return await asyncio.get_running_loop().run_in_executor(
-            None, probe
-        )
+        return await asyncio.to_thread(probe)
 
     def _read_entry(self, key: tuple[str, dict]) -> CacheEntry | None:
         """``LayoutCache.get``; an entry without metrics is a miss."""
@@ -725,15 +712,11 @@ class LayoutServer:
         return entry
 
     async def _lookup_or_build(
-        self,
-        network: str,
-        scheme: str,
-        layers: int,
-        rt: ocontext.RequestTrace,
+        self, network: str, scheme: str, layers: int
     ) -> _Answer:
         t0 = time.perf_counter()
         net = _parse_net(network)  # 400 before the pool sees bad specs
-        with rt.child("cache.probe", network=network):
+        with obs.span("cache.probe", network=network):
             key, entry = await self._cache_probe(net, scheme, layers)
         if entry is not None:
             obs.count("serve.hits")
@@ -760,16 +743,17 @@ class LayoutServer:
             "serve.build", network=network, scheme=scheme, layers=layers
         )
         assert self.pool is not None
-        trace = (
-            rt.ctx.child().as_dict() if rt.ctx.sampled else None
-        )
-        with rt.child(
+        ctx = ocontext.current_context()
+        trace = ctx.child().as_dict() if ctx.sampled else None
+        with obs.span(
             "pool.build", network=network, scheme=scheme, layers=layers
-        ) as build_span:
+        ):
             env = await self.pool.submit(
                 network, scheme, layers, trace=trace
             )
-            self._graft_worker_spans(build_span, env)
+            reroot_worker_spans(
+                env.get("worker"), env.get("spans"), name="pool.worker"
+            )
         res = env["result"]
         doc = {
             "schema": SERVE_SCHEMA,
@@ -785,41 +769,10 @@ class LayoutServer:
         }
         return _Answer(doc, key=key)
 
-    @staticmethod
-    def _graft_worker_spans(
-        build_span: SpanRecord, env: dict
-    ) -> None:
-        """Reroot a pool worker's shipped forest under the request.
-
-        The forest is wrapped in a ``pool.worker`` span whose integer
-        ``worker_id`` attr lifts it onto its own process row in the
-        Chrome-trace rendering -- the same convention sweep worker
-        forests use.  Fork shares ``perf_counter``'s clock on the
-        platforms we fork on, so child timestamps line up with the
-        server's spans.
-        """
-        spans = env.get("spans")
-        if not spans:
-            return
-        forest = [SpanRecord.from_dict(d) for d in spans]
-        start = min((r.start for r in forest if r.start), default=0.0)
-        end = max((r.end() for r in forest), default=start)
-        wrapper = SpanRecord(
-            name="pool.worker",
-            attrs={"worker_id": env.get("worker")},
-            start=start,
-            duration=max(0.0, end - start),
-            children=forest,
-        )
-        build_span.children.append(wrapper)
-
     # -- /v1/sweep ---------------------------------------------------------
 
     async def _sweep_request(
-        self,
-        req: HttpRequest,
-        writer: asyncio.StreamWriter,
-        rt: ocontext.RequestTrace,
+        self, req: HttpRequest, writer: asyncio.StreamWriter
     ) -> None:
         body = req.json()
         networks = body.get("networks")
@@ -851,7 +804,7 @@ class LayoutServer:
                 f"sweep expands to {len(jobs)} jobs "
                 f"(limit {MAX_SWEEP_JOBS})",
             )
-        rt.annotate(sweep=spec.name, jobs=len(jobs))
+        obs.current_span().attrs.update(sweep=spec.name, jobs=len(jobs))
         self._admit(req, float(len(jobs)))
         if not self.gate.try_enter():
             obs.count("serve.rejected_busy")
@@ -877,7 +830,7 @@ class LayoutServer:
         try:
             pending = {
                 asyncio.ensure_future(
-                    self._resolve(j.network, j.scheme, j.layers, rt)
+                    self._resolve(j.network, j.scheme, j.layers)
                 ): j
                 for j in jobs
             }

@@ -1,5 +1,6 @@
 """The observability subsystem: spans, metrics, run reports, CLI."""
 
+import asyncio
 import json
 import threading
 
@@ -81,6 +82,42 @@ class TestSpans:
         for r in roots:
             assert len(r.children) == 50
             assert all(c.name == "child" for c in r.children)
+
+    def test_asyncio_tasks_do_not_interleave(self):
+        """Concurrent tasks holding spans across awaits build one tree
+        each: every task owns its current span, as every thread does."""
+        obs.enable()
+
+        async def work(tag):
+            with obs.span(f"req_{tag}"):
+                for i in range(3):
+                    with obs.span(f"{tag}.step", i=i):
+                        await asyncio.sleep(0)
+                    await asyncio.sleep(0)
+
+        async def main():
+            await asyncio.gather(work("a"), work("b"))
+
+        asyncio.run(main())
+        roots = obs.trace_roots()
+        assert sorted(r.name for r in roots) == ["req_a", "req_b"]
+        for r in roots:
+            tag = r.name[-1]
+            assert [c.name for c in r.children] == [f"{tag}.step"] * 3
+            assert all(not c.children for c in r.children)
+
+    def test_use_span_scopes_without_a_root(self):
+        """A caller-owned record collects the block's spans but never
+        joins the process-wide root list."""
+        obs.enable()
+        owned = obs.SpanRecord(name="owned", attrs={})
+        with obs.use_span(owned):
+            assert obs.current_span() is owned
+            with obs.span("child"):
+                assert obs.current_span_name() == "child"
+        assert obs.current_span() is None
+        assert [c.name for c in owned.children] == ["child"]
+        assert obs.trace_roots() == []
 
     def test_phase_totals_aggregates_by_name(self):
         obs.enable()

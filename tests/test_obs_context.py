@@ -3,8 +3,8 @@
 The serve e2e suite (``test_serve_trace.py``) exercises these pieces
 through real sockets; here each piece is pinned in isolation --
 traceparent parsing tolerance, contextvar propagation across threads
-and tasks, RequestTrace tree assembly, RequestLog tail-sampling
-retention, and the SLO estimator's bucket interpolation.
+and tasks, RequestLog tail-sampling retention, and the SLO
+estimator's bucket interpolation.
 """
 
 import asyncio
@@ -95,32 +95,6 @@ class TestContextPropagation:
 
         ids = asyncio.run(main())
         assert len(set(ids)) == 2
-
-
-class TestRequestTrace:
-    def test_tree_assembly(self):
-        ctx = ocontext.new_context()
-        rt = ocontext.RequestTrace(ctx, "r000001-abc", path="/v1/layout")
-        with rt.child("cache.probe", network="ring:8"):
-            pass
-        link = rt.link("f" * 32)
-        root = rt.finish(200, source="built")
-        assert root.attrs["trace_id"] == ctx.trace_id
-        assert root.attrs["status"] == 200
-        assert [c.name for c in root.children] == [
-            "cache.probe", "serve.link",
-        ]
-        assert link.attrs["linked_trace_id"] == "f" * 32
-        assert root.duration is not None and root.duration >= 0
-        assert rt.latency_ms >= 0
-
-    def test_finish_marks_5xx_as_error(self):
-        rt = ocontext.RequestTrace(ocontext.new_context(), "r1")
-        rt.finish(500, error="boom")
-        assert rt.error == "boom"
-        rt2 = ocontext.RequestTrace(ocontext.new_context(), "r2")
-        rt2.finish(404)
-        assert rt2.error is None
 
 
 def _rec(request_id, status=200, latency_ms=1.0, **kw):

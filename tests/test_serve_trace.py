@@ -12,12 +12,15 @@ End-to-end against a real :class:`LayoutServer` on an ephemeral port
   trace;
 * the span-name *set* of a request is deterministic across worker
   counts;
+* request trees stay out of the process-wide span roots, and a log
+  line emitted inside a request carries its trace id and span;
 * ``/metrics`` renders histogram exemplars and the ``slo.*`` gauges;
 * a ``--run-dir`` server feeds the ``repro watch`` SLO panel through
   its live ``metrics.prom``.
 """
 
 import asyncio
+import io
 import json
 
 import pytest
@@ -25,6 +28,7 @@ import pytest
 from repro import obs
 from repro.obs import context as ocontext
 from repro.obs import live
+from repro.obs import logging as olog
 from repro.obs.export import validate_chrome_trace
 from repro.serve import LayoutServer, ServeConfig, http_request
 from repro.serve.pool import POOL_DELAY_ENV
@@ -99,6 +103,13 @@ class TestTraceDocument:
                 "serve.request", "cache.probe", "pool.build",
                 "pool.worker", "sweep.job", "cache.build",
             } <= names
+            (root_ev,) = [
+                ev for ev in trace["traceEvents"]
+                if ev.get("name") == "serve.request"
+            ]
+            assert root_ev["args"]["trace_id"] == doc["trace_id"]
+            assert root_ev["args"]["request_id"] == doc["request_id"]
+            assert root_ev["args"]["status"] == 200
             # The worker subtree renders on its own process row.
             pids = {
                 ev["pid"]
@@ -243,6 +254,51 @@ class TestDeterministicSpanShape:
         assert self._names_for(1, tmp_path) == self._names_for(
             4, tmp_path
         )
+
+
+class TestRequestScope:
+    def test_requests_leave_no_process_roots(self, tmp_path, monkeypatch):
+        """The daemon collects spans for its whole life: request trees
+        live in the request log only, never in ``obs.trace_roots()``."""
+        monkeypatch.setenv(POOL_DELAY_ENV, "0.2")
+
+        async def t(server, port):
+            results = await asyncio.gather(
+                *(_post_layout(port, "ring:8", layers=4) for _ in range(3))
+            )
+            sources = sorted(json.loads(b)["source"] for _, _, b in results)
+            assert sources == ["built", "coalesced", "coalesced"]
+            await _post_layout(port, "ring:8", layers=4)  # cache hit
+            st, _, _ = await http_request(
+                "127.0.0.1", port, "POST", "/v1/sweep",
+                body={"networks": ["ring:6", "ring:8"], "layers": [2, 4]},
+            )
+            assert st == 200
+            await _post_layout(port, "nosuchfamily:3")  # 400
+            assert obs.trace_roots() == []
+            _, listing = await _get_json(port, "/debug/requests")
+            assert listing["totals"]["added"] == 6
+
+        _serve(t, cache_dir=str(tmp_path / "cache"), workers=2)
+
+    def test_log_lines_join_trace_and_span(self, tmp_path):
+        sink = io.StringIO()
+        olog.configure(stream=sink)
+        docs = []
+
+        async def t(server, port):
+            _, _, body = await _post_layout(port, "hypercube:3")
+            docs.append(json.loads(body))
+
+        try:
+            _serve(t, cache_dir=str(tmp_path / "cache"))
+        finally:
+            olog.close()
+        recs = [json.loads(line) for line in sink.getvalue().splitlines()]
+        for event in ("serve.build", "serve.request"):
+            (rec,) = [r for r in recs if r["event"] == event]
+            assert rec["trace"] == docs[0]["trace_id"]
+            assert rec["span"] == "serve.request"
 
 
 class TestDebugRequests:
