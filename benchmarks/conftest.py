@@ -24,7 +24,6 @@ import pytest
 
 from repro import __version__
 from repro.bench.harness import format_table, json_cell
-from repro.bench.trajectory import git_sha
 
 RESULTS = pathlib.Path(__file__).resolve().parent / "results"
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -192,7 +191,7 @@ def _append_trajectory(summary: dict) -> None:
     record = trajectory_record(
         summary,
         {m: rec for m, rec in _SESSION.items()},
-        sha=git_sha(REPO_ROOT),
+        repo_root=REPO_ROOT,
     )
     append_record(REPO_ROOT / "benchmarks" / "trajectory.jsonl", record)
 

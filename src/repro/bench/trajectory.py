@@ -5,10 +5,11 @@ snapshots; this module gives them a time axis and a gate:
 
 * :func:`trajectory_record` distills one bench session (the summary
   document plus the per-bench records) into a compact record -- git
-  SHA, timestamp, per-bench and per-test wall seconds, and the
-  performance-gate ratios parsed out of the speedup/reduction columns
-  of ``bench_performance`` (the E7 kernel gates, ``timed_median``
-  medians) and ``bench_traffic`` (the E9 engine/traffic gates);
+  SHA with a dirty flag and diff digest, timestamp, per-bench and
+  per-test wall seconds, and the performance-gate ratios parsed out
+  of the speedup/reduction columns of ``bench_performance`` (the E7
+  kernel gates, ``timed_median`` medians) and ``bench_traffic`` (the
+  E9 engine/traffic gates);
 * :func:`append_record` appends it to ``benchmarks/trajectory.jsonl``,
   one JSON object per line, so the repo accumulates a perf history a
   PR reviewer can plot or ``jq`` through;
@@ -27,6 +28,7 @@ removed benches are reported, never gated on).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import pathlib
@@ -40,6 +42,7 @@ __all__ = [
     "format_diff_rows",
     "gate_ratios",
     "git_sha",
+    "git_stamp",
     "load_timings",
     "trajectory_record",
 ]
@@ -51,20 +54,45 @@ DEFAULT_THRESHOLD = 0.15
 GATE_BENCHES = ("bench_performance", "bench_traffic")
 
 
-def git_sha(repo_root=None) -> str | None:
-    """The current commit SHA, or None outside a usable git checkout."""
+def _git(args: list[str], repo_root) -> bytes | None:
+    """Stdout of one git command, or None outside a usable checkout."""
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
+            ["git", *args],
             cwd=repo_root or os.getcwd(),
             capture_output=True,
-            text=True,
             timeout=10,
         )
     except (OSError, subprocess.SubprocessError):
         return None
-    sha = out.stdout.strip()
-    return sha if out.returncode == 0 and sha else None
+    return out.stdout if out.returncode == 0 else None
+
+
+def git_sha(repo_root=None) -> str | None:
+    """The current commit SHA, or None outside a usable git checkout."""
+    out = _git(["rev-parse", "HEAD"], repo_root)
+    sha = out.decode().strip() if out else ""
+    return sha or None
+
+
+def git_stamp(repo_root=None) -> dict:
+    """Name the tree a bench session measured.
+
+    ``{"git_sha", "dirty"}``, plus ``diff_sha256`` -- the digest of
+    ``git diff HEAD`` -- when tracked files differ from ``HEAD``.
+    Outside a git checkout: ``{"git_sha": None, "dirty": False}``.
+    """
+    sha = git_sha(repo_root)
+    if sha is None:
+        return {"git_sha": None, "dirty": False}
+    diff = _git(["diff", "HEAD", "--binary", "--no-ext-diff"], repo_root)
+    if not diff:
+        return {"git_sha": sha, "dirty": False}
+    return {
+        "git_sha": sha,
+        "dirty": True,
+        "diff_sha256": hashlib.sha256(diff).hexdigest(),
+    }
 
 
 def _parse_ratio(cell) -> float | None:
@@ -116,13 +144,16 @@ def trajectory_record(
     per_bench: dict[str, dict] | None = None,
     *,
     sha: str | None = None,
+    repo_root=None,
 ) -> dict:
     """Distill one bench session into a trajectory record.
 
     ``summary`` is a ``BENCH_summary.json`` document; ``per_bench``
     optionally maps bench module name to its ``bench-result`` record
     (used for per-test seconds and, for the :data:`GATE_BENCHES`, the
-    gate ratios).
+    gate ratios).  The record is stamped with :func:`git_stamp` of
+    ``repo_root`` (default: the working directory), unless ``sha``
+    names the measured commit outright, which stamps it clean.
     """
     benches = {
         b["bench"]: b.get("seconds", 0.0)
@@ -135,9 +166,13 @@ def trajectory_record(
             tests[f"{name}::{t['test']}"] = t.get("seconds", 0.0)
         if name in GATE_BENCHES:
             gates.update(gate_ratios(rec))
+    stamp = (
+        git_stamp(repo_root) if sha is None
+        else {"git_sha": sha, "dirty": False}
+    )
     return {
         "schema": TRAJECTORY_SCHEMA,
-        "git_sha": sha if sha is not None else git_sha(),
+        **stamp,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "environment": summary.get("environment", {}),
         "total_seconds": summary.get("total_seconds"),
@@ -167,6 +202,12 @@ def load_records(path) -> list[dict]:
     return records
 
 
+def _label(path, rec: dict) -> str:
+    """``<file>@<sha12>``, with ``+dirty`` for an uncommitted tree."""
+    sha = (rec.get("git_sha") or "unknown")[:12]
+    return f"{path.name}@{sha}{'+dirty' if rec.get('dirty') else ''}"
+
+
 def load_timings(path) -> tuple[str, dict[str, float], dict[str, float]]:
     """Normalize any bench document into ``(label, timings, gates)``.
 
@@ -181,8 +222,7 @@ def load_timings(path) -> tuple[str, dict[str, float], dict[str, float]]:
         if not records:
             raise ValueError(f"{path}: empty trajectory file")
         rec = records[-1]
-        label = f"{path.name}@{(rec.get('git_sha') or 'unknown')[:12]}"
-        return label, dict(rec.get("benches", {})), dict(
+        return _label(path, rec), dict(rec.get("benches", {})), dict(
             rec.get("gates", {})
         )
     with path.open() as fh:
@@ -190,7 +230,7 @@ def load_timings(path) -> tuple[str, dict[str, float], dict[str, float]]:
     schema = doc.get("schema", "")
     if schema == TRAJECTORY_SCHEMA:
         return (
-            f"{path.name}@{(doc.get('git_sha') or 'unknown')[:12]}",
+            _label(path, doc),
             dict(doc.get("benches", {})),
             dict(doc.get("gates", {})),
         )

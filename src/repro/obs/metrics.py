@@ -20,6 +20,7 @@ The module-level default registry is what the ``obs`` helpers
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "registry"]
 
@@ -103,6 +104,33 @@ class Histogram:
                     "trace_id": str(exemplar),
                     "value": v,
                 }
+
+    def observe_many(self, values) -> None:
+        """Record every value in ``values``, as repeated :meth:`observe`
+        calls would, under one lock acquisition.
+
+        The sum accumulates in iteration order and ``min``/``max`` keep
+        the first extreme seen, so :meth:`as_dict` is byte-identical to
+        the per-value path.  Buckets come from a bisect over the sorted
+        edges.  No exemplars are recorded.
+        """
+        values = list(values)
+        if not values:
+            return
+        bounds = self.bounds
+        with self._lock:
+            total = self.total
+            buckets = self.buckets
+            for v in values:
+                total += v
+                buckets[bisect_left(bounds, v)] += 1
+            self.total = total
+            self.count += len(values)
+            lo, hi = min(values), max(values)
+            if self.min is None or lo < self.min:
+                self.min = lo
+            if self.max is None or hi > self.max:
+                self.max = hi
 
     @property
     def mean(self) -> float:

@@ -21,6 +21,12 @@ where list indexing beats ndarray item access several-fold, and an
 int64 batch path over large buckets measured slower end to end at
 saturation than this scalar loop.
 
+Set-up runs on integer node ids.  Each call builds its own
+:class:`~repro.routing.paths.RoutingTable` (span ``routing.table``),
+then walks its next-hop array for every message at once into per-hop
+link ids (span ``simulate.routes``); only the links actually used are
+turned back into label pairs, for delays and the result dicts.
+
 Parity caveat: when a hop's advance delay is 0 (``router_overhead=0``
 with zero-delay wires) a message hops several times inside one cycle
 and the oracle interleaves those sub-steps by message index, which the
@@ -35,18 +41,18 @@ from __future__ import annotations
 import heapq
 from typing import Callable, Hashable
 
+import numpy as np
+
 from repro import obs
 from repro.grid.layout import GridLayout
 from repro.obs.metrics import Histogram
-from repro.routing.paths import RoutingTable
+from repro.routing.paths import RoutingTable, shortest_hop_routes
 from repro.routing.simulator import (
     LATENCY_BOUNDS,
     SimulationResult,
-    _build_routes,
     _finalize_result,
     _hop_costs,
     _resolve_link_delay,
-    _resolve_router,
 )
 from repro.topology.base import Network
 
@@ -80,42 +86,25 @@ def simulate_fast(
     ``traffic`` fuzz stage enforce it.
     """
     link_delay = _resolve_link_delay(layout, link_delay)
-    get_route = _resolve_router(network, router)
-    routes, starts = _build_routes(messages, get_route)
     delay_of = _hop_costs(
         link_delay, default_delay, router_overhead, mode, message_length
     )
-
-    n_msgs = len(routes)
-    # Flatten routes to per-hop link ids (CSR layout).  Link ids are
-    # assigned in first-encounter order over messages x hops; the
-    # *result* ordering (busiest-link tie-break) instead follows the
-    # first-acquisition sequence tracked during the run.
-    link_index: dict[tuple, int] = {}
-    link_pairs: list[tuple] = []
-    flat: list[int] = []
-    offsets = [0]
-    for route in routes:
-        prev = route[0]
-        for v in route[1:]:
-            pair = (prev, v)
-            li = link_index.get(pair)
-            if li is None:
-                li = len(link_pairs)
-                link_index[pair] = li
-                link_pairs.append(pair)
-            flat.append(li)
-            prev = v
-        offsets.append(len(flat))
-    n_links = len(link_pairs)
-    d_of = [0] * n_links
-    busy_of = [0] * n_links
-    for li, pair in enumerate(link_pairs):
-        d, b = delay_of(*pair)
-        # Plain python ints: the arbitration loop does arithmetic on
-        # these per hop, and WireTable delays may arrive as np.int64.
-        d_of[li] = int(d)
-        busy_of[li] = int(b)
+    if router is None:
+        router = shortest_hop_routes(network)
+    with obs.span("simulate.routes", messages=len(messages)):
+        starts, flat, offsets, link_pairs = _message_routes(
+            network, messages, router
+        )
+        n_msgs = len(starts)
+        n_links = len(link_pairs)
+        d_of = [0] * n_links
+        busy_of = [0] * n_links
+        for li, pair in enumerate(link_pairs):
+            d, b = delay_of(*pair)
+            # Plain python ints: the arbitration loop does arithmetic on
+            # these per hop, and WireTable delays may arrive as np.int64.
+            d_of[li] = int(d)
+            busy_of[li] = int(b)
     nhops = [offsets[i + 1] - offsets[i] for i in range(n_msgs)]
     tail = message_length - 1 if mode == "cut_through" else 0
 
@@ -331,9 +320,7 @@ def simulate_fast(
     # bucket tallies all commute, and integer sums are exact in float64
     # far below 2**53), so one bulk pass lands byte-identical to the
     # oracle's per-arrival observations.
-    observe = lat_hist.observe
-    for v in lats:
-        observe(v)
+    lat_hist.observe_many(lats)
 
     used = sorted(
         (int(first_seq[li]), li) for li in range(n_links) if load[li] > 0
@@ -353,6 +340,92 @@ def simulate_fast(
         depth_hist=depth_hist,
         events=events,
     )
+
+
+def _message_routes(
+    network: Network,
+    messages: list[Message],
+    router: RoutingTable | Callable[[Node, Node], list],
+) -> tuple[list[int], list[int], list[int], list[tuple]]:
+    """Resolve messages to ``(starts, flat, offsets, link_pairs)``.
+
+    Message ``i``'s hops are the link ids ``flat[offsets[i]:offsets[i +
+    1]]``; link ``li`` is the directed label pair ``link_pairs[li]``.
+    Routes are computed on integer node ids: a :class:`RoutingTable` is
+    walked for all messages at once, a callable router is asked once
+    per distinct (src, dst) pair.  Link ids number the distinct
+    ``u * N + v`` hop keys in ascending order; the result ordering
+    (busiest-link tie-break) follows the first-acquisition sequence
+    tracked during the run, not these ids.
+    """
+    srcs = [m[0] for m in messages]
+    dsts = [m[1] for m in messages]
+    starts = [m[2] if len(m) == 3 else 0 for m in messages]
+    if isinstance(router, RoutingTable):
+        nodes = router.nodes
+        keys, nhops = _walk_table(router, srcs, dsts)
+    else:
+        nodes = network.nodes
+        keys, nhops = _walk_callable(router, network.index, srcs, dsts)
+    n = len(nodes)
+    offsets = np.zeros(len(srcs) + 1, np.int64)
+    np.cumsum(nhops, out=offsets[1:])
+    used, flat = np.unique(keys, return_inverse=True)
+    link_pairs = [(nodes[k // n], nodes[k % n]) for k in used.tolist()]
+    return starts, flat.tolist(), offsets.tolist(), link_pairs
+
+
+def _walk_table(table, srcs, dsts):
+    """Per-hop ``u * N + v`` keys (message-major) and hop counts, by
+    walking the next-hop array for every message at once."""
+    n = len(table.nodes)
+    index = table.index
+    cur = np.fromiter(map(index.__getitem__, srcs), np.int64, len(srcs))
+    dst = np.fromiter(map(index.__getitem__, dsts), np.int64, len(dsts))
+    nh = table.next_hop.reshape(-1)
+    nhops = np.zeros(len(srcs), np.int64)
+    # Step k moves every message still en route by one hop; its keys
+    # land at offsets[msg] + k once the hop counts are known.
+    steps: list[tuple[np.ndarray, np.ndarray]] = []
+    live = np.flatnonzero(cur != dst)
+    cur = cur[live]
+    dst = dst[live]
+    while live.size:
+        nxt = nh[dst * n + cur]
+        if (nxt < 0).any():
+            i = int(live[np.flatnonzero(nxt < 0)[0]])
+            raise KeyError((srcs[i], dsts[i]))
+        steps.append((live, cur * n + nxt))
+        more = nxt != dst
+        nhops[live[~more]] = len(steps)
+        live, cur, dst = live[more], nxt[more], dst[more]
+    keys = np.empty(int(nhops.sum()), np.int64)
+    base = np.cumsum(nhops) - nhops
+    for k, (ids, step_keys) in enumerate(steps):
+        keys[base[ids] + k] = step_keys
+    return keys, nhops
+
+
+def _walk_callable(router, index, srcs, dsts):
+    """Per-hop keys and hop counts from a callable router, asked once
+    per distinct (src, dst) pair."""
+    n = len(index)
+    memo: dict[tuple, list[int]] = {}
+    keys: list[int] = []
+    nhops: list[int] = []
+    for pair in zip(srcs, dsts):
+        hop_keys = memo.get(pair)
+        if hop_keys is None:
+            route = router(*pair)
+            if len(route) < 1:
+                raise ValueError("empty route")
+            ids = [index[v] for v in route]
+            memo[pair] = hop_keys = [
+                u * n + v for u, v in zip(ids, ids[1:])
+            ]
+        keys.extend(hop_keys)
+        nhops.append(len(hop_keys))
+    return np.array(keys, np.int64), np.array(nhops, np.int64)
 
 
 # ---------------------------------------------------------------------------

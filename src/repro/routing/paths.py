@@ -5,15 +5,25 @@ for the digit networks the paper lays out: correct one digit at a time,
 most significant first.  For arbitrary networks (or to exploit the
 layout), :func:`shortest_hop_routes` and :func:`min_wire_routes` build
 routing tables by BFS / Dijkstra.
+
+A :class:`RoutingTable` lives on integer node ids 0..N-1: an N x N
+next-hop array, built for every destination at once by a
+level-synchronous BFS over a CSR adjacency.  It is what
+:func:`repro.routing.simulate_fast` walks to route its messages.  The
+per-packet oracle does not share it: :mod:`repro.routing.simulator`
+keeps its own dict BFS, so the parity checks compare two independent
+route computations.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Hashable
 
+import numpy as np
+
+from repro import obs
 from repro.grid.layout import GridLayout
 from repro.topology.base import Network
 from repro.topology.ghc import GeneralizedHypercube
@@ -81,22 +91,58 @@ def dimension_order_route(network: Network, src: Node, dst: Node) -> list[Node]:
 
 @dataclass(slots=True)
 class RoutingTable:
-    """All-pairs routes, stored as parent maps per destination."""
+    """All-pairs routes as a next-hop array over node ids.
 
-    network: Network
-    parent: dict[Node, dict[Node, Node]] = field(default_factory=dict)
+    Node ``i`` is ``nodes[i]``.  ``next_hop[d, u]`` is the id of the
+    first hop from ``u`` toward destination ``d``: ``d`` itself when
+    ``u == d``, ``-1`` when ``d`` is unreachable from ``u``.  The
+    engine walks this array for all messages at once; :meth:`route`
+    walks one row for one pair.
+    """
+
+    nodes: list[Node]
+    next_hop: np.ndarray
+    index: dict[Node, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.index = {v: i for i, v in enumerate(self.nodes)}
 
     def route(self, src: Node, dst: Node) -> list[Node]:
-        """The stored route src -> dst (node sequence, inclusive)."""
+        """The stored route src -> dst (node sequence, inclusive).
+
+        Raises ``KeyError`` for an unknown node or an unreachable pair.
+        """
         if src == dst:
             return [src]
-        par = self.parent[dst]
+        d = self.index[dst]
+        cur = self.index[src]
+        row = self.next_hop[d]
+        nodes = self.nodes
         path = [src]
-        cur = src
-        while cur != dst:
-            cur = par[cur]
-            path.append(cur)
+        while cur != d:
+            cur = int(row[cur])
+            if cur < 0:
+                raise KeyError((src, dst))
+            path.append(nodes[cur])
         return path
+
+
+def _adjacency_csr(
+    network: Network, dead: set[frozenset] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(indptr, indices)`` of the network's adjacency over node ids,
+    in :attr:`Network.adjacency` order, without the ``dead`` links."""
+    adj = network.adjacency
+    index = network.index
+    indptr = [0]
+    indices: list[int] = []
+    for u in network.nodes:
+        for w in adj[u]:
+            if dead and frozenset((u, w)) in dead:
+                continue
+            indices.append(index[w])
+        indptr.append(len(indices))
+    return np.array(indptr, np.int64), np.array(indices, np.int64)
 
 
 def shortest_hop_routes(
@@ -110,27 +156,53 @@ def shortest_hop_routes(
     -- the fault-tolerance scenario networks like the folded hypercube
     (ref. [1]) exist for.  Unreachable pairs simply have no route; the
     table's ``route`` raises ``KeyError`` for them.
-    """
-    dead: set[frozenset] = set()
-    if failed_links:
-        dead = {frozenset(e) for e in failed_links}
 
-    table = RoutingTable(network)
-    for dst in network.nodes:
-        nxt: dict[Node, Node] = {}
-        dist = {dst: 0}
-        queue = deque([dst])
-        while queue:
-            u = queue.popleft()
-            for w in network.adjacency[u]:
-                if dead and frozenset((u, w)) in dead:
-                    continue
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    nxt[w] = u  # first hop from w toward dst
-                    queue.append(w)
-        table.parent[dst] = nxt
-    return table
+    One level-synchronous BFS runs for every destination at once.  Each
+    level expands its frontier in (destination, queue rank, adjacency
+    position) order and keeps the first candidate per (destination,
+    node), which is exactly the parent a FIFO queue BFS from that
+    destination would pick.
+    """
+    with obs.span("routing.table", nodes=network.num_nodes):
+        nodes = list(network.nodes)
+        n = len(nodes)
+        dead = {frozenset(e) for e in failed_links} if failed_links else None
+        indptr, indices = _adjacency_csr(network, dead)
+        deg = np.diff(indptr)
+
+        nh = np.full(n * n, -1, np.int32)
+        ids = np.arange(n, dtype=np.int64)
+        nh[ids * n + ids] = ids
+        # The frontier holds one entry per (destination, node) pair,
+        # ordered by (destination, queue rank); ``f_base`` is
+        # destination * n, the row offset of its next-hop entries.
+        f_node = ids
+        f_base = ids * n
+        unset = np.iinfo(np.int64).max
+        first = np.full(n * n, unset, np.int64)
+        while f_node.size:
+            fdeg = deg[f_node]
+            ends = np.cumsum(fdeg)
+            total = int(ends[-1])
+            if not total:
+                break
+            # Candidates: every adjacency entry of every frontier entry,
+            # in order; ``owner`` is the frontier entry each came from.
+            owner = np.repeat(np.arange(f_node.size), fdeg)
+            shift = indptr[f_node] - (ends - fdeg)
+            key = indices[np.arange(total) + shift[owner]] + f_base[owner]
+            fresh = np.flatnonzero(nh[key] < 0)
+            key = key[fresh]
+            # Keep the first candidate per (destination, node) key.
+            order = np.arange(key.size, dtype=np.int64)
+            np.minimum.at(first, key, order)
+            keep = first[key] == order
+            first[key] = unset
+            key = key[keep]
+            nh[key] = f_node[owner[fresh[keep]]]
+            f_node = key % n
+            f_base = key - f_node
+        return RoutingTable(nodes, nh.reshape(n, n))
 
 
 def layout_link_delays(
@@ -157,22 +229,38 @@ def layout_link_delays(
 def min_wire_routes(network: Network, layout: GridLayout) -> RoutingTable:
     """Dijkstra routing table under layout wire-length link weights."""
     delays = layout_link_delays(layout)
-    table = RoutingTable(network)
-    for dst in network.nodes:
-        nxt: dict[Node, Node] = {}
-        dist: dict[Node, float] = {dst: 0.0}
-        heap = [(0.0, 0, dst)]
-        tie = 0
-        while heap:
-            d, _, u = heapq.heappop(heap)
-            if d > dist.get(u, float("inf")):
-                continue
-            for w in network.adjacency[u]:
-                nd = d + delays[(w, u)]
-                if nd < dist.get(w, float("inf")):
-                    dist[w] = nd
-                    nxt[w] = u
-                    tie += 1
-                    heapq.heappush(heap, (nd, tie, w))
-        table.parent[dst] = nxt
-    return table
+    with obs.span("routing.table", nodes=network.num_nodes):
+        nodes = list(network.nodes)
+        n = len(nodes)
+        indptr, indices = _adjacency_csr(network)
+        indptr = indptr.tolist()
+        indices = indices.tolist()
+        # weight[k]: the cost of hop w -> u for adjacency entry k = (u, w).
+        weight = [
+            delays[(nodes[w], nodes[u])]
+            for u in range(n)
+            for w in indices[indptr[u]:indptr[u + 1]]
+        ]
+        nh = np.full((n, n), -1, np.int32)
+        inf = float("inf")
+        for dst in range(n):
+            row = [-1] * n
+            row[dst] = dst
+            dist = [inf] * n
+            dist[dst] = 0.0
+            heap = [(0.0, 0, dst)]
+            tie = 0
+            while heap:
+                d, _, u = heapq.heappop(heap)
+                if d > dist[u]:
+                    continue
+                for k in range(indptr[u], indptr[u + 1]):
+                    w = indices[k]
+                    nd = d + weight[k]
+                    if nd < dist[w]:
+                        dist[w] = nd
+                        row[w] = u
+                        tie += 1
+                        heapq.heappush(heap, (nd, tie, w))
+            nh[dst] = row
+        return RoutingTable(nodes, nh)

@@ -14,10 +14,12 @@ simulations are exactly reproducible.
 This per-packet loop is the **oracle**: the batched engine in
 :mod:`repro.routing.engine` reproduces its results field-for-field and
 is differential-tested against it (``tests/test_engine_parity.py``,
-the ``traffic`` fuzz stage).  The setup and result-finalization
-helpers here are shared by both drivers so they cannot drift: link
-delays, routes, per-hop costs, and the latency histogram all come from
-one code path.
+the ``traffic`` fuzz stage).  Link delays, per-hop costs and result
+finalization are shared by both drivers so they cannot drift.  Routes
+are not: with ``router=None`` the oracle routes with its own dict BFS
+over node labels, while the engine walks the integer next-hop array of
+:func:`repro.routing.paths.shortest_hop_routes`, so the parity checks
+also cross-check two independent route computations.
 
 Latency summaries flow through a :class:`repro.obs.metrics.Histogram`
 (``LATENCY_BOUNDS`` power-of-two edges): ``avg_latency`` is the
@@ -33,6 +35,7 @@ makespan for the same traffic.
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Hashable
 
@@ -137,9 +140,10 @@ class _Msg:
 
 # ---------------------------------------------------------------------------
 # Setup and finalization shared with repro.routing.engine.  Both drivers
-# must resolve delays, routes, hop costs and results through these
-# helpers -- parity is tested field-for-field, and a second copy of any
-# of this logic is where drift would start.
+# must resolve delays, hop costs and results through these helpers --
+# parity is tested field-for-field, and a second copy of any of this
+# logic is where drift would start.  Routing is the deliberate
+# exception: _bfs_router and _build_routes serve the oracle only.
 
 
 def _resolve_link_delay(
@@ -153,28 +157,53 @@ def _resolve_link_delay(
     return {}
 
 
-def _resolve_router(
-    network: Network,
-    router: RoutingTable | Callable[[Node, Node], list] | None,
-) -> Callable[[Node, Node], list]:
-    if router is None:
-        from repro.routing.paths import shortest_hop_routes
+def _bfs_router(network: Network) -> Callable[[Node, Node], list]:
+    """The oracle's shortest-hop router: a FIFO BFS per destination over
+    node labels, kept apart from :class:`RoutingTable` on purpose."""
+    parent: dict[Node, dict[Node, Node]] = {}
+    for dst in network.nodes:
+        nxt: dict[Node, Node] = {}
+        seen = {dst}
+        queue = deque([dst])
+        while queue:
+            u = queue.popleft()
+            for w in network.adjacency[u]:
+                if w not in seen:
+                    seen.add(w)
+                    nxt[w] = u  # first hop from w toward dst
+                    queue.append(w)
+        parent[dst] = nxt
 
-        return shortest_hop_routes(network).route
-    if isinstance(router, RoutingTable):
-        return router.route
-    return router
+    def route(src: Node, dst: Node) -> list[Node]:
+        if src == dst:
+            return [src]
+        par = parent[dst]
+        path = [src]
+        cur = src
+        while cur != dst:
+            cur = par[cur]
+            path.append(cur)
+        return path
+
+    return route
 
 
 def _build_routes(
+    network: Network,
     messages: list[Message],
-    get_route: Callable[[Node, Node], list],
+    router: RoutingTable | Callable[[Node, Node], list] | None,
 ) -> tuple[list[list], list[int]]:
     """Resolve every message to ``(routes, start_cycles)``.
 
     Messages are ``(src, dst)`` pairs injected at cycle 0, or timed
     ``(src, dst, start_cycle)`` triples.
     """
+    if router is None:
+        get_route = _bfs_router(network)
+    elif isinstance(router, RoutingTable):
+        get_route = router.route
+    else:
+        get_route = router
     routes: list[list] = []
     starts: list[int] = []
     # Memoize per (src, dst): high-load workloads repeat pairs heavily
@@ -255,19 +284,18 @@ def _finalize_result(
         obs.count("simulator.events", events)
         obs.count("simulator.messages", n_messages)
         obs.count("simulator.hops", sum(link_load.values()))
-        for util in link_utilization.values():
-            obs.observe(
-                "simulator.link_utilization", util,
-                bounds=(0.1, 0.25, 0.5, 0.75, 0.9, 1.0),
-            )
-        for depth, times in depth_hist.items():
-            for _ in range(times):
-                obs.observe("simulator.queue_depth", depth)
-        from repro.obs.metrics import registry as _registry
-
-        _registry().histogram(
-            "simulator.latency", LATENCY_BOUNDS
-        ).merge_dict(lat_hist.as_dict())
+        reg = obs.registry()
+        reg.histogram(
+            "simulator.link_utilization", (0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
+        ).observe_many(link_utilization.values())
+        reg.histogram("simulator.queue_depth").observe_many(
+            depth
+            for depth, times in depth_hist.items()
+            for _ in range(times)
+        )
+        reg.histogram("simulator.latency", LATENCY_BOUNDS).merge_dict(
+            lat_hist.as_dict()
+        )
     return SimulationResult(
         makespan=makespan,
         avg_latency=lat_hist.mean,
@@ -323,8 +351,7 @@ def simulate(
     draw latency-vs-load curves.
     """
     link_delay = _resolve_link_delay(layout, link_delay)
-    get_route = _resolve_router(network, router)
-    routes, starts = _build_routes(messages, get_route)
+    routes, starts = _build_routes(network, messages, router)
     msgs = [
         _Msg(idx=i, route=route, start=start)
         for i, (route, start) in enumerate(zip(routes, starts))

@@ -1,6 +1,9 @@
 """Perf-regression tracker: trajectory records and bench-diff."""
 
+import hashlib
 import json
+import shutil
+import subprocess
 
 import pytest
 
@@ -10,6 +13,7 @@ from repro.bench.trajectory import (
     bench_diff,
     gate_ratios,
     git_sha,
+    git_stamp,
     load_records,
     load_timings,
     trajectory_record,
@@ -127,6 +131,64 @@ class TestRecord:
         assert label.endswith("bbbbbbbbbbbb")  # newest record wins
         assert timings["bench_kary"] == 4.0
         assert gates == {}
+
+
+def _git(repo, *args):
+    return subprocess.run(
+        ["git", "-c", "user.name=t", "-c", "user.email=t@example.com",
+         *args],
+        cwd=repo, check=True, capture_output=True,
+    ).stdout
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+class TestStamp:
+    """Records name the tree they measured: HEAD, dirty flag, diff digest."""
+
+    @pytest.fixture
+    def repo(self, tmp_path):
+        _git(tmp_path, "init", "-q")
+        (tmp_path / "a.txt").write_text("one\n")
+        _git(tmp_path, "add", "a.txt")
+        _git(tmp_path, "commit", "-q", "-m", "first")
+        return tmp_path
+
+    def test_clean_tree(self, repo):
+        head = _git(repo, "rev-parse", "HEAD").decode().strip()
+        assert git_stamp(repo) == {"git_sha": head, "dirty": False}
+        rec = trajectory_record(SUMMARY, None, repo_root=repo)
+        assert rec["git_sha"] == head and rec["dirty"] is False
+        assert "diff_sha256" not in rec
+
+    def test_dirty_tree(self, repo, tmp_path_factory):
+        head = _git(repo, "rev-parse", "HEAD").decode().strip()
+        (repo / "a.txt").write_text("two\n")
+        diff = _git(repo, "diff", "HEAD", "--binary", "--no-ext-diff")
+        rec = trajectory_record(SUMMARY, None, repo_root=repo)
+        assert rec["git_sha"] == head and rec["dirty"] is True
+        assert rec["diff_sha256"] == hashlib.sha256(diff).hexdigest()
+        # A different edit gives a different digest.
+        (repo / "a.txt").write_text("three\n")
+        assert git_stamp(repo)["diff_sha256"] != rec["diff_sha256"]
+        # The label says the tree was dirty.
+        out = tmp_path_factory.mktemp("traj") / "trajectory.jsonl"
+        append_record(out, rec)
+        label, _, _ = load_timings(out)
+        assert label == f"trajectory.jsonl@{head[:12]}+dirty"
+
+    def test_no_git(self, tmp_path, monkeypatch):
+        # Stop git's search at tmp_path, whatever encloses it.
+        monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))
+        assert git_stamp(tmp_path) == {"git_sha": None, "dirty": False}
+        rec = trajectory_record(SUMMARY, None, repo_root=tmp_path)
+        assert rec["git_sha"] is None and rec["dirty"] is False
+        p = tmp_path / "rec.json"
+        p.write_text(json.dumps(rec))
+        assert load_timings(p)[0] == "rec.json@unknown"
+
+    def test_explicit_sha_is_clean(self):
+        rec = trajectory_record(SUMMARY, None, sha="abc123")
+        assert rec["git_sha"] == "abc123" and rec["dirty"] is False
 
 
 class TestLoadTimings:

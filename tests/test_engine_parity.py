@@ -17,6 +17,8 @@ from repro.routing import (
     dimension_order_route,
     layout_link_delays,
     make_workload,
+    min_wire_routes,
+    shortest_hop_routes,
     simulate,
     simulate_fast,
     uniform,
@@ -117,6 +119,35 @@ class TestModesAndRouters:
             )
             fast = simulate_fast(
                 net, msgs, link_delay=link_delay, router=route,
+                mode=mode, message_length=length,
+            )
+            _assert_field_parity(oracle, fast)
+
+    @pytest.mark.parametrize("mode,length", [
+        ("store_forward", 1), ("cut_through", 6),
+    ])
+    @pytest.mark.parametrize("table", ["min-wire", "failed-links"])
+    def test_table_routers(self, table, mode, length, delay_cache):
+        # RoutingTable routers other than the default BFS: the engine
+        # walks their next-hop arrays, the oracle calls their route().
+        net = ZOO["hypercube4"]
+        if table == "min-wire":
+            router = min_wire_routes(
+                net, layout_hypercube(net.n, layers=4, node_side="min")
+            )
+        else:
+            router = shortest_hop_routes(
+                net, failed_links={(0, 1), (6, 4), (15, 11)}
+            )
+        link_delay = delay_cache("hypercube4", 4)
+        for seed in range(5):
+            msgs = _workload("uniform", net, seed)
+            oracle = simulate(
+                net, msgs, link_delay=link_delay, router=router,
+                mode=mode, message_length=length,
+            )
+            fast = simulate_fast(
+                net, msgs, link_delay=link_delay, router=router,
                 mode=mode, message_length=length,
             )
             _assert_field_parity(oracle, fast)

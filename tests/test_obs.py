@@ -154,6 +154,23 @@ class TestSpans:
         validate_layout(lay)
         assert obs.find_spans("wire_table.build") == []
 
+    def test_traffic_setup_has_its_own_spans(self):
+        """A traced ``simulate_fast`` charges its set-up to
+        ``routing.table`` and ``simulate.routes``, beside the engine."""
+        from repro.routing import simulate_fast, uniform
+        from repro.topology import Hypercube
+
+        net = Hypercube(4)
+        msgs = uniform(net, rate=0.5, duration=8, seed=1)
+        obs.enable()
+        with obs.span("run"):
+            simulate_fast(net, msgs)
+        (root,) = obs.trace_roots()
+        names = [c.name for c in root.children]
+        assert names == ["routing.table", "simulate.routes", "simulate.engine"]
+        assert root.children[0].attrs["nodes"] == 16
+        assert root.children[1].attrs["messages"] == len(msgs)
+
 
 class TestMetrics:
     def test_count_noop_when_disabled(self):
@@ -202,6 +219,28 @@ class TestMetrics:
         assert h["buckets"]["le_4"] == 1
         assert h["buckets"]["le_128"] == 1
         assert h["buckets"]["overflow"] == 1
+
+    @pytest.mark.parametrize("values", [
+        [],
+        [1, 2, 3, 100, 5000],
+        [0.5, 7.25, 7.25, 1024, 1025, 2.0e6, -3],
+        [3] * 50 + [1.5] * 7,
+    ], ids=["empty", "ints", "floats-and-overflow", "repeats"])
+    def test_observe_many_equals_repeated_observe(self, values):
+        from repro.obs.metrics import Histogram
+
+        for seeded in (False, True):
+            one, many = Histogram(), Histogram()
+            if seeded:
+                for h in (one, many):
+                    h.observe(4)
+                    h.observe(0.25)
+            for v in values:
+                one.observe(v)
+            many.observe_many(iter(values))
+            assert json.dumps(many.as_dict()) == json.dumps(one.as_dict())
+            overflow = sum(v > Histogram.DEFAULT_BOUNDS[-1] for v in values)
+            assert many.as_dict()["buckets"]["overflow"] == overflow
 
     def test_registry_reset(self):
         obs.enable()

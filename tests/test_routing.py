@@ -1,5 +1,7 @@
 """Routing algorithms and traffic patterns."""
 
+import random
+
 import pytest
 
 from repro.routing import (
@@ -13,13 +15,19 @@ from repro.routing import (
     transpose,
 )
 from repro.routing.paths import layout_link_delays
+from repro.routing.simulator import _bfs_router
 from repro.core import layout_hypercube, layout_kary
 from repro.topology import (
+    Butterfly,
     CompleteGraph,
+    CubeConnectedCycles,
     GeneralizedHypercube,
     Hypercube,
     KAryNCube,
+    Mesh,
     Ring,
+    ShuffleExchange,
+    StarGraph,
 )
 
 
@@ -138,6 +146,114 @@ class TestRoutingTables:
         for u, v in net.edges:
             assert (u, v) in delays and (v, u) in delays
             assert delays[(u, v)] >= 1
+
+
+TABLE_ZOO = {
+    "hypercube5": lambda: Hypercube(5),
+    "kary4x3-torus": lambda: KAryNCube(4, 3),
+    "mesh5x2": lambda: Mesh(5, 2),
+    "ghc3x4": lambda: GeneralizedHypercube((3, 4)),
+    "butterfly3": lambda: Butterfly(3),
+    "ccc4": lambda: CubeConnectedCycles(4),
+    "star4": lambda: StarGraph(4),
+    "shuffle-exchange5": lambda: ShuffleExchange(5),
+    "complete7": lambda: CompleteGraph(7),
+    "ring9": lambda: Ring(9),
+}
+
+
+def _failed(net, k=3):
+    """A seeded sample of ``k`` links, each named in a random orientation."""
+    rng = random.Random(net.num_nodes)
+    return {
+        (u, v) if rng.random() < 0.5 else (v, u)
+        for u, v in rng.sample(net.edges, k)
+    }
+
+
+class TestTableParity:
+    """The array-BFS table against the oracle's dict BFS, pair by pair.
+
+    Failed links are removed from the oracle's copy of the network, so
+    both sides see the same graph; every pair must get the same route,
+    or ``KeyError`` on both sides when the failures disconnect it.
+    """
+
+    @pytest.mark.parametrize("failed", [False, True],
+                             ids=["intact", "failed-links"])
+    @pytest.mark.parametrize("name", sorted(TABLE_ZOO))
+    def test_routes_match_oracle(self, name, failed):
+        net = TABLE_ZOO[name]()
+        dead = _failed(net) if failed else None
+        table = shortest_hop_routes(net, failed_links=dead)
+        oracle = _bfs_router(net.without_edges(dead) if dead else net)
+        unreachable = 0
+        for src in net.nodes:
+            for dst in net.nodes:
+                try:
+                    want = oracle(src, dst)
+                except KeyError:
+                    unreachable += 1
+                    with pytest.raises(KeyError):
+                        table.route(src, dst)
+                    continue
+                assert table.route(src, dst) == want, (src, dst)
+        assert table.route(net.nodes[0], net.nodes[0]) == [net.nodes[0]]
+        if not failed:
+            assert unreachable == 0
+
+    def test_disconnected_pairs_raise_on_both_sides(self):
+        net = Ring(6)
+        dead = {(0, 1), (3, 4)}
+        table = shortest_hop_routes(net, failed_links=dead)
+        oracle = _bfs_router(net.without_edges(dead))
+        for src, dst in [(0, 2), (1, 5), (4, 3)]:
+            with pytest.raises(KeyError):
+                oracle(src, dst)
+            with pytest.raises(KeyError):
+                table.route(src, dst)
+        assert table.route(1, 3) == oracle(1, 3) == [1, 2, 3]
+
+    @pytest.mark.parametrize("L", [2, 4])
+    def test_min_wire_routes_are_shortest_under_delays(self, L):
+        # Floyd-Warshall over the layout's link delays is the reference.
+        net = Hypercube(5)
+        lay = layout_hypercube(5, layers=L)
+        delays = layout_link_delays(lay)
+        table = min_wire_routes(net, lay)
+        inf = float("inf")
+        dist = {
+            (u, v): 0 if u == v else inf
+            for u in net.nodes for v in net.nodes
+        }
+        for (u, v), d in delays.items():
+            dist[(u, v)] = min(dist[(u, v)], d)
+        for k in net.nodes:
+            for u in net.nodes:
+                for v in net.nodes:
+                    if dist[(u, k)] + dist[(k, v)] < dist[(u, v)]:
+                        dist[(u, v)] = dist[(u, k)] + dist[(k, v)]
+        for src in net.nodes:
+            for dst in net.nodes:
+                route = table.route(src, dst)
+                assert route[0] == src and route[-1] == dst
+                cost = sum(delays[(a, b)] for a, b in zip(route, route[1:]))
+                assert cost == dist[(src, dst)], (src, dst)
+
+    def test_unknown_node_raises_keyerror(self):
+        table = shortest_hop_routes(Ring(4))
+        with pytest.raises(KeyError):
+            table.route(0, 99)
+        with pytest.raises(KeyError):
+            table.route(99, 0)
+
+    def test_next_hop_array_shape(self):
+        net = Hypercube(3)
+        table = shortest_hop_routes(net)
+        assert table.next_hop.shape == (8, 8)
+        assert table.next_hop.dtype.name == "int32"
+        assert table.nodes == net.nodes
+        assert all(table.next_hop[i, i] == i for i in range(8))
 
 
 class TestTraffic:
