@@ -9,7 +9,9 @@ snapshots; this module gives them a time axis and a gate:
   per-test wall seconds, and the performance-gate ratios parsed out
   of the speedup/reduction columns of ``bench_performance`` (the E7
   kernel gates, ``timed_median`` medians) and ``bench_traffic`` (the
-  E9 engine/traffic gates);
+  E9 engine/traffic gates).  A session that ran fewer than all the
+  ``benchmarks/bench_*.py`` modules is marked ``partial`` and lists
+  the ``missing`` ones;
 * :func:`append_record` appends it to ``benchmarks/trajectory.jsonl``,
   one JSON object per line, so the repo accumulates a perf history a
   PR reviewer can plot or ``jq`` through;
@@ -39,6 +41,7 @@ __all__ = [
     "TRAJECTORY_SCHEMA",
     "append_record",
     "bench_diff",
+    "bench_modules",
     "format_diff_rows",
     "gate_ratios",
     "git_sha",
@@ -93,6 +96,13 @@ def git_stamp(repo_root=None) -> dict:
         "dirty": True,
         "diff_sha256": hashlib.sha256(diff).hexdigest(),
     }
+
+
+def bench_modules(repo_root=None) -> list[str]:
+    """The bench modules of the checkout at ``repo_root`` (default: the
+    working directory): the stems of ``benchmarks/bench_*.py``."""
+    root = pathlib.Path(repo_root or os.getcwd())
+    return sorted(p.stem for p in (root / "benchmarks").glob("bench_*.py"))
 
 
 def _parse_ratio(cell) -> float | None:
@@ -153,7 +163,11 @@ def trajectory_record(
     (used for per-test seconds and, for the :data:`GATE_BENCHES`, the
     gate ratios).  The record is stamped with :func:`git_stamp` of
     ``repo_root`` (default: the working directory), unless ``sha``
-    names the measured commit outright, which stamps it clean.
+    names the measured commit outright, which stamps it clean.  It is
+    ``partial`` when its benches leave out some of that checkout's
+    :func:`bench_modules`, which it then lists, sorted, as ``missing``;
+    a record for an explicit ``sha`` inspects no checkout unless
+    ``repo_root`` is given too.
     """
     benches = {
         b["bench"]: b.get("seconds", 0.0)
@@ -170,6 +184,11 @@ def trajectory_record(
         git_stamp(repo_root) if sha is None
         else {"git_sha": sha, "dirty": False}
     )
+    modules = (
+        bench_modules(repo_root) if sha is None or repo_root is not None
+        else []
+    )
+    missing = sorted(set(modules) - set(benches))
     return {
         "schema": TRAJECTORY_SCHEMA,
         **stamp,
@@ -179,6 +198,8 @@ def trajectory_record(
         "benches": benches,
         "tests": tests,
         "gates": gates,
+        "partial": bool(missing),
+        **({"missing": missing} if missing else {}),
     }
 
 
@@ -203,9 +224,12 @@ def load_records(path) -> list[dict]:
 
 
 def _label(path, rec: dict) -> str:
-    """``<file>@<sha12>``, with ``+dirty`` for an uncommitted tree."""
+    """``<file>@<sha12>``, with ``+dirty`` for an uncommitted tree and
+    ``+partial`` for a session that left bench modules out."""
     sha = (rec.get("git_sha") or "unknown")[:12]
-    return f"{path.name}@{sha}{'+dirty' if rec.get('dirty') else ''}"
+    dirty = "+dirty" if rec.get("dirty") else ""
+    partial = "+partial" if rec.get("partial") else ""
+    return f"{path.name}@{sha}{dirty}{partial}"
 
 
 def load_timings(path) -> tuple[str, dict[str, float], dict[str, float]]:

@@ -13,7 +13,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["LayerGroups", "TrackSlot"]
+__all__ = ["LayerGroups", "TrackSlot", "group_extent", "locate"]
+
+
+def group_extent(tracks, layers: int):
+    """Tracks per group, ``ceil(tracks / G)``: the physical extent of a
+    channel of ``tracks`` tracks (ints or int arrays)."""
+    return -(-tracks // max(layers // 2, 1))
+
+
+def locate(track, per_group):
+    """``(offset, h_layer, v_layer)`` of ``track`` in a channel of
+    ``per_group`` tracks per group (ints or int arrays)."""
+    g, offset = divmod(track, per_group)
+    return offset, 2 * g + 1, 2 * g + 2
 
 
 @dataclass(frozen=True, slots=True)
@@ -40,22 +53,12 @@ class LayerGroups:
     @property
     def per_group(self) -> int:
         """Tracks per group: ceil(h / G); the channel's physical extent."""
-        if self.tracks == 0:
-            return 0
-        g = self.groups
-        return -(-self.tracks // g)
+        return group_extent(self.tracks, self.layers)
 
     def slot(self, track: int) -> TrackSlot:
         if not (0 <= track < self.tracks):
             raise ValueError(f"track {track} outside 0..{self.tracks - 1}")
-        return TrackSlot(*self.locate(track))
-
-    def locate(self, track: int) -> tuple[int, int, int]:
-        """``(offset, h_layer, v_layer)`` of an in-range track: the
-        :meth:`slot` arithmetic without the range check or the object,
-        for the builder's per-wire loops."""
-        g, offset = divmod(track, self.per_group)
-        return offset, 2 * g + 1, 2 * g + 2
+        return TrackSlot(*locate(track, self.per_group))
 
     def physical_extent(self) -> int:
         """Grid lines the channel occupies (its width or height)."""

@@ -17,11 +17,16 @@ All functions accept:
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Callable, Hashable, Sequence
 
+import numpy as np
+
 from repro.collinear.orders import folded_linear_order
-from repro.core.builder import build_orthogonal_layout
-from repro.core.spec import BlockCell, LayoutSpec, LinkSpec, NodeCell
+from repro.core.builder import build_orthogonal_layout, group_rank
+from repro.core.spec import (
+    COL, EXTRA, ROW, BlockCell, LayoutSpec, LinkColumns, NodeCell,
+)
 from repro.grid.layout import GridLayout
 from repro.topology.base import Network, Node
 from repro.topology.butterfly import Butterfly
@@ -85,76 +90,88 @@ def layout_grid(
     can host this layout's pin demands -- the regime where the paper's
     wiring-dominated asymptotics show earliest).
     """
-    pos = {v: position(v) for v in network.nodes}
+    nodes = network.nodes
+    pos = [position(v) for v in nodes]
+    _check_distinct(nodes, pos, "nodes")
+    home = np.array(pos, dtype=np.int64).reshape(-1, 2)
+    u, v = _edge_ids(network)
+    links = _link_columns(nodes, u, v, home)
     if node_side == "min":
-        side = max(1, _min_pin_side(network, pos))
+        side = max(1, _min_pin_side(links, len(nodes)))
     elif node_side is None:
-        side = max(network.max_degree, 1)
+        side = _max_degree(u, v, len(nodes))
     else:
         side = node_side
-    rows = max(i for i, _ in pos.values()) + 1
-    cols = max(j for _, j in pos.values()) + 1
-    taken: dict[tuple[int, int], Node] = {}
-    for v, p in pos.items():
-        if p in taken:
-            raise ValueError(f"nodes {taken[p]!r} and {v!r} share cell {p}")
-        taken[p] = v
-    cells = {p: NodeCell(v, side) for v, p in pos.items()}
+    cells = {p: NodeCell(n, side) for n, p in zip(nodes, pos)}
+    return _build(
+        network, cells, home, links, layers, name or network.name, side,
+        extra_link_count=int((links.kind == EXTRA).sum()),
+    )
 
-    row_links, col_links, extra_links = [], [], []
-    keys: dict[tuple, int] = {}
-    for u, v in network.edges:
-        key = (pos[u], pos[v], u, v)
-        edge_key = keys.get(key, 0)
-        keys[key] = edge_key + 1
-        link = LinkSpec(pos[u], pos[v], u, v, edge_key=edge_key)
-        if link.same_row:
-            row_links.append(link)
-        elif link.same_col:
-            col_links.append(link)
-        else:
-            extra_links.append(link)
 
+def _build(network, cells, home, links, layers, name, side, **meta):
+    """Build the spec of ``cells`` and ``links`` (``home``: each node's
+    cell) and record the network in the layout's meta."""
     spec = LayoutSpec(
-        rows=rows,
-        cols=cols,
-        cells=cells,
-        row_links=row_links,
-        col_links=col_links,
-        extra_links=extra_links,
-        layers=layers,
-        name=name or network.name,
+        rows=int(home[:, 0].max()) + 1, cols=int(home[:, 1].max()) + 1,
+        cells=cells, layers=layers, name=name, links=links,
     )
     layout = build_orthogonal_layout(spec)
-    layout.meta["network"] = network.name
-    layout.meta["num_nodes"] = network.num_nodes
-    layout.meta["node_side"] = side
-    layout.meta["extra_link_count"] = len(extra_links)
+    layout.meta.update(
+        network=network.name, num_nodes=network.num_nodes, node_side=side,
+        **meta,
+    )
     return layout
 
 
-def _min_pin_side(network: Network, pos: dict[Node, tuple[int, int]]) -> int:
-    """Largest per-node, per-side pin demand under ``pos``.
+def _edge_ids(network: Network) -> tuple[np.ndarray, np.ndarray]:
+    """The edges' end node ids (positions in ``network.nodes``)."""
+    ids = np.fromiter(
+        map(network.index.__getitem__, chain.from_iterable(network.edges)),
+        dtype=np.int64, count=2 * network.num_edges,
+    ).reshape(-1, 2)
+    return ids[:, 0], ids[:, 1]
+
+
+def _link_columns(nodes, u, v, home) -> LinkColumns:
+    """Classify and key the links ``u[i] -- v[i]`` between node ids
+    whose cells are ``home[id]``: same cell row makes a row link, same
+    cell column a column link, anything else an extra link.  A link's
+    edge key counts the earlier links with the same ``(u, v)``."""
+    (ur, uc), (vr, vc) = home[u].T, home[v].T
+    kind = np.where(ur == vr, ROW, np.where(uc == vc, COL, EXTRA))
+    pair = u * len(nodes) + v
+    edge_key = group_rank(pair, np.argsort(pair, kind="stable"))
+    return LinkColumns(nodes, kind, ur, uc, vr, vc, u, v, edge_key)
+
+
+def _check_distinct(labels: list, cells: list, what: str) -> None:
+    """Raise if two of ``labels`` share a cell of ``cells``."""
+    if len(set(cells)) < len(cells):
+        taken: dict[tuple[int, int], Hashable] = {}
+        for label, p in zip(labels, cells):
+            if p in taken:
+                raise ValueError(f"{what} {taken[p]!r} and {label!r} share cell {p}")
+            taken[p] = label
+
+
+def _max_degree(u: np.ndarray, v: np.ndarray, n: int) -> int:
+    """The Thompson node side: the maximum degree, at least 1."""
+    return max(int(np.bincount(np.concatenate((u, v)), minlength=n).max(initial=0)), 1)
+
+
+def _min_pin_side(links: LinkColumns, n: int) -> int:
+    """Largest per-node, per-side pin demand of ``links``.
 
     Top pins serve row wires and extra-link stubs; right pins serve
     column wires and extra-link entries.  (Plain-node grids only --
     cluster layouts size members by total degree.)
     """
-    top: dict[Node, int] = {}
-    right: dict[Node, int] = {}
-    for u, v in network.edges:
-        (iu, ju), (iv, jv) = pos[u], pos[v]
-        if iu == iv and ju != jv:
-            top[u] = top.get(u, 0) + 1
-            top[v] = top.get(v, 0) + 1
-        elif ju == jv and iu != iv:
-            right[u] = right.get(u, 0) + 1
-            right[v] = right.get(v, 0) + 1
-        else:
-            top[u] = top.get(u, 0) + 1
-            right[v] = right.get(v, 0) + 1
-    demands = list(top.values()) + list(right.values())
-    return max(demands, default=1)
+    row, col = links.kind == ROW, links.kind == COL
+    u, v = links.u_node, links.v_node
+    top = np.bincount(u[~col], minlength=n) + np.bincount(v[row], minlength=n)
+    right = np.bincount(u[col], minlength=n) + np.bincount(v[~row], minlength=n)
+    return int(max(top.max(initial=0), right.max(initial=0)))
 
 
 def layout_collinear_network(
@@ -385,18 +402,15 @@ def layout_cluster_network(
     with each supernode expanded into a strip block; inter-cluster links
     attach to the member nodes the topology dictates.
     """
-    side = node_side if node_side is not None else max(network.max_degree, 1)
+    nodes = network.nodes
+    u, v = _edge_ids(network)
+    side = node_side if node_side is not None else _max_degree(u, v, len(nodes))
     q = quotient(network, partition)
     pos = {c: cluster_position(c) for c in q.clusters}
-    rows = max(i for i, _ in pos.values()) + 1
-    cols = max(j for _, j in pos.values()) + 1
-    taken: dict[tuple[int, int], Hashable] = {}
-    for c, p in pos.items():
-        if p in taken:
-            raise ValueError(f"clusters {taken[p]!r} and {c!r} share cell {p}")
-        taken[p] = c
+    _check_distinct(list(pos), list(pos.values()), "clusters")
 
     cells = {}
+    home = np.zeros((len(nodes), 2), dtype=np.int64)
     for c in q.clusters:
         members = q.members[c]
         ordered = (
@@ -410,37 +424,14 @@ def layout_cluster_network(
             edges=q.intra_edges[c],
             node_side=side,
         )
+        home[[network.index[m] for m in members]] = pos[c]
 
-    row_links, col_links, extra_links = [], [], []
-    keys: dict[tuple, int] = {}
-    for cu, cv, u, v in q.inter_edges:
-        key = (pos[cu], pos[cv], u, v)
-        edge_key = keys.get(key, 0)
-        keys[key] = edge_key + 1
-        link = LinkSpec(pos[cu], pos[cv], u, v, edge_key=edge_key)
-        if link.same_row:
-            row_links.append(link)
-        elif link.same_col:
-            col_links.append(link)
-        else:
-            extra_links.append(link)
-
-    spec = LayoutSpec(
-        rows=rows,
-        cols=cols,
-        cells=cells,
-        row_links=row_links,
-        col_links=col_links,
-        extra_links=extra_links,
-        layers=layers,
-        name=name or f"clustered {network.name}",
+    inter = (home[u] != home[v]).any(axis=1)
+    links = _link_columns(nodes, u[inter], v[inter], home)
+    return _build(
+        network, cells, home, links, layers,
+        name or f"clustered {network.name}", side, clusters=len(q.clusters),
     )
-    layout = build_orthogonal_layout(spec)
-    layout.meta["network"] = network.name
-    layout.meta["num_nodes"] = network.num_nodes
-    layout.meta["node_side"] = side
-    layout.meta["clusters"] = len(q.clusters)
-    return layout
 
 
 def _bit_split_position(bits: int) -> Callable[[int], tuple[int, int]]:

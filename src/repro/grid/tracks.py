@@ -20,7 +20,9 @@ import heapq
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
-__all__ = ["Interval", "pack_intervals", "max_overlap", "cuts"]
+import numpy as _np
+
+__all__ = ["Interval", "left_edge", "pack_intervals", "max_overlap", "cuts"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -36,6 +38,51 @@ class Interval:
             raise ValueError(f"empty interval: {self}")
 
 
+def left_edge(channel, lo, hi, channels: int) -> tuple[list[int], list[int]]:
+    """Left-edge pack the intervals ``[lo[i], hi[i]]`` of every channel.
+
+    ``channel``, ``lo`` and ``hi`` are int columns, one entry per
+    interval, with channels numbered ``0 .. channels - 1``.  Each
+    channel is packed on its own: its intervals are taken in
+    ``(lo, hi, index)`` order, and each goes on the lowest-numbered
+    track free at its ``lo``.  Two intervals share a track iff their
+    interiors are disjoint (touching endpoints allowed).
+
+    Returns ``(track per interval, tracks per channel)``; each
+    channel's count equals its max proper overlap, so the packing is
+    optimal.
+    """
+    channel, lo, hi = (_np.asarray(a, dtype=_np.int64) for a in (channel, lo, hi))
+    order = _np.lexsort((hi, lo, channel)).tolist()
+    chans, los, his = channel.tolist(), lo.tolist(), hi.tolist()
+    track = [0] * len(order)
+    totals = [0] * channels
+    current = -1
+    # Min-heap of (right_end, track) for busy tracks; a free-track pool.
+    busy: list[tuple[int, int]] = []
+    free: list[int] = []
+    next_track = 0
+    for idx in order:
+        c = chans[idx]
+        if c != current:
+            if current >= 0:
+                totals[current] = next_track
+            current, busy, free, next_track = c, [], [], 0
+        left = los[idx]
+        while busy and busy[0][0] <= left:
+            heapq.heappush(free, heapq.heappop(busy)[1])
+        if free:
+            t = heapq.heappop(free)
+        else:
+            t = next_track
+            next_track += 1
+        track[idx] = t
+        heapq.heappush(busy, (his[idx], t))
+    if current >= 0:
+        totals[current] = next_track
+    return track, totals
+
+
 def pack_intervals(intervals: Sequence[Interval]) -> tuple[dict[int, int], int]:
     """Assign each interval to a track via the left-edge algorithm.
 
@@ -45,26 +92,18 @@ def pack_intervals(intervals: Sequence[Interval]) -> tuple[dict[int, int], int]:
     their interiors are disjoint (touching endpoints allowed).
 
     The assignment is optimal: ``num_tracks == max_overlap(intervals)``.
+    Endpoints may be any mutually comparable values; they are ranked
+    and packed by :func:`left_edge` as one channel.
     """
-    order = sorted(range(len(intervals)), key=lambda i: (intervals[i].lo, intervals[i].hi))
-    assignment: dict[int, int] = {}
-    # Min-heap of (right_end, track) for busy tracks; a free-track pool.
-    busy: list[tuple[int, int]] = []
-    free: list[int] = []
-    next_track = 0
-    for idx in order:
-        iv = intervals[idx]
-        while busy and busy[0][0] <= iv.lo:
-            _, t = heapq.heappop(busy)
-            heapq.heappush(free, t)
-        if free:
-            track = heapq.heappop(free)
-        else:
-            track = next_track
-            next_track += 1
-        assignment[idx] = track
-        heapq.heappush(busy, (iv.hi, track))
-    return assignment, next_track
+    ends = sorted({e for iv in intervals for e in (iv.lo, iv.hi)})
+    rank = {e: r for r, e in enumerate(ends)}
+    track, totals = left_edge(
+        [0] * len(intervals),
+        [rank[iv.lo] for iv in intervals],
+        [rank[iv.hi] for iv in intervals],
+        1,
+    )
+    return dict(enumerate(track)), totals[0]
 
 
 def max_overlap(intervals: Iterable[Interval]) -> int:

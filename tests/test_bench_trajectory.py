@@ -191,6 +191,42 @@ class TestStamp:
         assert rec["git_sha"] == "abc123" and rec["dirty"] is False
 
 
+class TestPartial:
+    """A record says whether its session ran every bench module."""
+
+    @pytest.fixture
+    def checkout(self, tmp_path):
+        (tmp_path / "benchmarks").mkdir()
+        for name in ("bench_kary", "bench_performance", "bench_ccc"):
+            (tmp_path / "benchmarks" / f"{name}.py").write_text("")
+        (tmp_path / "benchmarks" / "conftest.py").write_text("")
+        return tmp_path
+
+    def _label(self, tmp_path, rec):
+        out = tmp_path / "out" / "trajectory.jsonl"
+        append_record(out, rec)
+        return load_timings(out)[0]
+
+    def test_full_session(self, checkout):
+        summary = json.loads(json.dumps(SUMMARY))
+        summary["benches"].append({"bench": "bench_ccc", "seconds": 1.0})
+        rec = trajectory_record(summary, None, sha="abc123", repo_root=checkout)
+        assert rec["partial"] is False and "missing" not in rec
+        assert self._label(checkout, rec) == "trajectory.jsonl@abc123"
+
+    def test_partial_session(self, checkout):
+        rec = trajectory_record(SUMMARY, None, sha="abc123", repo_root=checkout)
+        assert rec["partial"] is True
+        assert rec["missing"] == ["bench_ccc"]
+        assert self._label(checkout, rec) == "trajectory.jsonl@abc123+partial"
+
+    def test_older_record_without_the_field(self, tmp_path):
+        rec = trajectory_record(SUMMARY, None, sha="abc123", repo_root=tmp_path)
+        for field in ("partial", "missing"):
+            rec.pop(field, None)
+        assert self._label(tmp_path, rec) == "trajectory.jsonl@abc123"
+
+
 class TestLoadTimings:
     def test_summary_json(self, tmp_path):
         p = tmp_path / "BENCH_summary.json"

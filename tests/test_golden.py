@@ -1,7 +1,9 @@
 """Golden-metrics regression: every family's layout is pinned exactly.
 
 The engine is deterministic, so any diff in these numbers means the
-geometry changed.  After an intentional change, regenerate with
+geometry changed.  Each entry also pins ``layout_sha256``, the digest
+of the layout's JSON, so a change that keeps every metric but moves a
+pin or a track is caught too.  After an intentional change, regenerate with
 
     python tools/regen_golden.py
 
@@ -16,17 +18,21 @@ import pytest
 GOLDEN_PATH = pathlib.Path(__file__).resolve().parent / "golden_metrics.json"
 
 
-def build_cases():
+def _regen():
     import sys
 
     tools = pathlib.Path(__file__).resolve().parent.parent / "tools"
     sys.path.insert(0, str(tools))
     try:
-        from regen_golden import build_cases as bc
+        import regen_golden
 
-        return bc()
+        return regen_golden
     finally:
         sys.path.remove(str(tools))
+
+
+def build_cases():
+    return _regen().build_cases()
 
 
 @pytest.fixture(scope="module")
@@ -60,9 +66,19 @@ def test_all_metrics_match(golden, cases):
             "wires": len(lay.wires),
             "vias": lay.via_count(),
         }
-        if got != golden[name]:
+        want = {k: v for k, v in golden[name].items() if k != "layout_sha256"}
+        if got != want:
             mismatches.append((name, golden[name], got))
     assert not mismatches, (
         "layout geometry changed; if intentional, regenerate the golden "
         f"file. First mismatches: {mismatches[:3]}"
     )
+
+
+def test_layout_bytes_match(golden, cases):
+    digest = _regen().layout_sha256
+    mismatches = [
+        name for name, lay in sorted(cases.items())
+        if digest(lay) != golden[name]["layout_sha256"]
+    ]
+    assert not mismatches, f"layout JSON changed for {mismatches}"

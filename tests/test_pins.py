@@ -1,63 +1,47 @@
-"""Pin allocator: uniqueness, ordering, capacity."""
+"""Pin allocation kernel: ordering, capacity, uniqueness."""
 
+import numpy as np
 import pytest
 
-from repro.core.pins import PinAllocator
+from repro.core.builder import allocate_pins
+
+TOP, RIGHT = 0, 1
+
+
+def _group(node: int, side: int) -> int:
+    return node * 4 + side
 
 
 class TestPinAllocator:
     def test_ordered_assignment(self):
-        alloc = PinAllocator()
-        alloc.request("n", "top", (1, 5), "b")
-        alloc.request("n", "top", (0, 9), "a")
-        alloc.freeze()
-        # Sorted by key: (0,9) before (1,5).
-        assert alloc.offset("a") == 0
-        assert alloc.offset("b") == 1
+        group = [_group(0, TOP)] * 2
+        offsets = allocate_pins(group, ([1, 0], [5, 9]), nodes=["n"])
+        # Sorted by key: (0, 9) before (1, 5).
+        assert offsets.tolist() == [1, 0]
 
     def test_sides_independent(self):
-        alloc = PinAllocator()
-        alloc.request("n", "top", (0,), "t")
-        alloc.request("n", "right", (0,), "r")
-        alloc.freeze()
-        assert alloc.offset("t") == 0
-        assert alloc.offset("r") == 0
+        group = [_group(0, TOP), _group(0, RIGHT)]
+        offsets = allocate_pins(group, ([0, 0],), nodes=["n"])
+        assert offsets.tolist() == [0, 0]
 
     def test_capacity_enforced(self):
-        alloc = PinAllocator()
-        alloc.set_capacity("n", "top", 1)
-        alloc.request("n", "top", (0,), "a")
-        alloc.request("n", "top", (1,), "b")
-        with pytest.raises(ValueError, match="raise node_side"):
-            alloc.freeze()
+        group = [_group(0, TOP)] * 2
+        want = r"node 'n' side top: 2 pins .* offers 1 \(raise node_side\)"
+        with pytest.raises(ValueError, match=want):
+            allocate_pins(group, ([0, 1],), capacity=[1, 1], nodes=["n"])
 
     def test_duplicate_token_rejected(self):
-        alloc = PinAllocator()
-        alloc.request("n", "top", (0,), "a")
-        alloc.request("n", "top", (1,), "a")
+        # One link end asking twice: equal keys on one side.
+        group = [_group(0, TOP)] * 2
         with pytest.raises(ValueError, match="duplicate"):
-            alloc.freeze()
-
-    def test_must_freeze_before_reading(self):
-        alloc = PinAllocator()
-        alloc.request("n", "top", (0,), "a")
-        with pytest.raises(RuntimeError, match="freeze"):
-            alloc.offset("a")
-
-    def test_no_requests_after_freeze(self):
-        alloc = PinAllocator()
-        alloc.freeze()
-        with pytest.raises(RuntimeError, match="frozen"):
-            alloc.request("n", "top", (0,), "a")
+            allocate_pins(group, ([0, 0], [7, 7]), nodes=["n"])
 
     def test_arrivals_before_departures(self):
         """The ordering rule that makes touching intervals track-safe:
         all direction-0 (arriving) requests get smaller offsets than any
         direction-1 (departing) request."""
-        alloc = PinAllocator()
-        for i, d in enumerate([1, 0, 1, 0, 0]):
-            alloc.request("n", "top", (d, i), f"w{i}")
-        alloc.freeze()
-        arriving = [alloc.offset(f"w{i}") for i, d in enumerate([1, 0, 1, 0, 0]) if d == 0]
-        departing = [alloc.offset(f"w{i}") for i, d in enumerate([1, 0, 1, 0, 0]) if d == 1]
-        assert max(arriving) < min(departing)
+        direction = np.array([1, 0, 1, 0, 0])
+        offsets = allocate_pins(
+            [_group(0, TOP)] * 5, (direction, np.arange(5)), nodes=["n"]
+        )
+        assert offsets[direction == 0].max() < offsets[direction == 1].min()

@@ -10,6 +10,7 @@ layout per family.  Every entry is deterministic, so any diff flags a
 behavioral change in the engine -- the regression net for refactors.
 """
 
+import hashlib
 import json
 import pathlib
 import sys
@@ -19,6 +20,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 from repro.core import measure  # noqa: E402
 from repro.core.folding import fold_layout  # noqa: E402
 from repro.core.threedee import layout_product_3d  # noqa: E402
+from repro.grid.io import layout_to_json  # noqa: E402
 from repro.core.schemes import (  # noqa: E402
     layout_butterfly,
     layout_cayley,
@@ -72,6 +74,12 @@ def build_cases():
     }
 
 
+def layout_sha256(layout) -> str:
+    """Digest of the layout's JSON: pins every coordinate, pin and
+    track choice, not just the summary metrics."""
+    return hashlib.sha256(layout_to_json(layout).encode()).hexdigest()
+
+
 def main() -> None:
     golden = {}
     for name, lay in sorted(build_cases().items()):
@@ -85,6 +93,7 @@ def main() -> None:
             "total_wire": m.total_wire,
             "wires": len(lay.wires),
             "vias": lay.via_count(),
+            "layout_sha256": layout_sha256(lay),
         }
     GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(golden)} entries to {GOLDEN}")
