@@ -18,8 +18,6 @@ from repro.batch.cache import (
     CacheEntry,
     CacheStats,
     LayoutCache,
-    cache_key,
-    network_fingerprint,
 )
 from repro.batch.runner import JobResult, SweepResult, SweepRunner, run_sweep_job
 from repro.batch.spec import (
@@ -46,9 +44,7 @@ __all__ = [
     "SweepRunner",
     "SweepSpec",
     "TrafficSpec",
-    "cache_key",
     "dispatch_scheme",
-    "network_fingerprint",
     "parse_network",
     "run_sweep_job",
     "standard_family_sweep",

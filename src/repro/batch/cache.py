@@ -4,29 +4,41 @@ Every cacheable unit of work is *pure*: a canonical network structure
 plus a scheme name, a layer budget, and scheme parameters fully
 determine the layout the pipeline builds (all builders are
 deterministic).  The cache therefore addresses entries by the SHA-256
-of a canonical **key document**::
+of the canonical JSON text of a **key document**::
 
-    {"schema": CACHE_SCHEMA_VERSION,      # cache entry format
-     "format": grid.io.FORMAT_VERSION,    # layout serialization format
-     "network": {"nodes": [...], "edges": [...]},   # structural, not
-     "scheme": "auto",                    #   family-name based
+    {"format": grid.io.FORMAT_VERSION,    # layout serialization format
      "layers": 4,
-     "params": {...}}
+     "network": {"edges": [...], "name": ..., "nodes": [...]},
+     "params": {...},
+     "schema": CACHE_SCHEMA_VERSION,      # cache entry format
+     "scheme": "auto"}
 
 so the same graph reached through different front doors (a family
 sweep, the fuzzer's zoo draw, a CLI invocation) hits the same entry,
 and bumping either version constant invalidates every stale entry at
-once.
+once.  :meth:`LayoutCache.key_for` writes that text directly -- it is
+byte for byte :func:`~repro.grid.io.canonical_json` of the document,
+which is never built as a dict -- and the text travels with the key:
+``put`` stores it verbatim and ``get`` compares it as a string.
 
-Entries are JSON files ``<root>/<k[:2]>/<k>.json`` holding the key
-document (checked back on read -- a hash collision or a swapped file
-is treated as a miss), the layout JSON payload with its own SHA-256
-(bit corruption is detected, never trusted), and the layout's measured
-metrics (so cache hits skip not only the build but also validation and
-measurement).  Writes go through a temp file + ``os.replace`` so
-concurrent sweep workers sharing one cache directory never observe a
-torn entry; readers in ``readonly`` mode (the fuzz workers) never
-write or delete anything.
+Entries are files ``<root>/<k[:2]>/<k>.json``, each one JSON document
+written as exactly three lines::
+
+    {"layout_sha256": "<hex>", "metrics": <json or null>,
+    "key": <key text>,
+    "layout": <the layout JSON, as a JSON string>}
+
+The key line is checked back on read (a hash collision or a swapped
+file is a miss), the layout carries its own SHA-256 (bit corruption is
+detected, never trusted), and the layout's measured metrics let hits
+skip not only the build but also validation and measurement.  A read
+parses only the header and the layout's string literal, never the key.
+Anything that is not this shape -- truncated, flipped, swapped, or an
+older one-line entry -- is a miss, deleted so the caller rebuilds it.
+Writes go through a temp file + ``os.replace`` so concurrent sweep
+workers sharing one cache directory never observe a torn entry;
+readers in ``readonly`` mode (the fuzz workers) never write or delete
+anything.
 """
 
 from __future__ import annotations
@@ -37,6 +49,7 @@ import os
 import tempfile
 import threading
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 from repro import obs
@@ -56,38 +69,72 @@ __all__ = [
     "CacheEntry",
     "CacheStats",
     "LayoutCache",
-    "cache_key",
-    "network_fingerprint",
 ]
 
 #: Bump to invalidate every existing cache entry (e.g. when a builder
 #: change makes previously cached layouts non-reproducible).
 CACHE_SCHEMA_VERSION = 1
 
+#: Label types whose compact JSON already is the canonical text (edge
+#: tuples encode as lists, exactly the key's edge form).
+_PLAIN = frozenset((int, str))
+#: Compact C encoder for node and edge lists, which are flat and so
+#: need no cycle check.
+_COMPACT = json.JSONEncoder(separators=(",", ":"), check_circular=False)
 
-def network_fingerprint(net: Network) -> dict:
-    """A canonical document identifying ``net`` *as layout input*.
+#: The entry's three lines as ``(prefix, suffix)`` around each body:
+#: ``put`` writes them and ``get`` checks them.
+_HEAD, _KEY, _LAYOUT = (
+    ('{"layout_sha256": ', ","),
+    ('"key": ', ","),
+    ('"layout": ', "}"),
+)
+_DECODER = json.JSONDecoder()
+
+
+def _label_text(label) -> str:
+    """The canonical JSON text of one node label."""
+    kind = type(label)
+    if kind is int:
+        return repr(label)
+    if kind is str:
+        return json.dumps(label)
+    if kind is tuple:
+        return '{"t":[' + ",".join(map(_label_text, label)) + "]}"
+    # Int subclasses pass; bools and other types raise here.
+    return canonical_json(encode_label(label))
+
+
+def _network_text(net: Network) -> str:
+    """The canonical JSON text of ``net`` *as layout input*.
 
     Every builder is a deterministic function of the network's name
     (embedded in layout metadata), its node list, and its edge list --
-    **in order** -- so the fingerprint preserves exactly that: node
-    labels through the :mod:`repro.grid.io` codec, edges as emitted
-    (parallel edges and endpoint order included).  Two constructions of
-    the same labelled graph share an entry precisely when they would
-    build byte-identical layouts.  Each distinct label is encoded once
-    per call, as :func:`~repro.grid.io.layout_to_json` does.
+    **in order** -- so the text preserves exactly that: node labels
+    through the :mod:`repro.grid.io` codec, edges as emitted (parallel
+    edges and endpoint order included).  Two constructions of the same
+    labelled graph share an entry precisely when they would build
+    byte-identical layouts.  Plain int/str labels go through one C
+    encode per list; otherwise each distinct label is encoded
+    once and the edges are joined from the label texts.
     """
-    label = _Memo(encode_label)
-    return {
-        "name": net.name,
-        "nodes": [label[v] for v in net.nodes],
-        "edges": [[label[u], label[v]] for u, v in net.edges],
-    }
-
-
-def cache_key(doc: dict) -> str:
-    """SHA-256 of the canonical JSON form of a key document."""
-    return hashlib.sha256(canonical_json(doc).encode()).hexdigest()
+    nodes, edges = net.nodes, net.edges
+    if set(map(type, nodes)) <= _PLAIN and set(
+        map(type, chain.from_iterable(edges))
+    ) <= _PLAIN:
+        nodes_text = _COMPACT.encode(nodes)
+        edges_text = _COMPACT.encode(edges)
+    else:
+        text = _Memo(_label_text)
+        nodes_text = "[" + ",".join([text[v] for v in nodes]) + "]"
+        edges_text = "[" + ",".join(
+            [f"[{text[u]},{text[v]}]" for u, v in edges]
+        ) + "]"
+    return (
+        '{"edges":' + edges_text
+        + ',"name":' + canonical_json(net.name)
+        + ',"nodes":' + nodes_text + "}"
+    )
 
 
 @dataclass
@@ -179,45 +226,52 @@ class LayoutCache:
         scheme: str,
         layers: int,
         params: dict | None = None,
-    ) -> tuple[str, dict]:
-        """``(hex key, key document)`` for one unit of layout work."""
-        doc = {
-            "schema": CACHE_SCHEMA_VERSION,
-            "format": FORMAT_VERSION,
-            "network": network_fingerprint(network),
-            "scheme": scheme,
-            "layers": layers,
-            "params": dict(params or {}),
-        }
-        return cache_key(doc), doc
+    ) -> tuple[str, str]:
+        """``(hex key, key text)`` for one unit of layout work.
+
+        The key text is the canonical JSON of the key document (keys in
+        ``sort_keys`` order, written out by hand), and the key is its
+        SHA-256.
+        """
+        key_text = (
+            '{"format":' + canonical_json(FORMAT_VERSION)
+            + ',"layers":' + canonical_json(layers)
+            + ',"network":' + _network_text(network)
+            + ',"params":' + canonical_json(dict(params or {}))
+            + ',"schema":' + canonical_json(CACHE_SCHEMA_VERSION)
+            + ',"scheme":' + canonical_json(scheme) + "}"
+        )
+        return hashlib.sha256(key_text.encode()).hexdigest(), key_text
 
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
 
     # -- read -----------------------------------------------------------
 
-    def get(self, key: str, key_doc: dict | None = None) -> CacheEntry | None:
+    def get(
+        self, key: str, key_text: str, *, require_metrics: bool = False
+    ) -> CacheEntry | None:
         """The entry under ``key``, or None on miss *or* corruption.
 
-        A corrupt entry (unparseable JSON, payload hash mismatch, or --
-        when ``key_doc`` is given -- a key document that does not match)
-        is deleted (unless readonly) and reported as a miss, so the
-        caller rebuilds instead of trusting it.
+        ``key_text`` is the key's text from :meth:`key_for`; the entry's
+        key line must hold exactly it.  A corrupt entry (not the
+        three-line shape, a key line that differs, or a payload hash
+        mismatch) is deleted (unless readonly) and reported as a miss,
+        so the caller rebuilds instead of trusting it.  With
+        ``require_metrics``, a sound entry stored without metrics is a
+        plain miss: counted as one, and left in place.
         """
         path = self._path(key)
         try:
-            raw = path.read_text()
+            raw = path.read_text(encoding="ascii")
+        except UnicodeDecodeError:
+            raw = ""  # entries are ASCII: a non-ASCII byte is corruption
         except OSError:
-            self.stats.misses += 1
-            obs.count("cache.misses")
-            olog.debug("cache.miss", key=key[:16])
-            return None
-        entry = self._decode(raw, key, key_doc)
+            return self._miss(key)
+        entry = self._decode(raw, key, key_text)
         if entry is None:
             self.stats.corrupt += 1
-            self.stats.misses += 1
             obs.count("cache.corrupt")
-            obs.count("cache.misses")
             olog.warning(
                 "cache.corrupt",
                 key=key[:16],
@@ -228,29 +282,54 @@ class LayoutCache:
                     path.unlink()
                 except OSError:  # pragma: no cover - racing unlink
                     pass
-            return None
+            return self._miss(key)
+        if require_metrics and entry.metrics is None:
+            return self._miss(key)
         self.stats.hits += 1
         obs.count("cache.hits")
         olog.debug("cache.hit", key=key[:16])
         return entry
 
+    def _miss(self, key: str) -> None:
+        self.stats.misses += 1
+        obs.count("cache.misses")
+        olog.debug("cache.miss", key=key[:16])
+        return None
+
     @staticmethod
-    def _decode(raw: str, key: str, key_doc: dict | None) -> CacheEntry | None:
+    def _decode(raw: str, key: str, key_text: str) -> CacheEntry | None:
+        """The entry in ``raw``, or None unless it is a sound entry for
+        ``key_text``.  Only the header and the layout's string literal
+        are parsed; the key line is compared as text."""
+        head_end = raw.find("\n")
+        key_end = raw.find("\n", head_end + 1)
+        if head_end < 0 or key_end < 0:
+            return None
+        if raw[head_end + 1:key_end] != _KEY[0] + key_text + _KEY[1]:
+            return None
+        head = raw[:head_end]
+        if not (head.startswith(_HEAD[0]) and head.endswith(_HEAD[1])):
+            return None
+        layout_at = key_end + 1 + len(_LAYOUT[0])
+        if not (
+            raw.startswith(_LAYOUT[0], key_end + 1)
+            and raw.endswith(_LAYOUT[1])
+        ):
+            return None
         try:
-            doc = json.loads(raw)
+            header = json.loads(head[:-len(_HEAD[1])] + "}")
+            # Decoded in place: the layout line is never copied out.
+            layout_json, end = _DECODER.raw_decode(raw, layout_at)
         except ValueError:
             return None
-        if not isinstance(doc, dict):
+        if end != len(raw) - len(_LAYOUT[1]):
             return None
-        layout_json = doc.get("layout")
-        digest = doc.get("layout_sha256")
+        digest = header.get("layout_sha256")
+        metrics = header.get("metrics")
         if not isinstance(layout_json, str) or not isinstance(digest, str):
             return None
         if hashlib.sha256(layout_json.encode()).hexdigest() != digest:
             return None
-        if key_doc is not None and doc.get("key") != key_doc:
-            return None
-        metrics = doc.get("metrics")
         if metrics is not None and not isinstance(metrics, dict):
             return None
         return CacheEntry(key=key, layout_json=layout_json, metrics=metrics)
@@ -260,29 +339,34 @@ class LayoutCache:
     def put(
         self,
         key: str,
-        key_doc: dict,
+        key_text: str,
         layout_json: str,
         metrics: dict | None = None,
     ) -> bool:
-        """Store an entry atomically; no-op (False) in readonly mode."""
+        """Store an entry atomically; no-op (False) in readonly mode.
+
+        The entry is assembled from ``key_text`` verbatim, one small
+        header ``json.dumps`` and one ``json.dumps`` of the layout
+        string; the key document is never re-encoded.
+        """
         if self.readonly:
             return False
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        doc = {
-            "key": key_doc,
-            "layout": layout_json,
+        head = json.dumps({
             "layout_sha256": hashlib.sha256(layout_json.encode()).hexdigest(),
             "metrics": metrics,
-        }
+        })
+        text = "".join((
+            head[:-1], _HEAD[1], "\n",
+            _KEY[0], key_text, _KEY[1], "\n",
+            _LAYOUT[0], json.dumps(layout_json), _LAYOUT[1],
+        ))
         fd, tmp = tempfile.mkstemp(
             dir=path.parent, prefix=f".{key[:8]}.", suffix=".tmp"
         )
         try:
-            # One json.dumps call runs the C encoder; json.dump would
-            # stream through the pure-Python iterencode (same bytes).
-            text = json.dumps(doc)
-            with os.fdopen(fd, "w") as fh:
+            with os.fdopen(fd, "w", encoding="ascii") as fh:
                 fh.write(text)
             os.replace(tmp, path)
         except BaseException:
@@ -301,7 +385,7 @@ class LayoutCache:
     def get_or_build(
         self,
         key: str,
-        key_doc: dict,
+        key_text: str,
         build,
         *,
         require_metrics: bool = True,
@@ -344,16 +428,16 @@ class LayoutCache:
                 olog.debug("cache.coalesced", key=key[:16])
                 return flight.entry, "coalesced"
             try:
-                entry = self.get(key, key_doc)
-                if entry is not None and (
-                    not require_metrics or entry.metrics is not None
-                ):
+                entry = self.get(
+                    key, key_text, require_metrics=require_metrics
+                )
+                if entry is not None:
                     flight.entry = entry
                     return entry, "cache"
                 olog.info("cache.build", key=key[:16])
                 with obs.span("cache.build", key=key[:16]):
                     layout_json, metrics = build()
-                self.put(key, key_doc, layout_json, metrics)
+                self.put(key, key_text, layout_json, metrics)
                 entry = CacheEntry(
                     key=key, layout_json=layout_json, metrics=metrics
                 )

@@ -186,11 +186,11 @@ def run_sweep_job(
         return layout, metrics
 
     if cache is not None:
-        key, key_doc = cache.key_for(
+        key, key_text = cache.key_for(
             net, scheme=job.scheme, layers=job.layers,
         )
         entry, source = cache.get_or_build(
-            key, key_doc, lambda: _serialized(build())
+            key, key_text, lambda: _serialized(build())
         )
         metrics = entry.metrics
     else:
@@ -253,7 +253,12 @@ def _worker_main(payload: dict) -> None:
     parent re-roots under a per-worker span, and the first job
     exception (if any) as a string.  A job failure still produces the
     file -- partial results beat none -- and the parent re-raises.
+
+    The fixed work before the first job (log sink, cache handle,
+    registry reset, trace adoption, heartbeat writer) is one
+    ``sweep.worker.setup`` span.
     """
+    setup_start = time.perf_counter()
     wid = payload["worker_id"]
     olog.fork_child(wid)
     if not olog.configured() and payload.get("log_path"):
@@ -290,6 +295,12 @@ def _worker_main(payload: dict) -> None:
     )
     hb.beat(force=True)
     hb.start_pulse()
+    # The setup resets the span collector, so its span is recorded
+    # once the collector is fresh instead of opened around it.
+    obs.attach(obs.SpanRecord(
+        "sweep.worker.setup", {}, start=setup_start,
+        duration=time.perf_counter() - setup_start,
+    ))
     olog.info("sweep.worker_start", worker_id=wid, jobs=len(jobs))
     results: list[dict] = []
     error = None

@@ -192,14 +192,14 @@ def build_scheme_layout(
     scheme = case_scheme(case)
     if cache is None:
         return dispatch_scheme(case.network, layers=layers, scheme=scheme)
-    key, key_doc = cache.key_for(
+    key, key_text = cache.key_for(
         case.network, scheme=scheme, layers=layers
     )
-    entry = cache.get(key, key_doc)
+    entry = cache.get(key, key_text)
     if entry is not None:
         return entry.layout()
     lay = dispatch_scheme(case.network, layers=layers, scheme=scheme)
-    cache.put(key, key_doc, layout_to_json(lay))
+    cache.put(key, key_text, layout_to_json(lay))
     return lay
 
 

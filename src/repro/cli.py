@@ -222,13 +222,13 @@ def _cmd_stats(args) -> int:
     for net in nets:
         t0 = _time.perf_counter()
         with obs.span("network", network=net.name, N=net.num_nodes):
-            entry = key = key_doc = None
+            entry = key = key_text = None
             if cache is not None:
-                key, key_doc = cache.key_for(
+                key, key_text = cache.key_for(
                     net, scheme="auto", layers=args.layers
                 )
-                entry = cache.get(key, key_doc)
-            if entry is None or entry.metrics is None:
+                entry = cache.get(key, key_text, require_metrics=True)
+            if entry is None:
                 lay = _zoo_dispatch(net, args.layers)
                 validate_layout(lay)
                 m = measure(lay)
@@ -236,7 +236,7 @@ def _cmd_stats(args) -> int:
                     from repro.grid.io import layout_to_json
 
                     cache.put(
-                        key, key_doc, layout_to_json(lay), m.as_dict()
+                        key, key_text, layout_to_json(lay), m.as_dict()
                     )
         obs.observe(
             "stats.network_ms", (_time.perf_counter() - t0) * 1e3

@@ -118,7 +118,7 @@ class _Answer(NamedTuple):
 
     doc: dict
     entry: CacheEntry | None = None
-    key: tuple[str, dict] | None = None
+    key: tuple[str, str] | None = None
 
 
 class LayoutServer:
@@ -692,7 +692,7 @@ class LayoutServer:
 
     async def _cache_probe(
         self, net, scheme: str, layers: int
-    ) -> tuple[tuple[str, dict] | None, CacheEntry | None]:
+    ) -> tuple[tuple[str, str] | None, CacheEntry | None]:
         """Key ``net`` and read its entry off-loop: ``(key, entry)``,
         the entry None on a miss; both None without a cache."""
         if self.cache is None:
@@ -704,12 +704,9 @@ class LayoutServer:
 
         return await asyncio.to_thread(probe)
 
-    def _read_entry(self, key: tuple[str, dict]) -> CacheEntry | None:
+    def _read_entry(self, key: tuple[str, str]) -> CacheEntry | None:
         """``LayoutCache.get``; an entry without metrics is a miss."""
-        entry = self.cache.get(*key)
-        if entry is not None and entry.metrics is None:
-            return None
-        return entry
+        return self.cache.get(*key, require_metrics=True)
 
     async def _lookup_or_build(
         self, network: str, scheme: str, layers: int

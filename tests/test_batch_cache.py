@@ -1,19 +1,21 @@
 """Content-addressed layout cache: keys, round-trips, corruption."""
 
+import hashlib
 import json
 
 import pytest
 
-from repro.batch.cache import (
-    CACHE_SCHEMA_VERSION,
-    LayoutCache,
-    cache_key,
-    network_fingerprint,
-)
+from repro.batch.cache import CACHE_SCHEMA_VERSION, LayoutCache
 from repro.batch.spec import parse_network
+from repro.cli import _zoo_networks
 from repro.core.metrics import measure
 from repro.core.schemes import layout_network
-from repro.grid.io import layout_to_json
+from repro.grid.io import (
+    FORMAT_VERSION,
+    canonical_json,
+    encode_label,
+    layout_to_json,
+)
 from repro.topology import Hypercube, Ring
 from repro.topology.base import build_network
 
@@ -65,19 +67,23 @@ class TestKeys:
         bumped_schema, _ = cache.key_for(net, scheme="auto", layers=2)
         assert len({before, bumped_fmt, bumped_schema}) == 3
 
-    def test_fingerprint_preserves_structure_order_and_name(self):
+    def test_fingerprint_preserves_structure_order_and_name(self, cache):
         a = build_network([0, 1, 2], [(0, 1), (1, 2)], "a")
         b = build_network([0, 1, 2], [(1, 2), (0, 1)], "a")  # edge order
         c = build_network([0, 1, 2], [(0, 1), (1, 2)], "c")  # name
-        fps = [network_fingerprint(n) for n in (a, b, c)]
-        assert len({cache_key(fp) for fp in fps}) == 3
+        keys = [
+            cache.key_for(n, scheme="auto", layers=2)[0] for n in (a, b, c)
+        ]
+        assert len(set(keys)) == 3
 
-    def test_same_structure_same_fingerprint_across_doors(self):
-        """A graph rebuilt from the same node/edge stream fingerprints
+    def test_same_structure_same_fingerprint_across_doors(self, cache):
+        """A graph rebuilt from the same node/edge stream keys
         identically, whatever code path constructed it."""
         net = Hypercube(3)
         clone = build_network(net.nodes, net.edges, net.name)
-        assert network_fingerprint(net) == network_fingerprint(clone)
+        assert cache.key_for(net, scheme="auto", layers=2) == cache.key_for(
+            clone, scheme="auto", layers=2
+        )
 
     #: ``key_for(parse_network(spec), scheme="auto", layers=4)`` as
     #: computed before labels were memoized: keys must never drift.
@@ -106,10 +112,94 @@ class TestKeys:
     @pytest.mark.parametrize(
         "nodes", [[True, 2], [(0, True), (1, 2)]], ids=["bare", "nested"]
     )
-    def test_bool_label_still_raises(self, nodes):
+    def test_bool_label_still_raises(self, cache, nodes):
         net = build_network(nodes, [tuple(nodes)], "b")
         with pytest.raises(TypeError, match="unsupported node label"):
-            network_fingerprint(net)
+            cache.key_for(net, scheme="auto", layers=2)
+
+
+def _reference_doc(net, *, scheme, layers, params=None):
+    """The key document as a dict, built label by label: the form the
+    key text must match byte for byte under ``canonical_json``."""
+    return {
+        "schema": CACHE_SCHEMA_VERSION,
+        "format": FORMAT_VERSION,
+        "network": {
+            "name": net.name,
+            "nodes": [encode_label(v) for v in net.nodes],
+            "edges": [
+                [encode_label(u), encode_label(v)] for u, v in net.edges
+            ],
+        },
+        "scheme": scheme,
+        "layers": layers,
+        "params": dict(params or {}),
+    }
+
+
+def _hand_built():
+    return [
+        build_network(["a", "b", "c"], [("a", "b"), ("c", "b")], "strs"),
+        build_network(
+            [(0, (1, 2)), (0, (2, 1)), ((3,), "x")],
+            [((0, (1, 2)), (0, (2, 1))), (((3,), "x"), (0, (1, 2)))],
+            "nested",
+        ),
+        build_network(
+            [0, "0", (0,), ()], [(0, "0"), ((0,), ()), ("0", ())], "mixed"
+        ),
+        build_network(
+            ["über", "ß", ("é", 1)],
+            [("über", "ß"), (("é", 1), "über")],
+            "Réseau-ÿ\u2603",
+        ),
+        build_network([5, 3, 9], [(9, 3), (3, 5), (9, 3)], "parallel"),
+        build_network([], [], "empty"),
+    ]
+
+
+class TestKeyText:
+    """``key_for`` writes the key document's canonical text directly;
+    it must be byte-identical to ``canonical_json`` of the document."""
+
+    CASES = [
+        *((n.name, n) for n in _zoo_networks()),
+        *((n.name, n) for n in _hand_built()),
+    ]
+
+    @pytest.mark.parametrize(
+        "net", [n for _, n in CASES], ids=[name for name, _ in CASES]
+    )
+    @pytest.mark.parametrize(
+        "scheme,layers,params",
+        [
+            ("auto", 4, None),
+            ("generic", 2, {"b": [1, {"z": 0, "y": "é"}], "a": 2.5}),
+        ],
+        ids=["plain", "params"],
+    )
+    def test_key_text_is_canonical_json_of_the_document(
+        self, cache, net, scheme, layers, params
+    ):
+        key, key_text = cache.key_for(
+            net, scheme=scheme, layers=layers, params=params
+        )
+        ref = _reference_doc(net, scheme=scheme, layers=layers, params=params)
+        assert key_text == canonical_json(ref)
+        assert key == hashlib.sha256(key_text.encode()).hexdigest()
+        assert key_text.isascii() and "\n" not in key_text
+
+    def test_int_equal_endpoints_key_as_the_nodes_they_equal(self, cache):
+        """Edge endpoints that equal an int node without being exact
+        ints (numpy ints, say) key as that node, as they always did."""
+        np = pytest.importorskip("numpy")
+        plain = build_network([0, 1, 2], [(0, 1), (1, 2)], "n")
+        wide = build_network(
+            [0, 1, 2], [(np.int64(0), np.int64(1)), (1, np.int32(2))], "n"
+        )
+        assert cache.key_for(wide, scheme="auto", layers=2) == cache.key_for(
+            plain, scheme="auto", layers=2
+        )
 
 
 class TestRoundTrip:
@@ -123,19 +213,20 @@ class TestRoundTrip:
         assert layout_to_json(entry.layout()) == payload
         assert cache.stats.hits == 1 and cache.stats.writes == 1
 
-    def test_stored_entry_text_is_json_dumps(self, cache):
-        """An entry file holds exactly ``json.dumps`` of its document
-        (the C encoder; ``json.dump`` would stream the same bytes)."""
-        import hashlib
-
-        key, doc, payload, metrics = _store(cache, Hypercube(3))
+    def test_entry_is_one_json_document_in_three_lines(self, cache):
+        """Header, key text verbatim, layout string: and still one JSON
+        document that plain ``json.load`` reads whole."""
+        key, key_text, payload, metrics = _store(cache, Hypercube(3))
         text = cache._path(key).read_text()
-        assert text == json.dumps({
-            "key": doc,
+        lines = text.split("\n")
+        assert len(lines) == 3
+        assert lines[1] == '"key": ' + key_text + ","
+        assert json.loads(text) == {
+            "key": json.loads(key_text),
             "layout": payload,
             "layout_sha256": hashlib.sha256(payload.encode()).hexdigest(),
             "metrics": metrics,
-        })
+        }
 
     def test_miss_on_absent_key(self, cache):
         key, doc = cache.key_for(Ring(5), scheme="auto", layers=2)
@@ -149,6 +240,33 @@ class TestRoundTrip:
         cache.put(key, doc, layout_to_json(lay))
         entry = cache.get(key, doc)
         assert entry is not None and entry.metrics is None
+
+    def test_metrics_less_entry_is_a_miss_when_metrics_required(self, cache):
+        """An entry without metrics (the fuzzer writes those) is a miss,
+        not a hit, for callers that need metrics -- and it is kept."""
+        net = Ring(5)
+        lay = layout_network(net, layers=2)
+        payload = layout_to_json(lay)
+        key, doc = cache.key_for(net, scheme="auto", layers=2)
+        cache.put(key, doc, payload)
+        assert cache.get(key, doc, require_metrics=True) is None
+        assert cache._path(key).exists()
+        assert cache.stats.as_dict() == {
+            "hits": 0, "misses": 1, "corrupt": 0, "writes": 1,
+            "coalesced": 0,
+        }
+        metrics = measure(lay).as_dict()
+        entry, source = cache.get_or_build(
+            key, doc, lambda: (payload, metrics)
+        )
+        assert source == "built" and entry.metrics == metrics
+        assert cache.stats.as_dict() == {
+            "hits": 0, "misses": 2, "corrupt": 0, "writes": 2,
+            "coalesced": 0,
+        }
+        entry, source = cache.get_or_build(key, doc, None)
+        assert source == "cache" and entry.metrics == metrics
+        assert cache.stats.hits == 1
 
 
 class TestCorruption:
@@ -170,11 +288,15 @@ class TestCorruption:
         net = Ring(6)
         key, doc, payload, _ = _store(cache, net)
         path = self._entry_path(cache, key)
-        stored = json.loads(path.read_text())
-        stored["layout"] = stored["layout"].replace('"layers": 2', '"layers": 3')
-        path.write_text(json.dumps(stored))  # digest now stale
+        head, key_line, layout_line = path.read_text().split("\n")
+        flipped = layout_line.replace('\\"layers\\": 2', '\\"layers\\": 3')
+        assert flipped != layout_line
+        # Still the three-line shape: only the digest check can catch it.
+        path.write_text("\n".join((head, key_line, flipped)))
+        assert json.loads(path.read_text())["layout"] != payload
         assert cache.get(key, doc) is None
         assert cache.stats.corrupt == 1
+        assert not path.exists()
 
     def test_key_document_mismatch_is_a_miss(self, cache):
         """A swapped file (right digest, wrong key doc) is not trusted."""
@@ -188,6 +310,101 @@ class TestCorruption:
         swapped.parent.mkdir(parents=True, exist_ok=True)
         swapped.write_text(path.read_text())
         assert cache.get(other_key, other_doc) is None
+        assert cache.stats.corrupt == 1
+
+    def test_swapped_entry_with_valid_digest_is_deleted(self, cache):
+        """The swapped file's own digest checks out: only the key-text
+        comparison rejects it."""
+        key, doc, payload, _ = _store(cache, Ring(6))
+        other_key, other_doc = cache.key_for(Ring(7), scheme="auto", layers=2)
+        swapped = self._entry_path(cache, other_key)
+        swapped.parent.mkdir(parents=True, exist_ok=True)
+        swapped.write_text(self._entry_path(cache, key).read_text())
+        stored = json.loads(swapped.read_text())
+        assert stored["layout_sha256"] == hashlib.sha256(
+            stored["layout"].encode()
+        ).hexdigest()
+        assert cache.get(other_key, other_doc) is None
+        assert cache.stats.corrupt == 1
+        assert not swapped.exists()
+        assert cache.get(key, doc).layout_json == payload
+
+    def _old_one_line_entry(self, cache, net):
+        key, doc, payload, metrics = _store(cache, net)
+        path = self._entry_path(cache, key)
+        path.write_text(json.dumps({
+            "key": json.loads(doc),
+            "layout": payload,
+            "layout_sha256": hashlib.sha256(payload.encode()).hexdigest(),
+            "metrics": metrics,
+        }))
+        return key, doc, path
+
+    def test_old_one_line_entry_is_a_miss_and_rebuilt(self, cache):
+        net = Ring(6)
+        key, doc, path = self._old_one_line_entry(cache, net)
+        assert cache.get(key, doc) is None
+        assert cache.stats.corrupt == 1
+        assert not path.exists()
+        _store(cache, net)
+        assert cache.get(key, doc) is not None
+
+    def test_old_one_line_entry_kept_when_readonly(self, cache):
+        key, doc, path = self._old_one_line_entry(cache, Ring(6))
+        ro = LayoutCache(cache.root, readonly=True)
+        assert ro.get(key, doc) is None
+        assert ro.stats.corrupt == 1
+        assert path.exists()
+
+    @pytest.mark.parametrize(
+        "head",
+        [
+            '{"layout_sha256": garbage,',
+            '{"layout_sha256": "00", "metrics": null,',
+            '{"layout_sha256": 7, "metrics": null,',
+            '{"layout_sha256": "%s", "metrics": [1],',
+            '{"metrics": null, "layout_sha256": "%s",',
+            "",
+        ],
+        ids=["garbage", "wrong-digest", "int-digest", "list-metrics",
+             "reordered", "empty"],
+    )
+    def test_bad_header_line_is_corrupt(self, cache, head):
+        key, doc, payload, _ = _store(cache, Ring(6))
+        path = self._entry_path(cache, key)
+        _, key_line, layout_line = path.read_text().split("\n")
+        if "%s" in head:
+            head %= hashlib.sha256(payload.encode()).hexdigest()
+        path.write_text("\n".join((head, key_line, layout_line)))
+        assert cache.get(key, doc) is None
+        assert cache.stats.corrupt == 1
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda line: '"layout": {"a": 1}}',
+            lambda line: line[:-1] + ', "extra": 1}',
+            lambda line: line[:-1] + " }",
+            lambda line: line + "\n",
+        ],
+        ids=["not-a-string", "extra-field", "space", "fourth-line"],
+    )
+    def test_bad_layout_line_is_corrupt(self, cache, edit):
+        """The layout line must be exactly ``"layout": <string>}``."""
+        key, doc, _, _ = _store(cache, Ring(6))
+        path = self._entry_path(cache, key)
+        head, key_line, layout_line = path.read_text().split("\n")
+        path.write_text("\n".join((head, key_line, edit(layout_line))))
+        assert cache.get(key, doc) is None
+        assert cache.stats.corrupt == 1
+
+    def test_non_ascii_byte_is_corrupt(self, cache):
+        key, doc, _, _ = _store(cache, Ring(6))
+        path = self._entry_path(cache, key)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-10] + b"\xff" + raw[-9:])
+        assert cache.get(key, doc) is None
         assert cache.stats.corrupt == 1
 
     def test_non_dict_entry_is_corrupt(self, cache):

@@ -244,19 +244,21 @@ class TestCrossProcessTrace:
     def test_parallel_trace_matches_serial(self):
         """The satellite gate: workers=1 vs workers=4 agree on every
         phase's call count and on the span-name set (timings aside);
-        the only parallel-side extra is the per-worker wrapper."""
+        the only parallel-side extras are the per-worker wrapper and
+        its setup span."""
         roots1, totals1, snap1 = self._observed_run(1)
         roots4, totals4, snap4 = self._observed_run(4)
 
+        per_worker = {"sweep.worker", "sweep.worker.setup"}
         names1 = self._span_names(roots1)
         names4 = self._span_names(roots4)
-        assert names4 - {"sweep.worker"} == names1
-        assert "sweep.worker" in names4
+        assert names4 - per_worker == names1
+        assert per_worker <= names4
 
         calls1 = {n: t["calls"] for n, t in totals1.items()}
         calls4 = {
             n: t["calls"] for n, t in totals4.items()
-            if n != "sweep.worker"
+            if n not in per_worker
         }
         assert calls4 == calls1
         # Counter folds already guaranteed this; spans now match too.
@@ -275,9 +277,16 @@ class TestCrossProcessTrace:
         )
         for w in workers:
             assert w.children, "worker span lost its forest"
-            assert {c.name for c in w.children} == {"sweep.job"}
+            # The fixed per-worker cost comes first, then the jobs.
+            names = [c.name for c in w.children]
+            assert names[0] == "sweep.worker.setup"
+            assert set(names[1:]) == {"sweep.job"}
+            setup = w.children[0]
+            assert setup.duration > 0
+            assert setup.end() <= w.children[1].start
             total_jobs = sum(
-                1 for w in workers for _ in w.children
+                1 for w in workers for c in w.children
+                if c.name == "sweep.job"
             )
         assert total_jobs == len(SPEC.expand())
 

@@ -237,6 +237,30 @@ class TestLayoutPayload:
 
         _serve(t, cache_dir=str(tmp_path / "cache"))
 
+    def test_metrics_less_entry_is_a_miss_not_a_hit(self, tmp_path):
+        """An entry stored without metrics (the fuzzer writes those)
+        is rebuilt, and ``/stats`` counts it as a miss, not a hit."""
+        from repro.batch.cache import LayoutCache
+
+        cache_dir = tmp_path / "cache"
+        net = parse_network("ring:6")
+        seeded = LayoutCache(cache_dir)
+        key, key_text = seeded.key_for(net, scheme="auto", layers=2)
+        layout = dispatch_scheme(net, layers=2)
+        seeded.put(key, key_text, layout_to_json(layout))
+
+        async def t(server, port):
+            st, _, body = await _post_layout(port, "ring:6")
+            assert st == 200 and json.loads(body)["source"] == "built"
+            stats = server.stats()["cache"]
+            assert stats["hits"] == 0 and stats["misses"] == 1
+            assert stats["corrupt"] == 0
+            st, _, body = await _post_layout(port, "ring:6")
+            assert st == 200 and json.loads(body)["source"] == "cache"
+            assert server.stats()["cache"]["hits"] == 1
+
+        _serve(t, cache_dir=str(cache_dir))
+
     def test_post_build_miss_is_503_not_a_bare_200(self, tmp_path):
         async def t(server, port):
             # The pool worker stores the entry through its own cache
