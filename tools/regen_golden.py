@@ -17,6 +17,7 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
+from repro.collinear.two_sided import two_sided_collinear_layout  # noqa: E402
 from repro.core import measure  # noqa: E402
 from repro.core.folding import fold_layout  # noqa: E402
 from repro.core.threedee import layout_product_3d  # noqa: E402
@@ -39,7 +40,12 @@ from repro.core.schemes import (  # noqa: E402
     layout_scc,
     layout_wrapped_butterfly,
 )
-from repro.topology import CompleteGraph, Ring, StarGraph  # noqa: E402
+from repro.topology import (  # noqa: E402
+    CompleteGraph,
+    Hypercube,
+    Ring,
+    StarGraph,
+)
 
 GOLDEN = pathlib.Path(__file__).resolve().parent.parent / "tests" / "golden_metrics.json"
 
@@ -70,6 +76,16 @@ def build_cases():
         "fold(hypercube(6))_L8": fold_layout(layout_hypercube(6, layers=2), 8),
         "stack(4,4,4)_L8": layout_product_3d(
             Ring(4), Ring(4), Ring(4), layers=8
+        ),
+        "fold(hypercube(6))_L4": fold_layout(layout_hypercube(6), 4),
+        "stack(4,4,3)_L6": layout_product_3d(
+            Ring(4), Ring(4), Ring(3), layers=6
+        ),
+        "two_sided(hypercube(5))_L2": two_sided_collinear_layout(
+            Hypercube(5), layers=2
+        ),
+        "two_sided(complete(9))_L4": two_sided_collinear_layout(
+            CompleteGraph(9), layers=4
         ),
     }
 
