@@ -321,7 +321,7 @@ def _cmd_stats_mem(args) -> int:
         tot_obj += obj
         tot_tab += tab
         rows.append([
-            net.name, net.num_nodes, len(lay.wires), table.num_segments,
+            net.name, net.num_nodes, table.num_wires, table.num_segments,
             f"{obj:,}", f"{tab:,}", f"{obj / tab:.1f}x",
         ])
     rows.append([

@@ -24,9 +24,9 @@ from typing import Hashable, Sequence
 
 from repro.collinear.engine import collinear_layout
 from repro.core.multilayer import LayerGroups
-from repro.grid.geometry import Rect, Segment
-from repro.grid.layout import GridLayout
-from repro.grid.wire import Wire
+from repro.grid.geometry import Rect
+from repro.grid.layout import GridLayout, Placement
+from repro.grid.table import WireTable
 from repro.topology.base import Network, Node
 
 __all__ = ["two_sided_collinear_layout"]
@@ -58,10 +58,10 @@ def two_sided_collinear_layout(
     dn_extent = g_dn.physical_extent() if lower else 0
 
     node_y = up_extent  # node row sits below the upper channel
-    layout = GridLayout(layers=layers)
     pos = {v: i for i, v in enumerate(seq)}
-    for v in seq:
-        layout.place(v, Rect(pos[v] * side, node_y, side, side))
+    placements = {
+        v: Placement(v, Rect(pos[v] * side, node_y, side, side)) for v in seq
+    }
 
     # Pin allocation per node per side, honoring arrival/departure order.
     pins: dict[tuple[Node, str], dict[int, int]] = {}
@@ -90,7 +90,8 @@ def two_sided_collinear_layout(
         for off, (_, e) in enumerate(reqs):
             table[e] = off
 
-    # Phase 2: route.
+    # Phase 2: route, three oriented rows per edge (u pin, track, v pin).
+    paths = []
     for e, (u, v) in enumerate(lay.edges):
         t = lay.tracks[e]
         side_name = edge_side[e]
@@ -104,15 +105,19 @@ def two_sided_collinear_layout(
             y_pin = node_y + side
         xu = pos[u] * side + pins[(u, side_name)][e]
         xv = pos[v] * side + pins[(v, side_name)][e]
-        segs = [
-            Segment.make(xu, y_pin, xu, y_t, slot.v_layer),
-            Segment.make(xu, y_t, xv, y_t, slot.h_layer),
-            Segment.make(xv, y_t, xv, y_pin, slot.v_layer),
+        paths += [
+            (xu, y_pin, xu, y_t, slot.v_layer),
+            (xu, y_t, xv, y_t, slot.h_layer),
+            (xv, y_t, xv, y_pin, slot.v_layer),
         ]
-        layout.add_wire(Wire(u, v, segs, edge_key=e))
-
-    layout.meta.update(
-        {
+    m = len(lay.edges)
+    table = WireTable.from_paths(
+        paths, range(0, 3 * m + 1, 3), [u for u, _ in lay.edges],
+        [v for _, v in lay.edges], range(m), placements,
+    )
+    return GridLayout(
+        layers, placements, table,
+        meta={
             "scheme": "two-sided-collinear",
             "name": f"two-sided collinear {network.name} L={layers}",
             "tracks": lay.num_tracks,
@@ -121,6 +126,5 @@ def two_sided_collinear_layout(
             "upper_extent": up_extent,
             "lower_extent": dn_extent,
             "node_side": side,
-        }
+        },
     )
-    return layout

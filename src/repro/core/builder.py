@@ -254,7 +254,7 @@ class _Builder:
             list(chain.from_iterable(keys)), placements,
         )
         sp.add("wires", table.num_wires)
-        return GridLayout.from_table(
+        return GridLayout(
             self.spec.layers,
             placements,
             table,

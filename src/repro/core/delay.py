@@ -75,10 +75,11 @@ class PerformanceReport:
 def _delay_adjacency(
     layout: GridLayout, model: DelayModel
 ) -> dict[Hashable, list[tuple[Hashable, float]]]:
+    table = layout.wire_table()
     adj: dict[Hashable, dict[Hashable, float]] = {}
-    for w in layout.wires:
-        d = model.wire_delay(w.length) + model.router_delay
-        for a, b in ((w.u, w.v), (w.v, w.u)):
+    for u, v, length in zip(table.wire_u, table.wire_v, table.wire_lengths()):
+        d = model.wire_delay(length) + model.router_delay
+        for a, b in ((u, v), (v, u)):
             cur = adj.setdefault(a, {})
             if b not in cur or d < cur[b]:
                 cur[b] = d
@@ -115,7 +116,8 @@ def performance(
     """
     model = model or DelayModel()
     max_wire_delay = max(
-        (model.wire_delay(w.length) for w in layout.wires), default=0.0
+        map(model.wire_delay, layout.wire_table().wire_lengths()),
+        default=0.0,
     )
     clock = model.router_delay + max_wire_delay
 

@@ -23,10 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.metrics import LayoutMetrics
-from repro.grid.geometry import Rect, Segment
-from repro.grid.layout import GridLayout
-from repro.grid.wire import Wire
+from repro.grid.geometry import Rect
+from repro.grid.layout import GridLayout, Placement
+from repro.grid.table import WireTable
 
 __all__ = [
     "FoldedMetrics",
@@ -123,87 +125,68 @@ def fold_layout(layout: GridLayout, layers: int) -> GridLayout:
     per_slab = cols // t
     slab_w = per_slab * pitch  # original width of every slab
     # Cut positions in original coordinates (left edge of each slab).
-    cuts = [s * slab_w for s in range(t + 1)]
+    cuts = np.arange(t + 1) * slab_w
 
-    def slab_of(x: int) -> int:
-        s = min(x // slab_w, t - 1)
-        return int(s)
+    def slab_of(x):
+        return np.minimum(x // slab_w, t - 1)
 
-    def mapx(x: int, s: int) -> int:
+    def mapx(x, s):
         local = x - cuts[s]
-        if s % 2:
-            return slab_w - local
-        return local
+        return np.where(s % 2 == 1, slab_w - local, local)
 
-    folded = GridLayout(layers=layers)
+    placements = {}
     for p in layout.placements.values():
-        s = slab_of(p.rect.x0)
-        if slab_of(max(p.rect.x1 - 1, p.rect.x0)) != s:
+        s = int(slab_of(p.rect.x0))
+        if int(slab_of(max(p.rect.x1 - 1, p.rect.x0))) != s:
             raise ValueError(f"node {p.node!r} straddles a fold cut")
         xa, xb = mapx(p.rect.x0, s), mapx(p.rect.x1, s)
-        x0 = min(xa, xb)
-        folded.place(
-            p.node, Rect(x0, p.rect.y0, p.rect.w, p.rect.h), layer=2 * s + 1
+        placements[p.node] = Placement(
+            p.node, Rect(int(min(xa, xb)), p.rect.y0, p.rect.w, p.rect.h),
+            layer=2 * s + 1,
         )
 
-    for w in layout.wires:
-        folded.add_wire(
-            Wire(w.u, w.v, _fold_wire_segments(w, cuts, slab_w, t),
-                 edge_key=w.edge_key)
-        )
-    folded.meta.update(
-        {
+    # Each segment, oriented along its path, becomes one piece per slab
+    # it crosses: a vertical run stays in the slab of its abscissa (a
+    # run at a cut belongs to the right-hand slab), a horizontal run is
+    # split at the interior cuts, pieces in path order.
+    tab = layout.wire_table()
+    rev = tab.seg_rev.astype(bool)
+    x1, x2 = tab.seg_x1, tab.seg_x2
+    sx, ex = np.where(rev, x2, x1), np.where(rev, x1, x2)
+    sy = np.where(rev, tab.seg_y2, tab.seg_y1)
+    ey = np.where(rev, tab.seg_y1, tab.seg_y2)
+    vert = x1 == x2
+    s_lo = slab_of(x1)
+    s_hi = np.where(vert, s_lo, slab_of(x2 - 1))
+    pieces = s_hi - s_lo + 1
+    seg = np.repeat(np.arange(tab.num_segments), pieces)
+    cum = np.concatenate(([0], np.cumsum(pieces)))
+    k = np.arange(cum[-1]) - cum[seg]
+    s = np.where(ex[seg] >= sx[seg], s_lo[seg] + k, s_hi[seg] - k)
+    lo = np.maximum(x1[seg], cuts[s])
+    hi = np.minimum(x2[seg], cuts[s + 1])
+    fwd = ex[seg] > sx[seg]
+    v = vert[seg]
+    px0 = mapx(np.where(v, x1[seg], np.where(fwd, lo, hi)), s)
+    px1 = mapx(np.where(v, x1[seg], np.where(fwd, hi, lo)), s)
+    old_layer = tab.seg_layer[seg]
+    up = np.where(v, old_layer == 2, old_layer != 1)
+    paths = np.stack(
+        (px0, sy[seg], px1, ey[seg], 2 * s + np.where(up, 2, 1)), axis=1
+    )
+    table = WireTable.from_paths(
+        paths, cum[tab.wire_seg_start], tab.wire_u, tab.wire_v,
+        tab.wire_edge_key, placements,
+    )
+    return GridLayout(
+        layers, placements, table,
+        meta={
             "scheme": "folded-thompson",
             "name": f"folded({layout.meta.get('name', 'layout')}) L={layers}",
             "source_area": layout.area,
             "slabs": t,
-        }
+        },
     )
-    return folded
-
-
-def _fold_wire_segments(
-    wire: Wire, cuts: list[int], slab_w: int, t: int
-) -> list[Segment]:
-    """Map one wire's segments through the fold."""
-
-    def slab_of(x: int) -> int:
-        return int(min(x // slab_w, t - 1))
-
-    def mapx(x: int, s: int) -> int:
-        local = x - cuts[s]
-        return slab_w - local if s % 2 else local
-
-    out: list[Segment] = []
-    # Trace the wire in path order so split pieces stay connected.
-    points = wire.path_points()
-    for i, seg in enumerate(wire.segments):
-        a = points[i].planar()
-        b = points[i + 1].planar()
-        if seg.vertical:
-            s = slab_of(seg.x1)
-            layer = 2 * s + (2 if seg.layer == 2 else 1)
-            out.append(
-                Segment.make(mapx(seg.x1, s), seg.y1, mapx(seg.x2, s),
-                             seg.y2, layer)
-            )
-            continue
-        # Horizontal: walk from a to b, splitting at interior cuts.
-        y = seg.y1
-        x, x_end = a[0], b[0]
-        step = 1 if x_end > x else -1
-        while x != x_end:
-            s = slab_of(x) if step > 0 else slab_of(x - 1)
-            if step > 0:
-                piece_end = min(x_end, cuts[s + 1])
-            else:
-                piece_end = max(x_end, cuts[s])
-            layer = 2 * s + (1 if seg.layer == 1 else 2)
-            out.append(
-                Segment.make(mapx(x, s), y, mapx(piece_end, s), y, layer)
-            )
-            x = piece_end
-    return out
 
 
 def collinear_multilayer_metrics(

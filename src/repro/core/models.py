@@ -51,7 +51,7 @@ class ThompsonModel:
                 f"Thompson model embeds nodes in the plane (found active "
                 f"layers {sorted(active)})"
             )
-        if any(w.riser is not None for w in layout.wires):
+        if layout.wire_table().wire_is_riser.any():
             raise LayoutError("Thompson model has no z-direction wires")
         return validate_layout(layout, check_parity=True)
 
@@ -78,7 +78,7 @@ class MultilayerGridModel:
                 "the 2-D variant embeds nodes in the first layer "
                 f"(found active layers {sorted(active)})"
             )
-        if any(w.riser is not None for w in layout.wires):
+        if layout.wire_table().wire_is_riser.any():
             raise LayoutError(
                 "riser wires require the 3-D variant of the model"
             )
@@ -114,7 +114,7 @@ class Multilayer3DModel:
 def model_of(layout: GridLayout):
     """The strongest of the three models ``layout`` satisfies."""
     active = {p.layer for p in layout.placements.values()} or {1}
-    has_risers = any(w.riser is not None for w in layout.wires)
+    has_risers = layout.wire_table().wire_is_riser.any()
     if len(active) > 1 or has_risers or active != {1}:
         model = Multilayer3DModel(layout.layers, len(active))
         model.check(layout)

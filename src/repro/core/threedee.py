@@ -36,8 +36,8 @@ from __future__ import annotations
 from typing import Hashable
 
 from repro.core.schemes import layout_grid
-from repro.grid.layout import GridLayout
-from repro.grid.wire import Wire
+from repro.grid.layout import GridLayout, Placement
+from repro.grid.table import WireTable
 from repro.topology.base import Network, build_network
 from repro.topology.product import ProductNetwork
 
@@ -97,7 +97,8 @@ def layout_product_3d(
         (x, y), _z = node
         return (b_index[y], a_index[x])
 
-    merged = GridLayout(layers=layers)
+    placements: dict = {}
+    decks_rows = []
     free_offsets: dict[tuple, list[int]] | None = None
     geometry: dict[tuple, tuple[int, int]] = {}  # (x,y) -> (pin_x0, top_y)
 
@@ -111,15 +112,10 @@ def layout_product_3d(
             name=f"deck {z}",
         )
         base = d * l_per
-        # Merge placements and wires, shifting layers into the deck band.
+        # Merge placements and rows, shifting layers into the deck band.
         for node, p in lay.placements.items():
-            merged.place(node, p.rect, layer=base + 1)
-        for w in lay.wires:
-            shifted = [
-                type(s)(s.x1, s.y1, s.x2, s.y2, s.layer + base)
-                for s in w.segments
-            ]
-            merged.add_wire(Wire(w.u, w.v, shifted, edge_key=w.edge_key))
+            placements[node] = Placement(node, p.rect, layer=base + 1)
+        decks_rows.append(lay.wire_table())
         # Free top-pin offsets are deck-invariant; compute once.
         if free_offsets is None:
             free_offsets = _free_top_offsets(lay, side)
@@ -138,6 +134,8 @@ def layout_product_3d(
                 f"risers (has {len(free)}); raise node_side"
             )
 
+    ends = []
+    risers = []
     for (z1, z2) in c.edges:
         color = colors[(z1, z2)]
         d1, d2 = sorted((deck_index[z1], deck_index[z2]))
@@ -146,12 +144,20 @@ def layout_product_3d(
         for xy in geometry:
             x0, top_y = geometry[xy]
             px = x0 + free_offsets[xy][color]
-            merged.add_wire(
-                Wire.make_riser((xy, z1), (xy, z2), px, top_y, z_lo, z_hi)
-            )
-
-    merged.meta.update(
-        {
+            risers.append((len(risers), px, top_y, z_lo, z_hi))
+            ends.append(((xy, z1), (xy, z2)))
+    riser_rows = WireTable.from_rows(
+        [], [], [], [], [], [], [0] * (len(risers) + 1),
+        [u for u, _ in ends], [v for _, v in ends], [0] * len(risers), {},
+        risers=risers,
+    )
+    table = WireTable.stack(
+        decks_rows + [riser_rows], [d * l_per for d in range(D)] + [0],
+        placements,
+    )
+    return GridLayout(
+        layers, placements, table,
+        meta={
             "scheme": "multilayer-3d-grid",
             "name": f"({ab.name}) x ({c.name}) 3-D L={layers}",
             "decks": D,
@@ -160,9 +166,8 @@ def layout_product_3d(
             "network": net.name,
             "num_nodes": net.num_nodes,
             "node_side": side,
-        }
+        },
     )
-    return merged
 
 
 def _riser_colors(c: Network, deck_index: dict) -> dict[tuple, int]:
@@ -197,13 +202,14 @@ def _free_top_offsets(lay: GridLayout, side: int) -> dict[tuple, list[int]]:
     # Endpoint order of single-segment wires is normalization-dependent,
     # so attribute each endpoint to whichever of the wire's nodes it
     # touches.
-    for w in lay.wires:
-        for pt in (w.start, w.end):
-            for node in (w.u, w.v):
-                (xy, _z) = node
+    table = lay.wire_table()
+    sx, sy, ex, ey = (a.tolist() for a in table.wire_endpoints())
+    for u, v, *pins in zip(table.wire_u, table.wire_v, sx, sy, ex, ey):
+        for px, py in (pins[:2], pins[2:]):
+            for (xy, _z) in (u, v):
                 r = rects[xy]
-                if pt.y == r.y0 and r.x0 <= pt.x <= r.x1:
-                    used[xy].add(pt.x - r.x0)
+                if py == r.y0 and r.x0 <= px <= r.x1:
+                    used[xy].add(px - r.x0)
     return {
         xy: sorted(set(range(side)) - offsets)
         for xy, offsets in used.items()

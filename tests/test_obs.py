@@ -140,20 +140,6 @@ class TestSpans:
         assert "build" in text and "  pack" in text
         assert "name=ring" in text and "wires:5" in text
 
-    def test_wire_table_build_has_its_own_span(self):
-        """The lazy table build is charged to ``wire_table.build``, once,
-        not to whichever validator check first asked for the table."""
-        lay = layout_hypercube(4, layers=4)
-        lay.invalidate_table()
-        obs.enable()
-        validate_layout(lay)
-        builds = obs.find_spans("wire_table.build")
-        assert len(builds) == 1
-        assert builds[0].attrs["wires"] == len(lay.wires)
-        obs.reset_trace()
-        validate_layout(lay)
-        assert obs.find_spans("wire_table.build") == []
-
     def test_traffic_setup_has_its_own_spans(self):
         """A traced ``simulate_fast`` charges its set-up to
         ``routing.table`` and ``simulate.routes``, beside the engine."""

@@ -1,12 +1,13 @@
-"""WireTable parity: the geometry kernel vs the object graph, exactly.
+"""WireTable parity: the geometry store vs its object view, exactly.
 
-Every consumer rerouted onto :class:`~repro.grid.table.WireTable`
-(metrics, delays, serialization, renderers) promises *byte-identical*
-outputs.  This module checks that promise on the full topology zoo at
-two layer budgets plus every network in the counterexample corpus:
-each table accessor against the same value computed by walking the
-``Wire``/``Segment`` objects, and every rendering against the
-rendering of an independently rebuilt copy of the layout.
+Every consumer of :class:`~repro.grid.table.WireTable` (metrics,
+delays, serialization, renderers) promises *byte-identical* outputs to
+the object-graph walks it replaced.  This module checks that promise
+on the full topology zoo at two layer budgets plus every network in
+the counterexample corpus: each table accessor against the same value
+computed by walking the ``layout.wires`` view's ``Wire``/``Segment``
+objects, and every rendering against the rendering of a copy of the
+layout loaded back from its JSON.
 """
 
 from pathlib import Path
@@ -108,8 +109,9 @@ def _segment_units(s):
 @pytest.mark.parametrize(
     "case_id,net,layers", _CASES, ids=[c[0] for c in _CASES]
 )
-def test_numpy_vs_fallback_parity(case_id, net, layers):
-    """The table's array reductions equal the object-graph walks.
+def test_table_matches_object_graph(case_id, net, layers):
+    """The table's array reductions equal walks of its materialized
+    ``layout.wires`` view.
 
     Bounds, CSR offsets, z-runs, link delays, and the oracle's unit
     expansion, each recomputed from ``Wire``/``Segment`` objects.
@@ -153,7 +155,7 @@ def test_numpy_vs_fallback_parity(case_id, net, layers):
 )
 def test_rendered_bytes_parity(case_id, net, layers):
     """JSON, SVGs and ASCII are byte-identical after a JSON round trip,
-    which rebuilds the object graph and its table from scratch."""
+    which rebuilds the table from the serialized rows."""
     def render(lay):
         return (
             layout_to_json(lay),
@@ -167,62 +169,3 @@ def test_rendered_bytes_parity(case_id, net, layers):
     rebuilt = render(layout_from_json(original[0]))
     for name, a, b in zip(("json", "svg", "stack", "ascii"), original, rebuilt):
         assert a == b, f"{name} output differs after a round trip"
-
-
-def test_table_cache_invalidation():
-    """Appending or replacing a wire rebuilds the cached table."""
-    from repro.topology import Ring
-
-    lay = dispatch_scheme(Ring(6), layers=2, scheme="auto")
-    t1 = lay.wire_table()
-    assert lay.wire_table() is t1  # cached
-
-    from repro.grid.wire import Wire
-
-    w0 = lay.wires[0]
-    lay.wires[0] = Wire(
-        w0.u, w0.v, list(w0.segments), edge_key=w0.edge_key
-    )
-    t2 = lay.wire_table()
-    assert t2 is not t1, "wire replacement must invalidate the table"
-
-    lay.invalidate_table()
-    assert lay.wire_table() is not t2
-
-
-def test_table_cache_survives_id_reuse():
-    """A replaced wire's recycled address must not serve a stale table.
-
-    CPython frees the old ``Wire`` the moment the last reference
-    drops and eagerly hands its address to the next allocation, so a
-    stamp of stored ``id()`` ints can collide with a *different* wire
-    at the same address and keep a stale cache (the fuzzer's
-    dirty-region stage caught ``clone_layout`` serializing pre-edit
-    geometry this way).  Assert the two mechanisms that close the
-    hole: the stamp strong-references the stamped wires (their ids
-    cannot be recycled while the cache lives), and the mutation API
-    drops the cache without consulting the stamp at all.
-    """
-    from repro.grid.wire import Wire
-    from repro.topology import Ring
-
-    lay = dispatch_scheme(Ring(6), layers=2, scheme="auto")
-    t1 = lay.wire_table()
-    # The builder hands over a finished table; the stamp applies once
-    # the wires are built from its rows.
-    lay.wires
-    assert lay.wire_table() is t1
-    stamped = lay._table_stamp[1]
-    assert len(stamped) == len(lay.wires)
-    assert all(a is b for a, b in zip(stamped, lay.wires))
-
-    w0 = lay.wires[0]
-    lay.replace_wire(
-        0, Wire(w0.u, w0.v, list(w0.segments), edge_key=w0.edge_key)
-    )
-    assert lay._table is None, "mutation API must drop the cache eagerly"
-    t2 = lay.wire_table()
-    assert t2 is not t1
-    # The old stamp kept w0 alive until the rebuild; the new one holds
-    # the replacement.
-    assert lay._table_stamp[1][0] is lay.wires[0]
