@@ -2,7 +2,7 @@
 
 The kernels live in :mod:`repro.accel.vector` and run on numpy arrays:
 validator clean-tests over :class:`repro.grid.table.WireTable` columns,
-per-wire extents for dirty-region tracking, and the exact-cutwidth DP.
+per-wire boxes for dirty-region tracking, and the exact-cutwidth DP.
 Validator kernels are *conservative*: a "clean" verdict is only
 returned when the scalar check provably accepts, so callers fall back
 to the original scalar sweep -- and its byte-identical error message --
