@@ -363,7 +363,7 @@ def _stage_dirty_region(case: CheckCase, res: CheckResult, opts: dict) -> None:
     A clone of the case's largest-L layout is validated with
     ``incremental=True`` (arming the dirty tracker), then mutated in
     rounds of 1-3 random edits -- ``mutate_layout`` routes each through
-    ``GridLayout.replace_wire``, so the tracker sees every one.  After
+    ``GridLayout.splice``, so the tracker sees every one.  After
     every round the incremental verdict must match a from-scratch
     ``validate_layout`` of a fresh clone; only verdicts are compared
     (a broken layout may hold several conflicts, and the two paths may
