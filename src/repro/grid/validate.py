@@ -575,19 +575,13 @@ def _node_seg_sweep_scalar(layout: GridLayout) -> None:
 
 def _check_pins(layout: GridLayout) -> None:
     table = layout.wire_table()
-    rows: dict[Hashable, int] = {}
-    for i, label in enumerate(layout.placements):
-        rows[label] = i
-    u_rows: list[int] = []
-    v_rows: list[int] = []
-    for u, v in zip(table.wire_u, table.wire_v):
-        iu = rows.get(u)
-        iv = rows.get(v)
-        if iu is None or iv is None:
-            # Unplaced endpoint: let the scalar check raise its message.
-            return _pins_scalar(layout)
-        u_rows.append(iu)
-        v_rows.append(iv)
+    placements = layout.placements
+    rows = dict(zip(placements, range(len(placements))))
+    u_rows = list(map(rows.get, table.wire_u))
+    v_rows = list(map(rows.get, table.wire_v))
+    if None in u_rows or None in v_rows:
+        # Unplaced endpoint: let the scalar check raise its message.
+        return _pins_scalar(layout)
     if _accel.pins_clean(table, u_rows, v_rows):
         return
     _pins_scalar(layout)

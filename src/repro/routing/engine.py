@@ -19,7 +19,12 @@ handled in place, one pass in ascending message index.  All state lives
 in plain python lists: the arbitration loop is scalar element access,
 where list indexing beats ndarray item access several-fold, and an
 int64 batch path over large buckets measured slower end to end at
-saturation than this scalar loop.
+saturation than this scalar loop.  The three hot paths (uncontended
+acquire, busy-link join, wake) push onto the calendar inline; only the
+rare contended arbitration is a helper call.  Each message walks a
+cursor into one flat array of hop link ids.  Links are recorded in a
+list at their first acquisition, which happens in the oracle's dict
+insertion order, so the result dicts need no sort.
 
 Set-up runs on integer node ids.  Each call builds its own
 :class:`~repro.routing.paths.RoutingTable` (span ``routing.table``),
@@ -30,10 +35,12 @@ turned back into label pairs, for delays and the result dicts.
 Parity caveat: when a hop's advance delay is 0 (``router_overhead=0``
 with zero-delay wires) a message hops several times inside one cycle
 and the oracle interleaves those sub-steps by message index, which the
-batch model replays in hop-waves instead.  Aggregate results still
-agree, but the busiest-link tie-break may not; every delay model in
-this repo (and ``router_overhead >= 1``) keeps advances positive, where
-parity is exact.
+batch model replays in hop-waves instead.  Latencies and per-link
+totals still agree, but the busiest-link tie-break and the queue-depth
+tally may not (``test_zero_delay_order_is_pinned`` pins the engine's
+own answer); every delay model in this repo (and
+``router_overhead >= 1``) keeps advances positive, where parity is
+exact.
 """
 
 from __future__ import annotations
@@ -105,20 +112,19 @@ def simulate_fast(
             # these per hop, and WireTable delays may arrive as np.int64.
             d_of[li] = int(d)
             busy_of[li] = int(b)
-    nhops = [offsets[i + 1] - offsets[i] for i in range(n_msgs)]
     tail = message_length - 1 if mode == "cut_through" else 0
 
-    # Mutable state lives in plain python lists: link arbitration is
-    # scalar element access, and list indexing is several-fold cheaper
-    # than ndarray item access.
-    hop = [0] * n_msgs
+    # Message i's next hop is flat[pos[i]]; it has arrived once pos[i]
+    # reaches end[i].  A link's busy time is its load times busy_of, and
+    # its queue length is len(queues[li]).
+    pos = offsets[:-1]
+    end = offsets[1:]
     free = [0] * n_links
-    qlen = [0] * n_links
     load = [0] * n_links
-    busy_time = [0] * n_links
-    first_seq = [-1] * n_links
     wake_sched = [-1] * n_links
     queues: list[list[int]] = [[] for _ in range(n_links)]
+    # Links in order of first acquisition: the oracle's dict order.
+    first_use: list[int] = []
 
     depth_hist: dict[int, int] = {}
     lat_hist = Histogram(LATENCY_BOUNDS)
@@ -126,161 +132,144 @@ def simulate_fast(
     makespan = 0
     active = n_msgs
     events = 0
-    seq = 0
-    new_first: dict = {}
 
-    # Calendar queue: message and wake events live in per-time buckets;
-    # a heap of distinct times (deduped by set) orders the batches.
-    # Hot helpers bind their state through default args -- local slot
-    # access beats closure-cell dereferences in the arbitration loop.
+    # Calendar queue: message and wake events live in per-time buckets,
+    # and ``times`` is a heap of the times that have a bucket.  A time
+    # is pushed when its first bucket opens, so each appears once.
     msg_at: dict[int, list[int]] = {}
     wake_at: dict[int, list[int]] = {}
-    times: list[int] = []
-    in_heap: set[int] = set()
-
-    def sched_msg(
-        i, t, *, msg_at=msg_at, in_heap=in_heap, times=times,
-        heappush=heapq.heappush,
-    ):
-        b = msg_at.get(t)
-        if b is None:
-            msg_at[t] = [i]
-            if t not in in_heap:
-                in_heap.add(t)
-                heappush(times, t)
-        else:
-            b.append(i)
-
-    def sched_wake(
-        li, t, *, wake_sched=wake_sched, wake_at=wake_at, in_heap=in_heap,
-        times=times, heappush=heapq.heappush,
-    ):
-        if wake_sched[li] == t:
-            return
-        wake_sched[li] = t
-        b = wake_at.get(t)
-        if b is None:
-            wake_at[t] = [li]
-            if t not in in_heap:
-                in_heap.add(t)
-                heappush(times, t)
-        else:
-            b.append(li)
-
-    def resolve(
-        li, group, t_now, *, queues=queues, free=free, qlen=qlen,
-        load=load, busy_time=busy_time, first_seq=first_seq, hop=hop,
-        busy_of=busy_of, d_of=d_of, depth_hist=depth_hist,
-        new_first=new_first, sched_msg=sched_msg, sched_wake=sched_wake,
-        heappop=heapq.heappop, heappush=heapq.heappush,
-    ):
-        """Arbitrate link ``li`` at ``t_now``.
-
-        ``group`` holds this bucket's movers for the link in ascending
-        message index.  Matches the oracle exactly: while the link is
-        free, the lowest index among (queued waiters, new movers) wins;
-        leftovers join the waiter heap, each recording the queue depth
-        it found (its own slot included), exactly once per wait.
-        """
-        q = queues[li]
-        gpos = 0
-        glen = len(group)
-        f = free[li]
-        if f <= t_now and (q or glen):
-            b = busy_of[li]
-            nt = t_now + d_of[li]
-            while f <= t_now and (q or gpos < glen):
-                cand = group[gpos] if gpos < glen else None
-                if q and (cand is None or q[0] < cand):
-                    w = heappop(q)
-                    qlen[li] -= 1
-                else:
-                    w = cand
-                    gpos += 1
-                f = t_now + b
-                busy_time[li] += b
-                load[li] += 1
-                if first_seq[li] < 0 and li not in new_first:
-                    new_first[li] = w
-                hop[w] += 1
-                sched_msg(w, nt)
-            free[li] = f
-        for k in range(gpos, glen):
-            qlen[li] += 1
-            depth = qlen[li]
-            depth_hist[depth] = depth_hist.get(depth, 0) + 1
-            heappush(q, group[k])
-        if q:
-            sched_wake(li, f)
-
     for i, s in enumerate(starts):
-        sched_msg(i, int(s))
-
+        s = int(s)
+        bucket = msg_at.get(s)
+        if bucket is None:
+            msg_at[s] = [i]
+        else:
+            bucket.append(i)
+    times = list(msg_at)
+    heapq.heapify(times)
     heappop = heapq.heappop
     heappush = heapq.heappush
+
+    def resolve(li, i, t_now):
+        """Arbitrate link ``li`` at ``t_now`` between its waiters and
+        mover ``i`` (``-1`` for none).
+
+        Matches the oracle exactly: while the link is free, the lowest
+        index among (queued waiters, mover) wins; a mover left over
+        joins the waiter heap, recording the queue depth it found (its
+        own slot included).  The link has waiters, so it was acquired
+        before and none of these wins is a first use.
+        """
+        q = queues[li]
+        f = free[li]
+        b = busy_of[li]
+        nt = t_now + d_of[li]
+        while f <= t_now and (q or i >= 0):
+            if q and (i < 0 or q[0] < i):
+                w = heappop(q)
+            else:
+                w, i = i, -1
+            f = t_now + b
+            load[li] += 1
+            pos[w] += 1
+            bucket = msg_at.get(nt)
+            if bucket is None:
+                msg_at[nt] = [w]
+                if nt not in wake_at:
+                    heappush(times, nt)
+            else:
+                bucket.append(w)
+        free[li] = f
+        if i >= 0:
+            heappush(q, i)
+            depth = len(q)
+            depth_hist[depth] = depth_hist.get(depth, 0) + 1
+        if q and wake_sched[li] != f:
+            wake_sched[li] = f
+            bucket = wake_at.get(f)
+            if bucket is None:
+                wake_at[f] = [li]
+                if f not in msg_at:
+                    heappush(times, f)
+            else:
+                bucket.append(li)
+
+    # The three hot paths below (uncontended acquire, busy-link join,
+    # wake) push onto the calendar inline.  A wake is always scheduled
+    # after the current time, so a stale ``wake_sched`` entry never
+    # equals a new wake time and needs no reset.
     with obs.span(
         "simulate.engine", messages=n_msgs, mode=mode,
         message_length=message_length,
     ) as sp:
         while active and times:
             t_now = heappop(times)
-            in_heap.discard(t_now)
-            movers_raw = msg_at.pop(t_now, None)
+            movers = msg_at.pop(t_now, None)
             wakes = wake_at.pop(t_now, None)
-            events += (len(movers_raw) if movers_raw else 0) + (
+            events += (len(movers) if movers else 0) + (
                 len(wakes) if wakes else 0
             )
             if events > max_cycles:
                 raise RuntimeError("simulation exceeded max_cycles")
-            new_first.clear()
-            if wakes:
-                for li in wakes:
-                    wake_sched[li] = -1
-            if movers_raw:
-                # One pass, each mover handled in place.  Movers come
-                # sorted, so the first mover a link sees in this bucket
-                # is the lowest index -- instant-acquire and queue-join
-                # below reproduce grouped arbitration exactly (later
-                # same-bucket movers find the link busy & queue).
-                movers_raw.sort()
-                for i in movers_raw:
-                    hp = hop[i]
-                    if hp >= nhops[i]:
-                        done = t_now + tail if nhops[i] else t_now
+            if movers:
+                # One pass in ascending message index, each mover handled
+                # in place: the first mover a link sees in this bucket is
+                # the lowest index, and later ones find it busy and queue,
+                # which is the oracle's grouped arbitration.  First uses
+                # therefore happen in winner-index order, the order in
+                # which the oracle inserts into its link dicts.
+                movers.sort()
+                for i in movers:
+                    p = pos[i]
+                    if p == end[i]:
+                        done = t_now + tail if p != offsets[i] else t_now
                         if done > makespan:
                             makespan = done
                         lats.append(done - starts[i])
                         active -= 1
                         continue
-                    li = flat[offsets[i] + hp]
+                    li = flat[p]
                     f = free[li]
                     if f > t_now:
                         # Busy link: join the waiter heap, record the
                         # depth found (own slot included), exactly once.
-                        qlen[li] = depth = qlen[li] + 1
+                        q = queues[li]
+                        heappush(q, i)
+                        depth = len(q)
                         depth_hist[depth] = depth_hist.get(depth, 0) + 1
-                        heappush(queues[li], i)
-                        sched_wake(li, f)
+                        if wake_sched[li] != f:
+                            wake_sched[li] = f
+                            bucket = wake_at.get(f)
+                            if bucket is None:
+                                wake_at[f] = [li]
+                                if f not in msg_at:
+                                    heappush(times, f)
+                            else:
+                                bucket.append(li)
                     elif not queues[li]:
                         # Free link, no waiters: uncontended acquire.
-                        b = busy_of[li]
-                        free[li] = t_now + b
-                        busy_time[li] += b
-                        load[li] += 1
-                        if first_seq[li] < 0 and li not in new_first:
-                            new_first[li] = i
-                        hop[i] += 1
-                        sched_msg(i, t_now + d_of[li])
+                        free[li] = t_now + busy_of[li]
+                        n = load[li]
+                        if not n:
+                            first_use.append(li)
+                        load[li] = n + 1
+                        pos[i] = p + 1
+                        nt = t_now + d_of[li]
+                        bucket = msg_at.get(nt)
+                        if bucket is None:
+                            msg_at[nt] = [i]
+                            if nt not in wake_at:
+                                heappush(times, nt)
+                        else:
+                            bucket.append(i)
                     else:
-                        resolve(li, [i], t_now)
+                        resolve(li, i, t_now)
             if wakes:
                 # A pending wake whose link is still free at t_now was
                 # not serviced by this bucket's movers: its queue is
-                # intact and non-empty, and the link was first-acquired
-                # in an earlier bucket, so the head waiter wins
-                # unconditionally -- no arbitration needed.  A link
-                # already re-acquired this bucket (free > t_now) had its
-                # queue arbitrated by resolve(), which re-scheduled the
+                # intact, and the head waiter wins unconditionally.  A
+                # link already re-acquired this bucket (free > t_now) had
+                # its queue arbitrated by resolve(), which scheduled the
                 # next wake.
                 for li in wakes:
                     if free[li] > t_now:
@@ -290,27 +279,29 @@ def simulate_fast(
                     if not q or not b:
                         # Zero busy time drains several waiters per
                         # cycle; keep that rarity in the general path.
-                        resolve(li, [], t_now)
+                        resolve(li, -1, t_now)
                         continue
                     w = heappop(q)
-                    nq = qlen[li] - 1
-                    qlen[li] = nq
                     free[li] = f = t_now + b
-                    busy_time[li] += b
                     load[li] += 1
-                    hop[w] += 1
-                    sched_msg(w, t_now + d_of[li])
-                    if nq:
-                        sched_wake(li, f)
-            # First use of each link this bucket gets its sequence
-            # number in winner-index order -- the oracle inserts into
-            # its link dicts in exactly that order at equal times.
-            if new_first:
-                for li, _w in sorted(
-                    new_first.items(), key=lambda kv: kv[1]
-                ):
-                    first_seq[li] = seq
-                    seq += 1
+                    pos[w] += 1
+                    nt = t_now + d_of[li]
+                    bucket = msg_at.get(nt)
+                    if bucket is None:
+                        msg_at[nt] = [w]
+                        if nt not in wake_at:
+                            heappush(times, nt)
+                    else:
+                        bucket.append(w)
+                    if q:
+                        wake_sched[li] = f
+                        bucket = wake_at.get(f)
+                        if bucket is None:
+                            wake_at[f] = [li]
+                            if f not in msg_at:
+                                heappush(times, f)
+                        else:
+                            bucket.append(li)
         sp.add("events", events)
 
     if active:
@@ -322,15 +313,12 @@ def simulate_fast(
     # oracle's per-arrival observations.
     lat_hist.observe_many(lats)
 
-    used = sorted(
-        (int(first_seq[li]), li) for li in range(n_links) if load[li] > 0
-    )
     link_load: dict[tuple, int] = {}
     link_busy_time: dict[tuple, int] = {}
-    for _s, li in used:
+    for li in first_use:
         pair = link_pairs[li]
-        link_load[pair] = int(load[li])
-        link_busy_time[pair] = int(busy_time[li])
+        link_load[pair] = load[li]
+        link_busy_time[pair] = load[li] * busy_of[li]
     return _finalize_result(
         makespan=int(makespan),
         lat_hist=lat_hist,
@@ -456,13 +444,17 @@ def saturation_sweep(
     "max_latency", "makespan", "max_utilization"}`` where ``offered``
     is the measured injection rate (messages per node-cycle).  Feed the
     rows to :func:`knee_point` to locate the saturation knee.
-    ``engine`` is ``"fast"`` (the default) or ``"oracle"``.
+    ``engine`` is ``"fast"`` (the default) or ``"oracle"``.  The fast
+    engine builds the shortest-hop table once for the whole sweep when
+    no ``router`` is given; the oracle keeps its own per-run dict BFS.
     """
     from repro.routing.simulator import simulate
     from repro.routing.traffic import make_workload
 
     if engine not in ("fast", "oracle"):
         raise ValueError(f"unknown engine {engine!r}")
+    if engine == "fast" and router is None:
+        router = shortest_hop_routes(network)
     rows = []
     n_nodes = network.num_nodes
     for rate in sorted(rates):

@@ -127,6 +127,22 @@ class RoutingTable:
         return path
 
 
+def _neighbour_matrix(
+    network: Network, dead: set[frozenset] | None = None
+) -> np.ndarray:
+    """The network's neighbours as an ``(n, width)`` matrix of node
+    ids, each row in :attr:`Network.adjacency` order without the
+    ``dead`` links, padded with the sentinel ``n``."""
+    indptr, indices = _adjacency_csr(network, dead)
+    n = network.num_nodes
+    deg = np.diff(indptr)
+    width = max(int(deg.max(initial=0)), 1)
+    rows = np.repeat(np.arange(n), deg)
+    nbr = np.full((n, width), n, np.int32)
+    nbr[rows, np.arange(indices.size) - indptr[rows]] = indices
+    return nbr
+
+
 def _adjacency_csr(
     network: Network, dead: set[frozenset] | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -167,42 +183,43 @@ def shortest_hop_routes(
         nodes = list(network.nodes)
         n = len(nodes)
         dead = {frozenset(e) for e in failed_links} if failed_links else None
-        indptr, indices = _adjacency_csr(network, dead)
-        deg = np.diff(indptr)
-
-        nh = np.full(n * n, -1, np.int32)
-        ids = np.arange(n, dtype=np.int64)
-        nh[ids * n + ids] = ids
+        nbr = _neighbour_matrix(network, dead)
+        width = nbr.shape[1]
+        # Next hops live in an n x (n + 1) array: column n is the
+        # sentinel the neighbour matrix pads with, set to read visited.
+        # Keys and candidate ranks stay below n * m * width.
+        m = n + 1
+        dtype = np.int32 if n * m * width < 2**31 else np.int64
+        nh = np.full((n, m), -1, dtype)
+        ids = np.arange(n, dtype=dtype)
+        nh[ids, ids] = ids
+        nh[:, n] = n
+        nh = nh.reshape(-1)
         # The frontier holds one entry per (destination, node) pair,
         # ordered by (destination, queue rank); ``f_base`` is
-        # destination * n, the row offset of its next-hop entries.
+        # destination * m, the row offset of its next-hop entries.
         f_node = ids
-        f_base = ids * n
-        unset = np.iinfo(np.int64).max
-        first = np.full(n * n, unset, np.int64)
+        f_base = ids * m
+        # first[key]: the lowest candidate rank of ``key`` in its level.
+        # Every key a level touches gets its next hop in that level, so
+        # it never comes back and the entry needs no reset.
+        first = np.full(n * m, np.iinfo(dtype).max, dtype)
         while f_node.size:
-            fdeg = deg[f_node]
-            ends = np.cumsum(fdeg)
-            total = int(ends[-1])
-            if not total:
-                break
-            # Candidates: every adjacency entry of every frontier entry,
-            # in order; ``owner`` is the frontier entry each came from.
-            owner = np.repeat(np.arange(f_node.size), fdeg)
-            shift = indptr[f_node] - (ends - fdeg)
-            key = indices[np.arange(total) + shift[owner]] + f_base[owner]
+            # Candidates: every neighbour of every frontier entry, in
+            # (frontier, adjacency position) order, as one 2-D gather.
+            key = (nbr[f_node] + f_base[:, None]).reshape(-1)
             fresh = np.flatnonzero(nh[key] < 0)
             key = key[fresh]
             # Keep the first candidate per (destination, node) key.
-            order = np.arange(key.size, dtype=np.int64)
+            order = np.arange(key.size, dtype=dtype)
             np.minimum.at(first, key, order)
             keep = first[key] == order
-            first[key] = unset
             key = key[keep]
-            nh[key] = f_node[owner[fresh[keep]]]
-            f_node = key % n
+            nh[key] = f_node[fresh[keep] // width]
+            f_node = key % m
             f_base = key - f_node
-        return RoutingTable(nodes, nh.reshape(n, n))
+        next_hop = nh.reshape(n, m)[:, :n].astype(np.int32)
+        return RoutingTable(nodes, next_hop)
 
 
 def layout_link_delays(

@@ -10,6 +10,7 @@ under L=2/L=4 layout-derived delays x every workload kind x 5 seeds.
 
 import pytest
 
+from repro import obs
 from repro.batch.spec import dispatch_scheme
 from repro.core import layout_hypercube
 from repro.routing import (
@@ -18,6 +19,7 @@ from repro.routing import (
     layout_link_delays,
     make_workload,
     min_wire_routes,
+    saturation_sweep,
     shortest_hop_routes,
     simulate,
     simulate_fast,
@@ -166,12 +168,98 @@ class TestModesAndRouters:
     def test_timed_and_degenerate_messages(self):
         net = Ring(6)
         msgs = [(2, 2), (0, 3, 7), (1, 1, 4), (5, 2)]
-        oracle = simulate(net, msgs)
-        _assert_field_parity(oracle, simulate_fast(net, msgs))
+        for mode, length in [("store_forward", 1), ("cut_through", 4)]:
+            kwargs = dict(mode=mode, message_length=length)
+            oracle = simulate(net, msgs, **kwargs)
+            _assert_field_parity(oracle, simulate_fast(net, msgs, **kwargs))
 
     def test_empty_run(self):
         oracle = simulate(Ring(4), [])
         _assert_field_parity(oracle, simulate_fast(Ring(4), []))
+
+
+class TestSaturation:
+    """Uniform traffic at rate 1.0 with 16-flit messages: the regime of
+    the ``traffic-sat`` benchmark, with deep queues on most links."""
+
+    @pytest.mark.parametrize("mode", ["store_forward", "cut_through"])
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_saturated_hypercube_matches(self, n, mode):
+        net = Hypercube(n)
+        link_delay = layout_link_delays(
+            layout_hypercube(n, layers=4, node_side="min")
+        )
+        for seed in range(5):
+            msgs = uniform(net, rate=1.0, duration=16, seed=seed)
+            kwargs = dict(link_delay=link_delay, mode=mode, message_length=16)
+            oracle = simulate(net, msgs, **kwargs)
+            fast = simulate_fast(net, msgs, **kwargs)
+            assert fast == oracle
+            assert list(fast.link_utilization) == list(oracle.link_utilization)
+
+
+def test_saturation_sweep_builds_one_table():
+    net = Hypercube(5)
+    rates = [0.1, 0.5, 1.0]
+    obs.reset()
+    obs.enable()
+    try:
+        rows = saturation_sweep(
+            net, rates=rates, duration=8, seed=3, message_length=4
+        )
+        tables = obs.find_spans("routing.table")
+    finally:
+        obs.disable()
+        obs.reset()
+    assert len(tables) == 1
+    for rate, row in zip(rates, rows):
+        msgs = make_workload("uniform", net, seed=3, rate=rate, duration=8)
+        res = simulate_fast(net, msgs, message_length=4)
+        assert row["rate"] == rate
+        assert row["messages"] == len(msgs)
+        assert (row["avg_latency"], row["p50"], row["p99"]) == (
+            res.avg_latency, res.latency_p50, res.latency_p99
+        )
+        assert (row["max_latency"], row["makespan"]) == (
+            res.max_latency, res.makespan
+        )
+        assert row["max_utilization"] == res.max_utilization
+
+
+# With zero advance delays the oracle's order of first link use is not
+# promised (see the engine docstring); these pin the engine's own order,
+# busiest link and queue depths for two such runs.
+ZERO_DELAY_PINS = {
+    ("store_forward", 1): ((1, 0), [
+        (0, 1), (1, 0), (2, 0), (3, 1), (4, 0), (5, 4), (6, 4), (7, 5),
+        (0, 2), (0, 4), (4, 6), (4, 5), (1, 5), (2, 6), (3, 2), (5, 1),
+        (6, 2), (1, 3), (6, 7), (7, 3), (3, 7), (5, 7), (2, 3),
+    ], {}),
+    ("cut_through", 4): ((1, 0), [
+        (0, 1), (1, 0), (2, 0), (3, 1), (4, 0), (5, 4), (6, 4), (7, 5),
+        (0, 2), (0, 4), (4, 6), (4, 5), (1, 5), (2, 6), (3, 2), (5, 1),
+        (6, 2), (1, 3), (6, 7), (7, 3), (3, 7), (2, 3), (5, 7),
+    ], {1: 22, 2: 19, 3: 10, 4: 2}),
+}
+
+
+@pytest.mark.parametrize("mode,length", sorted(ZERO_DELAY_PINS))
+def test_zero_delay_order_is_pinned(mode, length):
+    net = Hypercube(3)
+    msgs = uniform(net, rate=1.0, duration=6, seed=2)
+    kwargs = dict(
+        default_delay=0, router_overhead=0, mode=mode, message_length=length
+    )
+    fast = simulate_fast(net, msgs, **kwargs)
+    busiest, order, depths = ZERO_DELAY_PINS[mode, length]
+    assert fast.busiest_link == busiest
+    assert list(fast.link_utilization) == order
+    assert fast.queue_depth_hist == depths
+    # Latencies and per-link totals still match the oracle.
+    oracle = simulate(net, msgs, **kwargs)
+    assert fast.latency_hist == oracle.latency_hist
+    assert fast.makespan == oracle.makespan
+    assert fast.link_utilization == oracle.link_utilization
 
 
 class TestErrorParity:
