@@ -1,37 +1,29 @@
-"""The parallel sweep engine: expand, fan out, merge deterministically.
+"""The parallel sweep engine, and the worker fan-out it shares with
+the differential fuzzer.
 
-:class:`SweepRunner` executes a :class:`~repro.batch.spec.SweepSpec`:
+:class:`SweepRunner` executes a :class:`~repro.batch.spec.SweepSpec`.
+Every job is **pure** (network spec + scheme + layers -> layout +
+metrics), so the merged result -- jobs in spec order, deterministic
+fields only -- is byte-for-byte independent of the worker count, and
+every job is backed by the content-addressed
+:class:`~repro.batch.cache.LayoutCache` (a hit skips build, validation
+*and* measurement).
 
-* every job is **pure** (network spec + scheme + layers -> layout +
-  metrics), so jobs run in any order on any worker and the merged
-  result -- jobs reassembled in spec order, with deterministic fields
-  only -- is byte-for-byte independent of the worker count;
-* every job is backed by the content-addressed
-  :class:`~repro.batch.cache.LayoutCache` (when a cache directory is
-  given): a hit skips build, validation *and* measurement, returning
-  the stored metrics;
-* with ``workers > 1`` each round-robin job slice runs in its own
-  ``multiprocessing.Process`` (``fork`` start method where the
-  platform offers it -- workers then inherit the warm interpreter;
-  ``spawn`` elsewhere).  Workers hand results back through atomically
-  written ``result-<wid>.json`` files in the run directory rather
-  than a pool future, so one worker dying (OOM kill, SIGKILL) costs
-  only its own slice: the parent still merges every surviving
-  worker's rows and records the loss in ``worker_health``.  Workers
-  run with observability on and the parent folds their full metric
-  snapshots into its own :mod:`repro.obs` registry *and* re-roots
-  their span forests under per-worker ``sweep.worker`` spans, so
-  ``--report``, ``--trace``, and the ``--trace-out`` exporters see
-  everything that happened in children;
-* runs are observable **while they happen**: each worker keeps a
-  ``heartbeat-<wid>.json`` fresh (jobs done, current job, RSS) on a
-  jobs-or-seconds cadence, a :class:`repro.obs.live.Watchdog` thread
-  in the parent classifies workers ``ok`` / ``stalled`` / ``dead``
-  (verdicts land in :attr:`SweepResult.worker_health` and the
-  structured log), and ``python -m repro watch RUNDIR`` renders the
-  whole picture.  Give :class:`SweepRunner` a ``run_dir`` to keep
-  those artifacts (plus a ``log.jsonl`` and the run manifest); without
-  one, parallel runs use a throwaway directory.
+:func:`fan_out` runs a :class:`FanOutTask` over items (sweep jobs, or
+fuzz case indices for :func:`repro.check.run_fuzz`): in this process
+for one worker, else one round-robin slice per
+``multiprocessing.Process`` (``fork`` where the platform offers it).
+Workers hand results back through atomically written
+``result-<wid>.json`` files rather than a pool future, so a worker
+dying (OOM kill, SIGKILL) costs only its own slice.  The parent folds
+the workers' metric snapshots into its :mod:`repro.obs` registry and
+re-roots their span forests under per-worker ``sweep.worker`` spans,
+so ``--report``, ``--trace`` and the exporters see everything children
+did.  Each worker keeps a ``heartbeat-<wid>.json`` fresh, a
+:class:`repro.obs.live.Watchdog` in the parent classifies workers
+``ok`` / ``stalled`` / ``dead``, and ``python -m repro watch RUNDIR``
+renders it live; :func:`run_directory` keeps a run directory's log and
+manifest.  Without one, parallel runs use a throwaway directory.
 """
 
 from __future__ import annotations
@@ -41,6 +33,7 @@ import os
 import shutil
 import tempfile
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from repro import obs
@@ -54,10 +47,14 @@ from repro.obs import live
 from repro.obs import logging as olog
 
 __all__ = [
+    "FanOut",
+    "FanOutTask",
     "JobResult",
     "SweepResult",
     "SweepRunner",
+    "fan_out",
     "reroot_worker_spans",
+    "run_directory",
     "run_sweep_job",
 ]
 
@@ -100,6 +97,21 @@ class JobResult:
             "source": self.source,
             "elapsed_s": self.elapsed_s,
         }
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "JobResult":
+        """The inverse of :meth:`as_dict`."""
+        return cls(
+            job_id=doc["job_id"],
+            network=doc["network"],
+            scheme=doc["scheme"],
+            layers=doc["layers"],
+            num_nodes=doc["N"],
+            num_edges=doc["E"],
+            metrics=doc["metrics"],
+            source=doc["source"],
+            elapsed_s=doc["elapsed_s"],
+        )
 
 
 @dataclass
@@ -218,11 +230,11 @@ def _serialized(built: tuple) -> tuple:
 def _maybe_fault(worker_id: int, jobs_done: int) -> None:
     """Honor ``REPRO_SWEEP_FAULT="<wid>:stop|kill"`` (tests/CI only).
 
-    After worker ``wid`` finishes its first job -- so its heartbeat
-    already carries real progress -- the worker SIGSTOPs or SIGKILLs
-    *itself*, exercising the watchdog's stalled/dead paths against a
-    real process without the test having to win a race against the
-    scheduler.
+    After child worker ``wid`` of any fan-out (sweep or fuzz) finishes
+    its first item -- so its heartbeat already carries real progress --
+    the worker SIGSTOPs or SIGKILLs *itself*, exercising the watchdog's
+    stalled/dead paths against a real process without the test having
+    to win a race against the scheduler.
     """
     spec = os.environ.get(FAULT_ENV)
     if not spec or jobs_done != 1:
@@ -240,113 +252,6 @@ def _maybe_fault(worker_id: int, jobs_done: int) -> None:
         os.kill(os.getpid(), signal.SIGSTOP)
     elif action == "kill":
         os.kill(os.getpid(), signal.SIGKILL)
-
-
-def _worker_main(payload: dict) -> None:
-    """Per-slice process entry: run jobs, beat, write ``result-<wid>``.
-
-    Everything the parent needs to merge deterministically goes into
-    one atomically written JSON file: job rows keyed by spec index,
-    the cache tally, the worker's full metrics snapshot (counters
-    *and* histograms; the parent folds it via
-    :meth:`MetricsRegistry.merge`), the serialized span forest the
-    parent re-roots under a per-worker span, and the first job
-    exception (if any) as a string.  A job failure still produces the
-    file -- partial results beat none -- and the parent re-raises.
-
-    The fixed work before the first job (log sink, cache handle,
-    registry reset, trace adoption, heartbeat writer) is one
-    ``sweep.worker.setup`` span.
-    """
-    setup_start = time.perf_counter()
-    wid = payload["worker_id"]
-    olog.fork_child(wid)
-    if not olog.configured() and payload.get("log_path"):
-        # spawn start method: module state did not survive, rebuild
-        # the sink from the payload.
-        olog.configure(
-            payload["log_path"],
-            run_id=payload.get("run_id"),
-            worker_id=wid,
-        )
-    run_dir = payload["run_dir"]
-    jobs = payload["jobs"]
-    cache = (
-        LayoutCache(payload["cache_dir"], readonly=payload["readonly"])
-        if payload["cache_dir"] is not None
-        else None
-    )
-    if payload["observe"]:
-        # A fresh registry per worker: fork inherits the parent's
-        # counts and spans, which must not be double-reported.
-        obs.reset()
-        obs.enable()
-    trace_doc = payload.get("trace")
-    if trace_doc:
-        # Adopt the run's trace context (each worker got its own
-        # span id), so sweep.job spans in children carry the same
-        # trace id as the parent's.
-        ocontext.set_context(ocontext.TraceContext.from_dict(trace_doc))
-    hb = live.HeartbeatWriter(
-        run_dir,
-        wid,
-        jobs_total=len(jobs),
-        interval_s=payload["heartbeat_s"],
-    )
-    hb.beat(force=True)
-    hb.start_pulse()
-    # The setup resets the span collector, so its span is recorded
-    # once the collector is fresh instead of opened around it.
-    obs.attach(obs.SpanRecord(
-        "sweep.worker.setup", {}, start=setup_start,
-        duration=time.perf_counter() - setup_start,
-    ))
-    olog.info("sweep.worker_start", worker_id=wid, jobs=len(jobs))
-    results: list[dict] = []
-    error = None
-    for job in jobs:
-        hb.current_job = job.job_id
-        hb.beat(force=True)
-        try:
-            res = run_sweep_job(job, cache, validate=payload["validate"])
-        except Exception as exc:  # noqa: BLE001 - reported to the parent
-            error = f"{type(exc).__name__}: {exc}"
-            olog.error(
-                "sweep.worker_error",
-                worker_id=wid,
-                job=job.job_id,
-                error=error,
-            )
-            break
-        results.append({"index": job.index, **res.as_dict()})
-        hb.job_tick(
-            cache=cache.stats.as_dict() if cache is not None else {},
-        )
-        _maybe_fault(wid, hb.jobs_done)
-    snapshot = obs.registry().snapshot() if payload["observe"] else {}
-    spans = (
-        [r.as_dict() for r in obs.trace_roots()]
-        if payload["observe"]
-        else []
-    )
-    doc = {
-        "worker_id": wid,
-        "results": results,
-        "cache_stats": cache.stats.as_dict() if cache is not None else {},
-        "snapshot": snapshot,
-        "spans": spans,
-        "error": error,
-    }
-    live.write_json_atomic(
-        os.path.join(run_dir, f"result-{wid}.json"), doc
-    )
-    hb.finish("failed" if error else "done")
-    olog.info(
-        "sweep.worker_done",
-        worker_id=wid,
-        jobs_done=len(results),
-        error=error,
-    )
 
 
 def reroot_worker_spans(
@@ -376,6 +281,295 @@ def reroot_worker_spans(
         children=children,
     )
     obs.attach(wrapper)
+
+
+# ---------------------------------------------------------------------------
+# The worker fan-out, shared by sweeps and fuzz runs
+
+
+class FanOutTask:
+    """What :func:`fan_out` runs.  A task crosses the process boundary,
+    so it holds plain settings; :meth:`open` builds per-process state
+    (a cache handle) in the process that runs the items."""
+
+    def open(self, parallel: bool) -> None:
+        pass
+
+    def label(self, item) -> str:  # the heartbeat's current job
+        return str(item)
+
+    def run(self, item) -> dict:  # one item -> its JSON-able row
+        raise NotImplementedError
+
+    def extras(self) -> dict:  # per-worker state beside the rows
+        return {}
+
+    def stop(self, row: dict) -> bool:  # stop this worker after ``row``?
+        return False
+
+
+@dataclass
+class FanOut:
+    """Rows by item position (ascending), each reporting worker's
+    extras, the final health record per child worker, and the item
+    count of each worker that handed nothing back."""
+
+    rows: dict = field(default_factory=dict)
+    extras: list = field(default_factory=list)
+    health: dict = field(default_factory=dict)
+    lost: dict = field(default_factory=dict)
+
+
+def _job_loop(task: FanOutTask, items: list, hb, *, child: bool = False):
+    """The one per-worker loop over ``(position, item)`` pairs: name
+    each item on the heartbeat, run it, tick, and (in a child worker)
+    honour :data:`FAULT_ENV`.  Returns ``(rows, exc)``, ``exc`` being
+    the exception that stopped the loop, if any."""
+    rows: dict[int, dict] = {}
+    for index, item in items:
+        if hb is not None:
+            hb.current_job = task.label(item)
+            hb.beat(force=True)
+        try:
+            rows[index] = row = task.run(item)
+        except Exception as exc:  # noqa: BLE001 - reported by the caller
+            return rows, exc
+        if hb is not None:
+            hb.job_tick(**task.extras())
+        if child:
+            _maybe_fault(hb.worker_id, hb.jobs_done)
+        if task.stop(row):
+            break
+    return rows, None
+
+
+def _fan_out_child(payload: dict) -> None:
+    """Child worker: run one slice, then write ``result-<wid>.json``
+    atomically -- rows by position, the task's extras, the metrics
+    snapshot and span forest, and the first error (partial results beat
+    none; the parent re-raises).  The fixed work before the first item
+    is one ``sweep.worker.setup`` span."""
+    setup_start = time.perf_counter()
+    wid, task, items = payload["worker_id"], payload["task"], payload["items"]
+    run_dir, observe = payload["run_dir"], payload["observe"]
+    olog.fork_child(wid)
+    if not olog.configured() and payload["log_path"]:
+        # spawn start method: rebuild the sink from the payload.
+        olog.configure(
+            payload["log_path"], run_id=payload["run_id"], worker_id=wid,
+        )
+    task.open(parallel=True)
+    if observe:
+        # A fresh registry: fork inherits the parent's counts and spans.
+        obs.reset()
+        obs.enable()
+    if payload["trace"]:
+        # Adopt the run's trace context, so child spans share its id.
+        ocontext.set_context(ocontext.TraceContext.from_dict(payload["trace"]))
+    hb = live.HeartbeatWriter(
+        run_dir, wid, jobs_total=len(items), interval_s=payload["heartbeat_s"],
+    ).start_pulse()
+    # The setup resets the span collector, so its span is attached
+    # afterwards rather than opened around it.
+    obs.attach(obs.SpanRecord(
+        "sweep.worker.setup", {}, start=setup_start,
+        duration=time.perf_counter() - setup_start,
+    ))
+    olog.info("sweep.worker_start", worker_id=wid, jobs=len(items))
+    rows, exc = _job_loop(task, items, hb, child=True)
+    error = None if exc is None else f"{type(exc).__name__}: {exc}"
+    if error:
+        olog.error(
+            "sweep.worker_error", worker_id=wid, job=hb.current_job,
+            error=error,
+        )
+    live.write_json_atomic(os.path.join(run_dir, f"result-{wid}.json"), {
+        "rows": list(rows.items()),
+        "extras": task.extras(),
+        "snapshot": obs.registry().snapshot() if observe else {},
+        "spans": [r.as_dict() for r in obs.trace_roots()] if observe else [],
+        "error": error,
+    })
+    hb.finish("failed" if error else "done")
+    olog.info(
+        "sweep.worker_done", worker_id=wid, jobs_done=len(rows), error=error,
+    )
+
+
+def fan_out(
+    task: FanOutTask,
+    items,
+    *,
+    workers: int = 1,
+    run_dir: str | None = None,
+    heartbeat_s: float = live.DEFAULT_HEARTBEAT_S,
+    stall_after_s: float = live.DEFAULT_STALL_AFTER_S,
+    watch_interval_s: float | None = None,
+    on_tick=None,
+) -> FanOut:
+    """Run ``task`` over ``items`` on ``workers`` processes and merge.
+
+    One worker (or one item) runs in this process, with a heartbeat
+    when ``run_dir`` is given; an item's exception propagates as
+    raised.  Otherwise worker ``w`` gets ``items[w::workers]``
+    (neighbouring items often cost alike), a watchdog polls the
+    heartbeats (``on_tick`` sees every poll), and the parent merges the
+    result files in worker order, raising the first worker error.  A
+    worker that hands nothing back is ``dead`` and listed in
+    :attr:`FanOut.lost`; everyone else's rows still merge.
+    """
+    items = list(enumerate(items))
+    if workers <= 1 or len(items) <= 1:
+        task.open(parallel=False)
+        hb = None
+        if run_dir is not None:
+            hb = live.HeartbeatWriter(
+                run_dir, 0, jobs_total=len(items), interval_s=heartbeat_s,
+            ).start_pulse()
+        rows, exc = _job_loop(task, items, hb)
+        if hb is not None:
+            hb.finish("failed" if exc else "done")
+        if exc is not None:
+            raise exc
+        return FanOut(rows, [task.extras()])
+    slices = [s for s in (items[w::workers] for w in range(workers)) if s]
+    tmp_dir = None
+    if run_dir is None:
+        # Results come back through files, so a directory is needed
+        # even when the caller keeps nothing.
+        run_dir = tmp_dir = tempfile.mkdtemp(prefix="repro-sweep-")
+    from repro.obs.logging import _config as log_cfg
+
+    run_ctx = ocontext.current_context()
+    base = {
+        "task": task, "run_dir": run_dir, "observe": obs.enabled(),
+        "heartbeat_s": heartbeat_s, "run_id": olog.run_id(),
+        "log_path": log_cfg.path if log_cfg is not None else None,
+    }
+    out, errors, procs = FanOut(), [], []
+    try:
+        for wid, s in enumerate(slices):
+            trace = run_ctx and run_ctx.child().as_dict()
+            p = _mp_context().Process(
+                target=_fan_out_child, name=f"repro-sweep-{wid}",
+                args=({**base, "worker_id": wid, "items": s, "trace": trace},),
+            )
+            p.start()
+            olog.info(
+                "sweep.worker_spawn", worker_id=wid, worker_pid=p.pid,
+                jobs=len(s),
+            )
+            procs.append(p)
+        watchdog = live.Watchdog(
+            run_dir, stall_after_s=stall_after_s,
+            interval_s=watch_interval_s, on_tick=on_tick,
+        ).start()
+        for p in procs:
+            # A stalled (SIGSTOPped) worker blocks here while the
+            # watchdog keeps flagging it; a killed one returns.
+            p.join()
+        # Reaped children fail the pid probe, so the final poll turns
+        # any silently vanished worker into "dead".
+        health = watchdog.stop()
+        for wid, (p, s) in enumerate(zip(procs, slices)):
+            rec = out.health[wid] = health.get(wid) or {
+                "worker_id": wid,
+                "verdict": "dead",
+                "state": None,
+                "age_s": None,
+                "pid": p.pid,
+                "jobs_done": None,
+                "jobs_total": len(s),
+                "rss_bytes": None,
+                "current_job": None,
+                "stalls": 0,
+                "ever_stalled": False,
+            }
+            rec["exitcode"] = p.exitcode
+            try:
+                with open(os.path.join(run_dir, f"result-{wid}.json")) as fh:
+                    doc = json.load(fh)
+            except (OSError, json.JSONDecodeError):
+                # The worker died before handing anything back: its
+                # items are absent from the merge, nothing else is.
+                rec["verdict"] = "dead"
+                out.lost[wid] = len(s)
+                olog.error(
+                    "sweep.worker_lost", worker_id=wid, worker_pid=p.pid,
+                    exitcode=p.exitcode, jobs_lost=len(s),
+                )
+                continue
+            if doc["error"]:
+                errors.append((wid, doc["error"]))
+            out.rows.update(doc["rows"])
+            out.extras.append(doc["extras"])
+            if doc["snapshot"] and obs.enabled():
+                obs.registry().merge(doc["snapshot"])
+            reroot_worker_spans(
+                wid, doc["spans"], jobs=len(doc["rows"]),
+                indices=",".join(str(i) for i, _ in doc["rows"]),
+            )
+    finally:
+        if tmp_dir is not None:
+            shutil.rmtree(tmp_dir, ignore_errors=True)
+    if errors:
+        raise RuntimeError("sweep worker %d failed: %s" % errors[0])
+    out.rows = dict(sorted(out.rows.items()))
+    return out
+
+
+def _mp_context():
+    import multiprocessing
+
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - non-POSIX platforms
+        return multiprocessing.get_context("spawn")
+
+
+@contextmanager
+def run_directory(run_dir: str | None, **manifest):
+    """A run directory from creation to ``state: done``: makes it,
+    gives it a ``log.jsonl`` sink unless a log is configured, writes the
+    run manifest, and yields a dict whose totals the manifest takes on
+    when the run completes.  Only yields the dict without a directory."""
+    totals: dict = {}
+    if run_dir is None:
+        yield totals
+        return
+    os.makedirs(run_dir, exist_ok=True)
+    log_here = not olog.configured()
+    if log_here:
+        olog.configure(os.path.join(run_dir, live.LOG_NAME))
+    live.write_run_manifest(run_dir, **manifest)
+    try:
+        yield totals
+        live.update_run_manifest(run_dir, state="done", **totals)
+    finally:
+        if log_here:
+            olog.close()
+
+
+class _SweepJobs(FanOutTask):
+    """Sweep jobs through :func:`run_sweep_job`, one cache per process."""
+
+    def __init__(self, cache_dir, readonly: bool, validate: bool):
+        self.cache_dir, self.readonly = cache_dir, readonly
+        self.validate, self.cache = validate, None
+
+    def open(self, parallel: bool) -> None:
+        if self.cache_dir is not None:
+            self.cache = LayoutCache(self.cache_dir, readonly=self.readonly)
+
+    def label(self, job: SweepJob) -> str:
+        return job.job_id
+
+    def run(self, job: SweepJob) -> dict:
+        return run_sweep_job(job, self.cache, validate=self.validate).as_dict()
+
+    def extras(self) -> dict:
+        cache = self.cache
+        return {"cache": {} if cache is None else cache.stats.as_dict()}
 
 
 class SweepRunner:
@@ -417,17 +611,8 @@ class SweepRunner:
         enabled_here = bool(exporting) and not obs.enabled()
         if enabled_here:
             obs.enable()
-        run_dir = (
-            None if self.run_dir is None else os.fspath(self.run_dir)
-        )
-        log_here = False
-        tmp_dir = None
-        if run_dir is not None:
-            os.makedirs(run_dir, exist_ok=True)
-            if not olog.configured():
-                # A kept run directory always gets a log to tail.
-                olog.configure(os.path.join(run_dir, live.LOG_NAME))
-                log_here = True
+        run_dir = None if self.run_dir is None else os.fspath(self.run_dir)
+        workers = 1 if len(jobs) <= 1 else self.workers
         t0 = time.perf_counter()
         # Every run executes under a trace context: inherited when a
         # caller (e.g. a serve worker) already carries one, otherwise
@@ -435,117 +620,70 @@ class SweepRunner:
         # way serve requests are.
         run_ctx = ocontext.current_context() or ocontext.new_context()
         try:
-            with ocontext.use_context(run_ctx), obs.span(
-                "sweep.run", spec=spec.name, jobs=len(jobs),
-                workers=self.workers, trace_id=run_ctx.trace_id,
-            ):
-                olog.info(
-                    "sweep.start",
-                    spec=spec.name,
-                    jobs=len(jobs),
-                    workers=self.workers,
-                    trace=run_ctx.trace_id,
+            with run_directory(
+                run_dir, kind="sweep", spec=spec.name,
+                jobs_total=len(jobs), workers=min(workers, len(jobs)) or 1,
+            ) as totals:
+                with ocontext.use_context(run_ctx), obs.span(
+                    "sweep.run", spec=spec.name, jobs=len(jobs),
+                    workers=self.workers, trace_id=run_ctx.trace_id,
+                ):
+                    olog.info(
+                        "sweep.start", spec=spec.name, jobs=len(jobs),
+                        workers=self.workers, trace=run_ctx.trace_id,
+                    )
+                    fan = fan_out(
+                        _SweepJobs(
+                            None if self.cache_dir is None
+                            else os.fspath(self.cache_dir),
+                            self.cache_readonly, self.validate,
+                        ),
+                        jobs, workers=workers, run_dir=run_dir,
+                        heartbeat_s=self.heartbeat_s,
+                        stall_after_s=self.stall_after_s,
+                        watch_interval_s=self.watch_interval_s,
+                        on_tick=self._on_watch_tick,
+                    )
+                result = SweepResult(
+                    spec=spec,
+                    results=[
+                        JobResult.from_dict(r) for r in fan.rows.values()
+                    ],
+                    workers=workers,
+                    elapsed_s=time.perf_counter() - t0,
+                    worker_health=fan.health,
+                    run_dir=run_dir,
                 )
-                if self.workers == 1 or len(jobs) <= 1:
-                    result = self._run_serial(spec, jobs, run_dir)
-                else:
-                    work_dir = run_dir
-                    if work_dir is None:
-                        # Workers hand results back through files, so
-                        # a directory is needed even when the caller
-                        # keeps nothing.
-                        tmp_dir = tempfile.mkdtemp(prefix="repro-sweep-")
-                        work_dir = tmp_dir
-                    result = self._run_parallel(spec, jobs, work_dir)
-            result.elapsed_s = time.perf_counter() - t0
-            result.run_dir = run_dir
-            obs.count("sweep.runs")
-            obs.count("sweep.jobs", len(jobs))
-            olog.info(
-                "sweep.done",
-                spec=spec.name,
-                jobs=result.jobs,
-                elapsed_s=round(result.elapsed_s, 4),
-                cache=result.cache_stats.as_dict(),
-                lost_workers=result.lost_workers(),
-            )
-            if run_dir is not None:
-                live.update_run_manifest(
-                    run_dir,
-                    state="done",
+                for extras in fan.extras:
+                    result.cache_stats.merge(extras["cache"])
+                obs.count("sweep.runs")
+                obs.count("sweep.jobs", len(jobs))
+                totals.update(
                     jobs_done=result.jobs,
                     elapsed_s=round(result.elapsed_s, 4),
                 )
-            if self.trace_out:
-                from repro.obs.export import write_chrome_trace
+                olog.info(
+                    "sweep.done", spec=spec.name, jobs=result.jobs,
+                    elapsed_s=totals["elapsed_s"],
+                    cache=result.cache_stats.as_dict(),
+                    lost_workers=result.lost_workers(),
+                )
+                if self.trace_out:
+                    from repro.obs.export import write_chrome_trace
 
-                write_chrome_trace(self.trace_out)
-            if self.events_out:
-                from repro.obs.export import write_jsonl
+                    write_chrome_trace(self.trace_out)
+                if self.events_out:
+                    from repro.obs.export import write_jsonl
 
-                write_jsonl(self.events_out)
-            if self.metrics_out:
-                from repro.obs.export import write_prometheus
+                    write_jsonl(self.events_out)
+                if self.metrics_out:
+                    from repro.obs.export import write_prometheus
 
-                write_prometheus(self.metrics_out)
+                    write_prometheus(self.metrics_out)
         finally:
             if enabled_here:
                 obs.disable()
-            if log_here:
-                olog.close()
-            if tmp_dir is not None:
-                shutil.rmtree(tmp_dir, ignore_errors=True)
         return result
-
-    def _open_cache(self) -> LayoutCache | None:
-        if self.cache_dir is None:
-            return None
-        return LayoutCache(self.cache_dir, readonly=self.cache_readonly)
-
-    def _run_serial(
-        self, spec: SweepSpec, jobs: list[SweepJob], run_dir: str | None
-    ) -> SweepResult:
-        cache = self._open_cache()
-        hb = None
-        if run_dir is not None:
-            live.write_run_manifest(
-                run_dir,
-                kind="sweep",
-                spec=spec.name,
-                jobs_total=len(jobs),
-                workers=1,
-            )
-            hb = live.HeartbeatWriter(
-                run_dir, 0,
-                jobs_total=len(jobs),
-                interval_s=self.heartbeat_s,
-            )
-            hb.beat(force=True)
-            hb.start_pulse()
-        results = []
-        try:
-            for job in jobs:
-                if hb is not None:
-                    hb.current_job = job.job_id
-                    hb.beat(force=True)
-                results.append(
-                    run_sweep_job(job, cache, validate=self.validate)
-                )
-                if hb is not None:
-                    hb.job_tick(
-                        cache=(
-                            cache.stats.as_dict()
-                            if cache is not None
-                            else {}
-                        ),
-                    )
-        finally:
-            if hb is not None:
-                hb.finish("done" if len(results) == len(jobs) else "failed")
-        out = SweepResult(spec=spec, results=results, workers=1)
-        if cache is not None:
-            out.cache_stats.merge(cache.stats)
-        return out
 
     def _on_watch_tick(self, health: dict[int, dict]) -> None:
         """Watchdog callback: refresh live gauges + Prometheus file.
@@ -583,162 +721,3 @@ class SweepRunner:
                 write_prometheus(self.metrics_out)
             except OSError:
                 pass
-
-    def _run_parallel(
-        self, spec: SweepSpec, jobs: list[SweepJob], run_dir: str
-    ) -> SweepResult:
-        # Round-robin slices: contiguous runs of one family often share
-        # cost structure, so interleaving balances the workers.
-        slices = [
-            s
-            for s in (jobs[w::self.workers] for w in range(self.workers))
-            if s
-        ]
-        live.write_run_manifest(
-            run_dir,
-            kind="sweep",
-            spec=spec.name,
-            jobs_total=len(jobs),
-            workers=len(slices),
-        )
-        observe = obs.enabled()
-        run_ctx = ocontext.current_context()
-        log_path = None
-        cfg_run_id = olog.run_id()
-        if olog.configured():
-            from repro.obs.logging import _config as _log_cfg
-
-            log_path = _log_cfg.path if _log_cfg is not None else None
-        ctx = _mp_context()
-        procs = []
-        for wid, s in enumerate(slices):
-            payload = {
-                "worker_id": wid,
-                "jobs": s,
-                "run_dir": run_dir,
-                "cache_dir": (
-                    None
-                    if self.cache_dir is None
-                    else os.fspath(self.cache_dir)
-                ),
-                "readonly": self.cache_readonly,
-                "validate": self.validate,
-                "observe": observe,
-                "heartbeat_s": self.heartbeat_s,
-                "log_path": log_path,
-                "run_id": cfg_run_id,
-                "trace": (
-                    run_ctx.child().as_dict()
-                    if run_ctx is not None
-                    else None
-                ),
-            }
-            p = ctx.Process(
-                target=_worker_main,
-                args=(payload,),
-                name=f"repro-sweep-{wid}",
-            )
-            p.start()
-            olog.info(
-                "sweep.worker_spawn",
-                worker_id=wid,
-                worker_pid=p.pid,
-                jobs=len(s),
-            )
-            procs.append(p)
-        watchdog = live.Watchdog(
-            run_dir,
-            stall_after_s=self.stall_after_s,
-            interval_s=self.watch_interval_s,
-            on_tick=self._on_watch_tick,
-        ).start()
-        for p in procs:
-            # A stalled (SIGSTOPped) worker blocks here while the
-            # watchdog keeps flagging it; a killed one returns with
-            # its exitcode and is settled below.
-            p.join()
-        # Joined (reaped) children now fail the pid probe, so the
-        # final poll turns any silently-vanished worker into "dead".
-        health = watchdog.stop()
-        out = SweepResult(spec=spec, workers=self.workers)
-        merged: dict[int, JobResult] = {}
-        errors: list[tuple[int, str]] = []
-        for wid, p in enumerate(procs):
-            rec = health.get(wid) or {
-                "worker_id": wid,
-                "verdict": "dead",
-                "state": None,
-                "age_s": None,
-                "pid": p.pid,
-                "jobs_done": None,
-                "jobs_total": len(slices[wid]),
-                "rss_bytes": None,
-                "current_job": None,
-                "stalls": 0,
-                "ever_stalled": False,
-            }
-            rec["exitcode"] = p.exitcode
-            doc = _read_worker_result(run_dir, wid)
-            if doc is None:
-                # No result file: the worker died before handing
-                # anything back.  Its jobs are simply absent from the
-                # merge; everything else stays intact.
-                rec["verdict"] = "dead"
-                out.worker_health[wid] = rec
-                olog.error(
-                    "sweep.worker_lost",
-                    worker_id=wid,
-                    worker_pid=p.pid,
-                    exitcode=p.exitcode,
-                    jobs_lost=len(slices[wid]),
-                )
-                continue
-            if doc.get("error"):
-                errors.append((wid, doc["error"]))
-            indices = []
-            for jdoc in doc.get("results", []):
-                jdoc = dict(jdoc)
-                index = jdoc.pop("index")
-                indices.append(index)
-                merged[index] = JobResult(
-                    job_id=jdoc["job_id"],
-                    network=jdoc["network"],
-                    scheme=jdoc["scheme"],
-                    layers=jdoc["layers"],
-                    num_nodes=jdoc["N"],
-                    num_edges=jdoc["E"],
-                    metrics=jdoc["metrics"],
-                    source=jdoc["source"],
-                    elapsed_s=jdoc["elapsed_s"],
-                )
-            out.cache_stats.merge(doc.get("cache_stats", {}))
-            if doc.get("snapshot") and obs.enabled():
-                obs.registry().merge(doc["snapshot"])
-            reroot_worker_spans(
-                wid, doc.get("spans", []),
-                jobs=len(indices),
-                indices=",".join(str(i) for i in sorted(indices)),
-            )
-            out.worker_health[wid] = rec
-        out.results = [merged[i] for i in sorted(merged)]
-        if errors:
-            wid, err = errors[0]
-            raise RuntimeError(f"sweep worker {wid} failed: {err}")
-        return out
-
-
-def _read_worker_result(run_dir: str, wid: int) -> dict | None:
-    try:
-        with open(os.path.join(run_dir, f"result-{wid}.json")) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError):
-        return None
-
-
-def _mp_context():
-    import multiprocessing
-
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        return multiprocessing.get_context("spawn")

@@ -42,9 +42,15 @@ reference model:
     workloads.
 
 A violated invariant (or a crash anywhere in a stage) becomes a
-:class:`Violation`; :func:`run_fuzz` streams cases from
-:mod:`repro.check.generate`, tallies per-stage counters and spans into
-:mod:`repro.obs`, and returns a :class:`FuzzReport`.
+:class:`Violation`.  :func:`run_fuzz` hands the case indices to the
+sweep's worker fan-out (:func:`repro.batch.runner.fan_out`): each
+worker regenerates its cases from ``(seed, index)`` with
+:func:`repro.check.generate.generate_case`, checks them, and returns
+one small row per case; the parent tallies the rows in index order,
+rebuilds each failing case from its index, and returns a
+:class:`FuzzReport`.  Counters and spans land in :mod:`repro.obs`
+from every worker, and a lost worker fails the run instead of
+silently shrinking it.
 """
 
 from __future__ import annotations
@@ -56,15 +62,14 @@ from dataclasses import dataclass, field
 
 from repro import obs
 from repro.batch.cache import LayoutCache
-from repro.obs import live
-from repro.obs import logging as olog
+from repro.batch.runner import FanOutTask, fan_out, run_directory
 from repro.batch.spec import dispatch_scheme
 from repro.check.generate import (
+    KINDS,
     CheckCase,
-    generate_cases,
+    case_id,
+    generate_case,
     mutate_layout,
-    network_from_doc,
-    network_to_doc,
 )
 from repro.collinear.cutwidth import cutwidth_certificate
 from repro.collinear.engine import collinear_layout
@@ -80,6 +85,8 @@ from repro.grid.io import clone_layout, layout_to_json
 from repro.grid.layout import GridLayout
 from repro.grid.oracle import OracleViolation, oracle_validate
 from repro.grid.validate import LayoutError, check_topology, validate_layout
+from repro.obs import live
+from repro.obs import logging as olog
 from repro.routing import layout_link_delays, make_workload, simulate
 from repro.routing.engine import simulate_fast
 from repro.topology import DeBruijn, KAryNCube, Ring, ShuffleExchange, StarGraph
@@ -597,169 +604,43 @@ def check_case(
     return res
 
 
-def _tally(report: FuzzReport, case: CheckCase, result: CheckResult) -> None:
-    report.cases_run += 1
-    report.kind_counts[case.kind] = report.kind_counts.get(case.kind, 0) + 1
-    for st in result.stages_run:
-        if st not in result.skipped:
-            report.stage_counts[st] = report.stage_counts.get(st, 0) + 1
+class _FuzzCases(FanOutTask):
+    """Fuzz case indices through :func:`check_case`.  A worker
+    regenerates case ``i`` from ``(seed, i)``, so no network crosses the
+    process boundary; child workers open the cache read-only."""
 
+    def __init__(self, seed, gen_opts, check_opts, cache_dir, max_failures):
+        self.seed, self.gen_opts, self.check_opts = seed, gen_opts, check_opts
+        self.cache_dir, self.max_failures = cache_dir, max_failures
 
-def _fuzz_worker(payload: tuple) -> dict:
-    """Process-pool entry: check the cases assigned to one worker.
-
-    Workers regenerate the seeded case stream themselves (networks
-    need not cross the process boundary) and keep every case with
-    ``index % nworkers == wid``; failing cases come back as plain
-    documents the parent rebuilds, keyed by case index so the merge
-    is invariant under worker count.  With a ``run_dir`` each worker
-    also keeps a heartbeat fresh for the parent's watchdog and
-    ``repro watch``.
-    """
-    (wid, nworkers, seed, budget, layers, max_nodes, stages, kinds,
-     exact_limit, bisect_limit, mutation_rounds, max_failures,
-     cache_dir, observe, run_dir, log_path, log_run_id) = payload
-    olog.fork_child(wid)
-    if not olog.configured() and log_path:
-        olog.configure(log_path, run_id=log_run_id, worker_id=wid)
-    cache = (
-        LayoutCache(cache_dir, readonly=True) if cache_dir else None
-    )
-    if observe:
-        # Fork inherits the parent's registry; reset so the counter
-        # snapshot returned below holds only this worker's activity.
-        obs.reset()
-        obs.enable()
-    hb = None
-    if run_dir is not None:
-        hb = live.HeartbeatWriter(
-            run_dir, wid,
-            jobs_total=(budget - wid + nworkers - 1) // nworkers,
+    def open(self, parallel: bool) -> None:
+        self.cache = (
+            None if self.cache_dir is None
+            else LayoutCache(self.cache_dir, readonly=parallel)
         )
-        hb.beat(force=True)
-        hb.start_pulse()
-    out: dict = {
-        "cases_run": 0,
-        "kind_counts": {},
-        "stage_counts": {},
-        "failures": [],
-    }
-    for i, case in enumerate(generate_cases(
-        seed, budget, layers=layers, max_nodes=max_nodes, kinds=kinds,
-    )):
-        if i % nworkers != wid:
-            continue
-        if hb is not None:
-            hb.current_job = case.case_id
-            hb.beat(force=True)
-        result = check_case(
-            case,
-            stages=stages,
-            exact_limit=exact_limit,
-            bisect_limit=bisect_limit,
-            mutation_rounds=mutation_rounds,
-            cache=cache,
+        self.failures = 0
+
+    def label(self, index: int) -> str:
+        return case_id(self.seed, index)
+
+    def run(self, index: int) -> dict:
+        case = generate_case(self.seed, index, **self.gen_opts)
+        res = check_case(case, cache=self.cache, **self.check_opts)
+        return {
+            "kind": case.kind,
+            "violations": [
+                [v.invariant, v.stage, v.detail] for v in res.violations
+            ],
+            "stages_run": res.stages_run,
+            "skipped": res.skipped,
+        }
+
+    def stop(self, row: dict) -> bool:
+        self.failures += bool(row["violations"])
+        return (
+            self.max_failures is not None
+            and self.failures >= self.max_failures
         )
-        out["cases_run"] += 1
-        if hb is not None:
-            hb.job_tick()
-        out["kind_counts"][case.kind] = (
-            out["kind_counts"].get(case.kind, 0) + 1
-        )
-        for st in result.stages_run:
-            if st not in result.skipped:
-                out["stage_counts"][st] = (
-                    out["stage_counts"].get(st, 0) + 1
-                )
-        if not result.ok:
-            out["failures"].append({
-                "index": i,
-                "case_id": case.case_id,
-                "seed": case.seed,
-                "kind": case.kind,
-                "layers": list(case.layers),
-                "network": network_to_doc(case.network),
-                "violations": [
-                    [v.invariant, v.stage, v.detail]
-                    for v in result.violations
-                ],
-                "stages_run": list(result.stages_run),
-                "skipped": list(result.skipped),
-            })
-            if (
-                max_failures is not None
-                and len(out["failures"]) >= max_failures
-            ):
-                break
-    out["snapshot"] = obs.registry().snapshot() if observe else {}
-    out["spans"] = (
-        [r.as_dict() for r in obs.trace_roots()] if observe else []
-    )
-    if hb is not None:
-        hb.finish("done")
-    return out
-
-
-def _run_fuzz_parallel(
-    report: FuzzReport,
-    workers: int,
-    payload_base: tuple,
-    max_failures: int | None,
-    run_dir: str | None = None,
-    stall_after_s: float = live.DEFAULT_STALL_AFTER_S,
-) -> None:
-    from concurrent.futures import ProcessPoolExecutor
-
-    from repro.batch.runner import _mp_context
-
-    from repro.batch.runner import reroot_worker_spans
-
-    payloads = [
-        (wid, workers) + payload_base for wid in range(workers)
-    ]
-    failures: list[tuple[int, CheckResult]] = []
-    watchdog = None
-    if run_dir is not None:
-        watchdog = live.Watchdog(
-            run_dir, stall_after_s=stall_after_s,
-        ).start()
-    with ProcessPoolExecutor(
-        max_workers=workers, mp_context=_mp_context()
-    ) as pool:
-        for wid, out in enumerate(pool.map(_fuzz_worker, payloads)):
-            report.cases_run += out["cases_run"]
-            for k, v in out["kind_counts"].items():
-                report.kind_counts[k] = report.kind_counts.get(k, 0) + v
-            for k, v in out["stage_counts"].items():
-                report.stage_counts[k] = report.stage_counts.get(k, 0) + v
-            for doc in out["failures"]:
-                case = CheckCase(
-                    case_id=doc["case_id"],
-                    seed=doc["seed"],
-                    kind=doc["kind"],
-                    network=network_from_doc(doc["network"]),
-                    layers=tuple(doc["layers"]),
-                )
-                res = CheckResult(
-                    case=case,
-                    violations=[
-                        Violation(*v) for v in doc["violations"]
-                    ],
-                    stages_run=list(doc["stages_run"]),
-                    skipped=list(doc["skipped"]),
-                )
-                failures.append((doc["index"], res))
-            if out["snapshot"] and obs.enabled():
-                obs.registry().merge(out["snapshot"])
-            reroot_worker_spans(
-                wid, out["spans"], cases=out["cases_run"]
-            )
-    if watchdog is not None:
-        report.worker_health = watchdog.stop()
-    failures.sort(key=lambda pair: pair[0])
-    report.failures = [res for _, res in failures]
-    if max_failures is not None:
-        report.failures = report.failures[:max_failures]
 
 
 def run_fuzz(
@@ -781,133 +662,75 @@ def run_fuzz(
 ) -> FuzzReport:
     """Generate ``budget`` cases and differential-check each one.
 
-    ``max_failures`` stops the sweep early once that many failing
-    cases have accumulated (the shrinker wants only a handful).
+    ``max_failures`` stops the run early once that many failing cases
+    have accumulated (the shrinker wants only a handful).
 
-    ``workers > 1`` fans the case stream across processes (case ``i``
-    goes to worker ``i % workers``) and merges failures by case index,
-    so with ``max_failures=None`` the report's cases, counts, and
-    failures are identical for every worker count.  With a failure cap
-    the parallel path caps per worker and truncates after the merge --
-    deterministic per worker count, but it may check more cases than a
-    serial early-stopped run.  ``cache_dir`` points every worker at a
-    shared layout cache, opened read-only in workers (a serial run
-    opens it read-write and populates it).
+    The case indices go through :func:`repro.batch.runner.fan_out`:
+    case ``i`` runs on worker ``i % workers`` and rows merge by index,
+    so with no failure cap the report's cases, counts, and failures are
+    identical for every worker count.  With a cap each worker stops at
+    it and the merge truncates -- deterministic per worker count, but
+    it may check more cases than a one-worker run.  ``cache_dir`` is a
+    shared layout cache (read-write for one worker, read-only in child
+    workers).  A lost worker (killed, OOM) is ``dead`` in the worker
+    health and makes this raise a ``RuntimeError`` naming it and its
+    unchecked cases.
 
-    ``run_dir`` turns on live telemetry: a run manifest, per-worker
-    heartbeats, a ``log.jsonl`` sink (unless one is already
-    configured), and -- for parallel runs -- a watchdog whose final
-    per-worker verdicts land in :attr:`FuzzReport.worker_health`.
-    ``python -m repro watch RUNDIR`` renders all of it live.
+    ``run_dir`` keeps the live telemetry: a run manifest, per-worker
+    heartbeats and result files, and a ``log.jsonl`` sink (unless one
+    is already configured), which ``python -m repro watch RUNDIR``
+    renders live.
     """
-    from repro.check.generate import KINDS
-
     report = FuzzReport(seed=seed, budget=budget)
     run_dir = None if run_dir is None else os.fspath(run_dir)
-    log_here = False
-    if run_dir is not None:
-        os.makedirs(run_dir, exist_ok=True)
-        if not olog.configured():
-            olog.configure(os.path.join(run_dir, live.LOG_NAME))
-            log_here = True
-        live.write_run_manifest(
-            run_dir,
-            kind="fuzz",
-            seed=seed,
-            jobs_total=budget,
-            workers=workers,
-        )
+    gen_opts = dict(layers=layers, max_nodes=max_nodes, kinds=kinds or KINDS)
+    check_opts = dict(
+        stages=stages, exact_limit=exact_limit, bisect_limit=bisect_limit,
+        mutation_rounds=mutation_rounds,
+    )
     start = time.perf_counter()
-    try:
-        with obs.span(
-            "fuzz.run", seed=seed, budget=budget, workers=workers
-        ):
-            olog.info(
-                "fuzz.start", seed=seed, budget=budget, workers=workers
-            )
-            if workers > 1:
-                log_path = None
-                if olog.configured():
-                    from repro.obs.logging import _config as _log_cfg
-
-                    log_path = (
-                        _log_cfg.path if _log_cfg is not None else None
-                    )
-                _run_fuzz_parallel(
-                    report,
-                    workers,
-                    (
-                        seed, budget, layers, max_nodes, stages,
-                        kinds or KINDS, exact_limit, bisect_limit,
-                        mutation_rounds, max_failures,
-                        None if cache_dir is None else str(cache_dir),
-                        obs.enabled(),
-                        run_dir,
-                        log_path,
-                        olog.run_id(),
-                    ),
+    with run_directory(
+        run_dir, kind="fuzz", seed=seed, jobs_total=budget, workers=workers,
+    ) as totals:
+        with obs.span("fuzz.run", seed=seed, budget=budget, workers=workers):
+            olog.info("fuzz.start", seed=seed, budget=budget, workers=workers)
+            fan = fan_out(
+                _FuzzCases(
+                    seed, gen_opts, check_opts,
+                    None if cache_dir is None else os.fspath(cache_dir),
                     max_failures,
-                    run_dir,
-                    stall_after_s,
-                )
-            else:
-                cache = (
-                    LayoutCache(cache_dir) if cache_dir is not None else None
-                )
-                hb = None
-                if run_dir is not None:
-                    hb = live.HeartbeatWriter(
-                        run_dir, 0, jobs_total=budget,
-                    )
-                    hb.beat(force=True)
-                    hb.start_pulse()
-                try:
-                    for case in generate_cases(
-                        seed,
-                        budget,
-                        layers=layers,
-                        max_nodes=max_nodes,
-                        kinds=kinds or KINDS,
-                    ):
-                        if hb is not None:
-                            hb.current_job = case.case_id
-                            hb.beat(force=True)
-                        result = check_case(
-                            case,
-                            stages=stages,
-                            exact_limit=exact_limit,
-                            bisect_limit=bisect_limit,
-                            mutation_rounds=mutation_rounds,
-                            cache=cache,
-                        )
-                        _tally(report, case, result)
-                        if hb is not None:
-                            hb.job_tick()
-                        if not result.ok:
-                            report.failures.append(result)
-                            if (
-                                max_failures is not None
-                                and len(report.failures) >= max_failures
-                            ):
-                                break
-                finally:
-                    if hb is not None:
-                        hb.finish("done")
-        report.elapsed_s = time.perf_counter() - start
-        olog.info(
-            "fuzz.done",
-            cases_run=report.cases_run,
-            failures=len(report.failures),
-            elapsed_s=round(report.elapsed_s, 4),
-        )
-        if run_dir is not None:
-            live.update_run_manifest(
-                run_dir,
-                state="done",
-                jobs_done=report.cases_run,
-                elapsed_s=round(report.elapsed_s, 4),
+                ),
+                range(budget), workers=workers, run_dir=run_dir,
+                stall_after_s=stall_after_s,
             )
-    finally:
-        if log_here:
-            olog.close()
+        report.worker_health = fan.health
+        if fan.lost:
+            wid, unchecked = min(fan.lost.items())
+            raise RuntimeError(
+                f"fuzz worker {wid} was lost: {unchecked} of its cases "
+                f"went unchecked (see the run log)"
+            )
+        report.cases_run = len(fan.rows)
+        kind_counts, stage_counts = report.kind_counts, report.stage_counts
+        for index, row in fan.rows.items():
+            kind_counts[row["kind"]] = kind_counts.get(row["kind"], 0) + 1
+            for st in row["stages_run"]:
+                if st not in row["skipped"]:
+                    stage_counts[st] = stage_counts.get(st, 0) + 1
+            if row["violations"]:
+                report.failures.append(CheckResult(
+                    case=generate_case(seed, index, **gen_opts),
+                    violations=[Violation(*v) for v in row["violations"]],
+                    stages_run=row["stages_run"],
+                    skipped=row["skipped"],
+                ))
+        report.failures = report.failures[:max_failures]
+        report.elapsed_s = time.perf_counter() - start
+        totals.update(
+            jobs_done=report.cases_run, elapsed_s=round(report.elapsed_s, 4),
+        )
+        olog.info(
+            "fuzz.done", cases_run=report.cases_run,
+            failures=len(report.failures), elapsed_s=totals["elapsed_s"],
+        )
     return report

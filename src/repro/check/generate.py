@@ -57,6 +57,8 @@ __all__ = [
     "random_connected_network",
     "random_zoo_network",
     "mutate_network",
+    "case_id",
+    "generate_case",
     "generate_cases",
     "mutate_layout",
     "network_to_doc",
@@ -216,6 +218,48 @@ def mutate_network(
 # Case stream
 
 
+def case_id(seed: int, index: int) -> str:
+    """The replayable id of case ``index`` of the ``seed`` stream."""
+    return f"seed{seed}/case{index}"
+
+
+def generate_case(
+    seed: int,
+    index: int,
+    *,
+    layers: tuple[int, ...] = (2, 4),
+    max_nodes: int = 12,
+    kinds: tuple[str, ...] = KINDS,
+) -> CheckCase:
+    """Case ``index`` of the ``seed`` stream, cycling the generator
+    kinds; it depends only on ``(seed, index)``."""
+    case_seed = (seed * 1_000_003 + index) & 0x7FFFFFFF
+    rng = random.Random(case_seed)
+    kind = kinds[index % len(kinds)]
+    if kind == "random":
+        net = random_connected_network(rng, max_nodes=max_nodes)
+    elif kind == "zoo":
+        net = random_zoo_network(rng)
+    elif kind == "mutant":
+        base = (
+            random_zoo_network(rng)
+            if rng.random() < 0.5
+            else random_connected_network(rng, max_nodes=max_nodes)
+        )
+        net = mutate_network(base, rng)
+        for _ in range(rng.randint(0, 2)):
+            net = mutate_network(net, rng)
+    else:
+        raise ValueError(f"unknown case kind {kind!r}")
+    return CheckCase(
+        case_id=case_id(seed, index),
+        seed=case_seed,
+        kind=kind,
+        network=net,
+        layers=layers,
+    )
+
+
 def generate_cases(
     seed: int,
     budget: int,
@@ -224,37 +268,15 @@ def generate_cases(
     max_nodes: int = 12,
     kinds: tuple[str, ...] = KINDS,
 ) -> Iterator[CheckCase]:
-    """Yield ``budget`` replayable cases, cycling the generator kinds.
+    """Yield ``budget`` replayable cases: :func:`generate_case` for
+    indices ``0 .. budget-1``.
 
-    Case ``i`` depends only on ``(seed, i)``: the stream is stable
-    under budget changes, so ``--budget 500`` extends (not reshuffles)
-    what ``--budget 200`` covered.
+    The stream is stable under budget changes, so ``--budget 500``
+    extends (not reshuffles) what ``--budget 200`` covered.
     """
     for i in range(budget):
-        case_seed = (seed * 1_000_003 + i) & 0x7FFFFFFF
-        rng = random.Random(case_seed)
-        kind = kinds[i % len(kinds)]
-        if kind == "random":
-            net = random_connected_network(rng, max_nodes=max_nodes)
-        elif kind == "zoo":
-            net = random_zoo_network(rng)
-        elif kind == "mutant":
-            base = (
-                random_zoo_network(rng)
-                if rng.random() < 0.5
-                else random_connected_network(rng, max_nodes=max_nodes)
-            )
-            net = mutate_network(base, rng)
-            for _ in range(rng.randint(0, 2)):
-                net = mutate_network(net, rng)
-        else:
-            raise ValueError(f"unknown case kind {kind!r}")
-        yield CheckCase(
-            case_id=f"seed{seed}/case{i}",
-            seed=case_seed,
-            kind=kind,
-            network=net,
-            layers=layers,
+        yield generate_case(
+            seed, i, layers=layers, max_nodes=max_nodes, kinds=kinds
         )
 
 

@@ -28,10 +28,9 @@ benches report *ratios* across L, which is what the paper's claims
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from typing import Hashable
 
+from repro.core.metrics import wire_distances, wire_length_weights
 from repro.grid.layout import GridLayout
 
 __all__ = ["DelayModel", "PerformanceReport", "performance"]
@@ -72,37 +71,6 @@ class PerformanceReport:
         }
 
 
-def _delay_adjacency(
-    layout: GridLayout, model: DelayModel
-) -> dict[Hashable, list[tuple[Hashable, float]]]:
-    table = layout.wire_table()
-    adj: dict[Hashable, dict[Hashable, float]] = {}
-    for u, v, length in zip(table.wire_u, table.wire_v, table.wire_lengths()):
-        d = model.wire_delay(length) + model.router_delay
-        for a, b in ((u, v), (v, u)):
-            cur = adj.setdefault(a, {})
-            if b not in cur or d < cur[b]:
-                cur[b] = d
-    return {u: list(nbrs.items()) for u, nbrs in adj.items()}
-
-
-def _dijkstra_all(adj: dict, source: Hashable) -> dict[Hashable, float]:
-    dist: dict[Hashable, float] = {source: 0.0}
-    heap = [(0.0, 0, source)]
-    tie = 0
-    while heap:
-        d, _, u = heapq.heappop(heap)
-        if d > dist.get(u, float("inf")):
-            continue
-        for v, w in adj.get(u, ()):
-            nd = d + w
-            if nd < dist.get(v, float("inf")):
-                dist[v] = nd
-                tie += 1
-                heapq.heappush(heap, (nd, tie, v))
-    return dist
-
-
 def performance(
     layout: GridLayout,
     model: DelayModel | None = None,
@@ -121,7 +89,9 @@ def performance(
     )
     clock = model.router_delay + max_wire_delay
 
-    adj = _delay_adjacency(layout, model)
+    adj = wire_length_weights(
+        layout, lambda length: model.wire_delay(length) + model.router_delay
+    )
     nodes = list(layout.placements)
     if len(nodes) > max_sources:
         step = -(-len(nodes) // max_sources)
@@ -132,7 +102,7 @@ def performance(
     total = 0.0
     count = 0
     for s in sources:
-        dist = _dijkstra_all(adj, s)
+        dist = wire_distances(adj, s)
         for v, d in dist.items():
             if v == s:
                 continue

@@ -13,13 +13,19 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Hashable
+from typing import Callable, Hashable
 
 from repro import obs
 from repro.grid.layout import GridLayout
 from repro.topology.base import Network
 
-__all__ = ["LayoutMetrics", "measure", "wire_length_weights", "weighted_diameter"]
+__all__ = [
+    "LayoutMetrics",
+    "measure",
+    "wire_length_weights",
+    "wire_distances",
+    "weighted_diameter",
+]
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,42 +58,43 @@ class LayoutMetrics:
         }
 
 
-def wire_length_weights(layout: GridLayout) -> dict[Hashable, list[tuple[Hashable, int]]]:
-    """Adjacency with wire-length weights, from the routed layout.
+def wire_length_weights(
+    layout: GridLayout, weight: Callable[[int], float] | None = None
+) -> dict[Hashable, list[tuple[Hashable, float]]]:
+    """Adjacency with per-wire weights, from the routed layout.
 
-    Parallel wires keep the shortest routed length per node pair.
+    A wire weighs ``weight(length)`` (its routed length by default);
+    parallel wires keep the lightest weight per node pair.
     """
-    adj: dict[Hashable, dict[Hashable, int]] = {}
+    adj: dict[Hashable, dict[Hashable, float]] = {}
     table = layout.wire_table()
     for u, v, wlen in zip(table.wire_u, table.wire_v, table.wire_lengths()):
-        best = adj.setdefault(u, {})
-        if v not in best or wlen < best[v]:
-            best[v] = wlen
-        best2 = adj.setdefault(v, {})
-        if u not in best2 or wlen < best2[u]:
-            best2[u] = wlen
+        w = wlen if weight is None else weight(wlen)
+        for a, b in ((u, v), (v, u)):
+            best = adj.setdefault(a, {})
+            if b not in best or w < best[b]:
+                best[b] = w
     return {u: list(nbrs.items()) for u, nbrs in adj.items()}
 
 
-def _dijkstra_far(
-    adj: dict, source: Hashable
-) -> int:
+def wire_distances(adj: dict, source: Hashable) -> dict[Hashable, float]:
+    """Dijkstra over ``adj``: the distance from ``source`` to every node
+    it reaches, in discovery order (``source`` first, at 0)."""
     dist = {source: 0}
     heap = [(0, 0, source)]
-    tiebreak = 0
-    far = 0
+    tie = 0
+    inf = float("inf")
     while heap:
         d, _, u = heapq.heappop(heap)
-        if d > dist.get(u, float("inf")):
+        if d > dist[u]:
             continue
-        far = max(far, d)
-        for v, wlen in adj.get(u, ()):  # pragma: no branch
-            nd = d + wlen
-            if nd < dist.get(v, float("inf")):
+        for v, w in adj.get(u, ()):
+            nd = d + w
+            if nd < dist.get(v, inf):
                 dist[v] = nd
-                tiebreak += 1
-                heapq.heappush(heap, (nd, tiebreak, v))
-    return far
+                tie += 1
+                heapq.heappush(heap, (nd, tie, v))
+    return dist
 
 
 def weighted_diameter(
@@ -107,7 +114,7 @@ def weighted_diameter(
             nodes = nodes[::step]
         best = 0
         for s in nodes:
-            best = max(best, _dijkstra_far(adj, s))
+            best = max(best, max(wire_distances(adj, s).values()))
         sp.add("sources", len(nodes))
     obs.count("measure.dijkstra_sources", len(nodes))
     return best

@@ -8,6 +8,7 @@ with a type tag so deserialization restores identical labels.
 
 from __future__ import annotations
 
+import copy
 import json
 from typing import Hashable
 
@@ -203,13 +204,21 @@ def layout_from_json(text: str) -> GridLayout:
 
 
 def clone_layout(layout: GridLayout) -> GridLayout:
-    """An independent deep copy, via the JSON round-trip.
+    """An independent copy whose edits never reach ``layout``.
 
-    The serialization is exact for every layout the library builds, so
-    this is the canonical way to get a mutable copy (the mutation
-    harness in :mod:`repro.check` corrupts clones, never originals).
+    The clone shares the original's flushed
+    :class:`~repro.grid.table.WireTable` -- no table column is written
+    after construction; every edit swaps in a new table -- and copies
+    the placements dict and (deeply) ``meta``.  It starts with no dirty
+    tracker.  The mutation harness in :mod:`repro.check` corrupts
+    clones, never originals.
     """
-    return layout_from_json(layout_to_json(layout))
+    return GridLayout(
+        layers=layout.layers,
+        placements=dict(layout.placements),
+        table=layout.wire_table(),
+        meta=copy.deepcopy(layout.meta),
+    )
 
 
 def dump_layout(layout: GridLayout, path) -> None:

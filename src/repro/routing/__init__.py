@@ -32,7 +32,6 @@ from repro.routing.paths import (
     RoutingTable,
     dimension_order_route,
     layout_link_delays,
-    min_wire_routes,
     shortest_hop_routes,
 )
 from repro.routing.engine import (
@@ -65,7 +64,6 @@ from repro.routing.traffic import (
 __all__ = [
     "dimension_order_route",
     "shortest_hop_routes",
-    "min_wire_routes",
     "layout_link_delays",
     "RoutingTable",
     "simulate",

@@ -2,9 +2,8 @@
 
 Dimension-order (e-cube) routing is the standard deadlock-free router
 for the digit networks the paper lays out: correct one digit at a time,
-most significant first.  For arbitrary networks (or to exploit the
-layout), :func:`shortest_hop_routes` and :func:`min_wire_routes` build
-routing tables by BFS / Dijkstra.
+most significant first.  For arbitrary networks,
+:func:`shortest_hop_routes` builds routing tables by BFS.
 
 A :class:`RoutingTable` lives on integer node ids 0..N-1: an N x N
 next-hop array, built for every destination at once by a
@@ -17,7 +16,6 @@ route computations.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from typing import Hashable
 
@@ -33,7 +31,6 @@ from repro.topology.kary import KAryNCube
 __all__ = [
     "dimension_order_route",
     "shortest_hop_routes",
-    "min_wire_routes",
     "layout_link_delays",
     "RoutingTable",
 ]
@@ -241,43 +238,3 @@ def layout_link_delays(
             if key not in out or d < out[key]:
                 out[key] = d
     return out
-
-
-def min_wire_routes(network: Network, layout: GridLayout) -> RoutingTable:
-    """Dijkstra routing table under layout wire-length link weights."""
-    delays = layout_link_delays(layout)
-    with obs.span("routing.table", nodes=network.num_nodes):
-        nodes = list(network.nodes)
-        n = len(nodes)
-        indptr, indices = _adjacency_csr(network)
-        indptr = indptr.tolist()
-        indices = indices.tolist()
-        # weight[k]: the cost of hop w -> u for adjacency entry k = (u, w).
-        weight = [
-            delays[(nodes[w], nodes[u])]
-            for u in range(n)
-            for w in indices[indptr[u]:indptr[u + 1]]
-        ]
-        nh = np.full((n, n), -1, np.int32)
-        inf = float("inf")
-        for dst in range(n):
-            row = [-1] * n
-            row[dst] = dst
-            dist = [inf] * n
-            dist[dst] = 0.0
-            heap = [(0.0, 0, dst)]
-            tie = 0
-            while heap:
-                d, _, u = heapq.heappop(heap)
-                if d > dist[u]:
-                    continue
-                for k in range(indptr[u], indptr[u + 1]):
-                    w = indices[k]
-                    nd = d + weight[k]
-                    if nd < dist[w]:
-                        dist[w] = nd
-                        row[w] = u
-                        tie += 1
-                        heapq.heappush(heap, (nd, tie, w))
-            nh[dst] = row
-        return RoutingTable(nodes, nh)

@@ -20,7 +20,7 @@ workload_cases      (network, kind, seed, rate, duration) zoo draws
 Helpers
 -------
 mutate              one seeded geometric mutation of a GridLayout
-clone_layout        deep copy via the JSON round-trip
+clone_layout        independent copy sharing the immutable wire table
 verdicts_agree      (fast_ok, oracle_ok) verdict pair for a layout
 """
 

@@ -204,6 +204,21 @@ class TestRunner:
         ))
         assert after == before  # scratch dir cleaned up
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_job_error_reraises(self, workers, monkeypatch):
+        from repro.batch import runner
+
+        def flaky(net, *, layers, scheme):
+            if net.name.startswith("star") and layers == 4:
+                raise ValueError("boom")
+            return dispatch_scheme(net, layers=layers, scheme=scheme)
+
+        monkeypatch.setattr(runner, "dispatch_scheme", flaky)
+        # star:3@L4 is job 5: worker 1's third job.
+        match = "boom" if workers == 1 else "sweep worker 1 failed: .*boom"
+        with pytest.raises((ValueError, RuntimeError), match=match):
+            SweepRunner(workers=workers).run(SPEC)
+
     def test_metrics_out_written_live(self, tmp_path):
         out = tmp_path / "metrics.prom"
         SweepRunner(workers=2, metrics_out=out).run(SPEC)
@@ -409,6 +424,34 @@ class TestFuzzParallel:
                 for f in serial.failures]
         )
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_report_counts_are_pinned(self, workers):
+        from repro.check import run_fuzz
+
+        rep = run_fuzz(seed=0, budget=30, workers=workers)
+        assert rep.ok and rep.cases_run == 30
+        assert rep.kind_counts == {"random": 10, "zoo": 10, "mutant": 10}
+        # A skipped stage (cutwidth past its node limit, folding on a
+        # non-uniform pitch, threedee off the k^3 tori) is not counted.
+        assert rep.stage_counts == {
+            "collinear": 30, "cutwidth": 25, "orthogonal": 30,
+            "agreement": 30, "dirty-region": 30, "folding": 8,
+            "traffic": 30,
+        }
+
+    def test_parallel_without_run_dir_leaves_nothing(self):
+        import glob
+        import tempfile
+
+        from repro.check import run_fuzz
+
+        pattern = os.path.join(tempfile.gettempdir(), "repro-sweep-*")
+        before = set(glob.glob(pattern))
+        rep = run_fuzz(seed=4, budget=4, workers=2)
+        assert rep.cases_run == 4
+        assert sorted(rep.worker_health) == [0, 1]
+        assert set(glob.glob(pattern)) == before
+
     def test_workers_share_cache_readonly(self, tmp_path):
         from repro.check import run_fuzz
 
@@ -421,3 +464,10 @@ class TestFuzzParallel:
         assert sorted(p.name for p in cdir.rglob("*.json")) == entries
         assert par.cases_run == seeded.cases_run
         assert par.violations == seeded.violations
+
+    def test_workers_never_write_a_cold_cache(self, tmp_path):
+        from repro.check import run_fuzz
+
+        cdir = tmp_path / "cache"
+        run_fuzz(seed=2, budget=6, workers=2, cache_dir=cdir)
+        assert not list(cdir.rglob("*.json"))

@@ -124,6 +124,63 @@ class TestZooRoundtrip:
         assert len(twin.wires) == len(lay.wires) - 1
 
 
+class TestClone:
+    """``clone_layout`` shares the wire table but never leaks an edit."""
+
+    @pytest.fixture(scope="class")
+    def golden_cases(self):
+        from test_golden import build_cases
+
+        return build_cases()
+
+    def test_clone_serializes_like_the_original(self, golden_cases):
+        from repro.grid.io import clone_layout
+
+        for name, lay in sorted(golden_cases.items()):
+            twin = clone_layout(lay)
+            assert layout_to_json(twin) == layout_to_json(lay), name
+            assert twin.meta == lay.meta, name
+
+    def test_edits_on_a_clone_leave_the_original_alone(self, golden_cases):
+        from repro.grid.geometry import Rect, Segment
+        from repro.grid.io import clone_layout
+        from repro.grid.table import WireTable
+        from repro.grid.wire import Wire
+
+        for name, lay in sorted(golden_cases.items()):
+            before = layout_to_json(lay)
+            meta = repr(lay.meta)
+            twin = clone_layout(lay)
+            n = twin.wire_table().num_wires
+            twin.splice(0, 1, WireTable.from_wires([], {}))
+            first = twin.wires[0]
+            twin.replace_wire(0, Wire(
+                first.u, first.v, [Segment(-3, -3, -3, 5, 1)],
+                edge_key=first.edge_key,
+            ))
+            twin.add_wire(Wire(
+                first.u, first.v, [Segment(-5, 0, -5, 4, 1)],
+                edge_key=first.edge_key,
+            ))
+            twin.place(("clone-only",), Rect(-20, -20, 2, 2))
+            for value in twin.meta.values():
+                if isinstance(value, list):
+                    value.append("clone-only")
+            twin.meta["clone-only"] = True
+            assert twin.wire_table().num_wires == n
+            assert layout_to_json(lay) == before, name
+            assert repr(lay.meta) == meta, name
+            assert ("clone-only",) not in lay.placements, name
+
+    def test_clone_starts_without_a_dirty_tracker(self):
+        from repro.grid.io import clone_layout
+
+        lay = layout_kary(3, 2, layers=4)
+        validate_layout(lay, incremental=True)
+        assert lay._dirty is not None
+        assert clone_layout(lay)._dirty is None
+
+
 class TestCli:
     def test_layout_command(self, tmp_path, capsys):
         from repro.cli import main

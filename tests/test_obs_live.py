@@ -547,6 +547,24 @@ class TestFuzzTelemetry:
             for rec in rep.worker_health.values()
         )
 
+    def test_fuzz_sigkill_worker_is_dead_and_the_run_raises(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.check.differential import run_fuzz
+
+        monkeypatch.setenv(FAULT_ENV, "1:kill")
+        rd = tmp_path / "fuzz-kill"
+        # Worker 1 holds cases 1, 4 and 7 and dies after the first.
+        with pytest.raises(
+            RuntimeError, match=r"fuzz worker 1 was lost: 3 of its cases"
+        ):
+            run_fuzz(seed=11, budget=9, workers=3, run_dir=rd)
+        snap = live.watch_snapshot(rd)
+        verdicts = {w["worker_id"]: w["verdict"] for w in snap["workers"]}
+        assert verdicts == {0: "done", 1: "dead", 2: "done"}
+        assert "sweep.worker_lost" in _log_events(rd)
+        assert live.read_run_manifest(rd).get("state") != "done"
+
     def test_fuzz_serial_run_dir(self, tmp_path):
         from repro.check.differential import run_fuzz
 

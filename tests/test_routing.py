@@ -9,14 +9,13 @@ from repro.routing import (
     bit_complement,
     dimension_order_route,
     hot_spot,
-    min_wire_routes,
     random_permutation,
     shortest_hop_routes,
     transpose,
 )
 from repro.routing.paths import layout_link_delays
 from repro.routing.simulator import _bfs_router
-from repro.core import layout_hypercube, layout_kary
+from repro.core import layout_kary
 from repro.topology import (
     Butterfly,
     CompleteGraph,
@@ -102,22 +101,6 @@ class TestRoutingTables:
                 assert path[0] == src and path[-1] == dst
                 assert len(path) - 1 == bin(src ^ dst).count("1")
                 assert is_walk(net, path) or src == dst
-
-    def test_min_wire_routes_prefer_short_wires(self):
-        net = Hypercube(4)
-        lay = layout_hypercube(4)
-        table = min_wire_routes(net, lay)
-        delays = layout_link_delays(lay)
-        # Each route's total delay must be <= the direct e-cube route's.
-        for src, dst in [(0, 15), (5, 10)]:
-            route = table.route(src, dst)
-            assert route[0] == src and route[-1] == dst
-            cost = sum(delays[(a, b)] for a, b in zip(route, route[1:]))
-            ecube = dimension_order_route(net, src, dst)
-            ecube_cost = sum(
-                delays[(a, b)] for a, b in zip(ecube, ecube[1:])
-            )
-            assert cost <= ecube_cost
 
     def test_failed_links_rerouted(self):
         net = Hypercube(3)
@@ -227,32 +210,6 @@ class TestTableParity:
             with pytest.raises(KeyError):
                 table.route(src, dst)
         assert table.route(1, 3) == oracle(1, 3) == [1, 2, 3]
-
-    @pytest.mark.parametrize("L", [2, 4])
-    def test_min_wire_routes_are_shortest_under_delays(self, L):
-        # Floyd-Warshall over the layout's link delays is the reference.
-        net = Hypercube(5)
-        lay = layout_hypercube(5, layers=L)
-        delays = layout_link_delays(lay)
-        table = min_wire_routes(net, lay)
-        inf = float("inf")
-        dist = {
-            (u, v): 0 if u == v else inf
-            for u in net.nodes for v in net.nodes
-        }
-        for (u, v), d in delays.items():
-            dist[(u, v)] = min(dist[(u, v)], d)
-        for k in net.nodes:
-            for u in net.nodes:
-                for v in net.nodes:
-                    if dist[(u, k)] + dist[(k, v)] < dist[(u, v)]:
-                        dist[(u, v)] = dist[(u, k)] + dist[(k, v)]
-        for src in net.nodes:
-            for dst in net.nodes:
-                route = table.route(src, dst)
-                assert route[0] == src and route[-1] == dst
-                cost = sum(delays[(a, b)] for a, b in zip(route, route[1:]))
-                assert cost == dist[(src, dst)], (src, dst)
 
     def test_unknown_node_raises_keyerror(self):
         table = shortest_hop_routes(Ring(4))
