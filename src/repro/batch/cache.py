@@ -24,21 +24,27 @@ which is never built as a dict -- and the text travels with the key:
 Entries are files ``<root>/<k[:2]>/<k>.json``, each one JSON document
 written as exactly three lines::
 
-    {"layout_sha256": "<hex>", "metrics": <json or null>,
+    {"layout_sha256": "<hex>", "metrics": <the layout's metrics dict>,
     "key": <key text>,
     "layout": <the layout JSON, as a JSON string>}
 
 The key line is checked back on read (a hash collision or a swapped
 file is a miss), the layout carries its own SHA-256 (bit corruption is
-detected, never trusted), and the layout's measured metrics let hits
-skip not only the build but also validation and measurement.  A read
-parses only the header and the layout's string literal, never the key.
-Anything that is not this shape -- truncated, flipped, swapped, or an
-older one-line entry -- is a miss, deleted so the caller rebuilds it.
-Writes go through a temp file + ``os.replace`` so concurrent sweep
-workers sharing one cache directory never observe a torn entry;
-readers in ``readonly`` mode (the fuzz workers) never write or delete
-anything.
+detected, never trusted), and the layout's measured metrics -- every
+entry has them -- let hits skip not only the build but also validation
+and measurement.  A read parses only the header and the layout's
+string literal, never the key.  Anything that is not this shape --
+truncated, flipped, swapped, without a metrics dict, or an older
+one-line entry -- is a miss, deleted so the caller rebuilds it.
+
+The cache is ``key_for`` + ``get`` + ``put`` and nothing else: each
+sweep, fuzz or pool worker is a single-threaded process with its own
+handle, and the only place concurrent requests for one key meet is the
+daemon, whose asyncio flight map coalesces them before the cache is
+asked.  Writes go through a temp file + ``os.replace`` so processes
+sharing one cache directory never observe a torn entry, and racing
+builders of one key write identical bytes; readers in ``readonly``
+mode (parallel fuzz workers) never write or delete anything.
 """
 
 from __future__ import annotations
@@ -47,7 +53,6 @@ import hashlib
 import json
 import os
 import tempfile
-import threading
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -139,19 +144,12 @@ def _network_text(net: Network) -> str:
 
 @dataclass
 class CacheStats:
-    """Hit/miss accounting for one cache handle.
-
-    ``coalesced`` counts getters that neither hit nor built: they
-    arrived while another thread was already building the same key
-    (see :meth:`LayoutCache.get_or_build`) and simply waited for its
-    result.
-    """
+    """Hit/miss accounting for one cache handle."""
 
     hits: int = 0
     misses: int = 0
     corrupt: int = 0
     writes: int = 0
-    coalesced: int = 0
 
     def as_dict(self) -> dict:
         return {
@@ -159,7 +157,6 @@ class CacheStats:
             "misses": self.misses,
             "corrupt": self.corrupt,
             "writes": self.writes,
-            "coalesced": self.coalesced,
         }
 
     def merge(self, other: "CacheStats | dict") -> None:
@@ -168,7 +165,6 @@ class CacheStats:
         self.misses += d.get("misses", 0)
         self.corrupt += d.get("corrupt", 0)
         self.writes += d.get("writes", 0)
-        self.coalesced += d.get("coalesced", 0)
 
 
 @dataclass
@@ -177,23 +173,12 @@ class CacheEntry:
 
     key: str
     layout_json: str
-    metrics: dict | None = None
+    metrics: dict
 
     def layout(self) -> GridLayout:
         """Deserialize the stored layout (hits that only need metrics
         never pay this)."""
         return layout_from_json(self.layout_json)
-
-
-class _Flight:
-    """One in-progress build: followers wait on ``done``."""
-
-    __slots__ = ("done", "entry", "error")
-
-    def __init__(self) -> None:
-        self.done = threading.Event()
-        self.entry: CacheEntry | None = None
-        self.error: BaseException | None = None
 
 
 class LayoutCache:
@@ -212,10 +197,6 @@ class LayoutCache:
         self.root = Path(root)
         self.readonly = readonly
         self.stats = CacheStats()
-        # Single-flight state: one _Flight per key currently being
-        # built *by this handle*; guarded by _flight_lock.
-        self._flight_lock = threading.Lock()
-        self._inflight: dict[str, _Flight] = {}
 
     # -- keys -----------------------------------------------------------
 
@@ -248,18 +229,15 @@ class LayoutCache:
 
     # -- read -----------------------------------------------------------
 
-    def get(
-        self, key: str, key_text: str, *, require_metrics: bool = False
-    ) -> CacheEntry | None:
+    def get(self, key: str, key_text: str) -> CacheEntry | None:
         """The entry under ``key``, or None on miss *or* corruption.
 
         ``key_text`` is the key's text from :meth:`key_for`; the entry's
         key line must hold exactly it.  A corrupt entry (not the
-        three-line shape, a key line that differs, or a payload hash
-        mismatch) is deleted (unless readonly) and reported as a miss,
-        so the caller rebuilds instead of trusting it.  With
-        ``require_metrics``, a sound entry stored without metrics is a
-        plain miss: counted as one, and left in place.
+        three-line shape, a key line that differs, a payload hash
+        mismatch, or no metrics dict) is deleted (unless readonly) and
+        reported as a miss, so the caller rebuilds instead of trusting
+        it.
         """
         path = self._path(key)
         try:
@@ -282,8 +260,6 @@ class LayoutCache:
                     path.unlink()
                 except OSError:  # pragma: no cover - racing unlink
                     pass
-            return self._miss(key)
-        if require_metrics and entry.metrics is None:
             return self._miss(key)
         self.stats.hits += 1
         obs.count("cache.hits")
@@ -330,7 +306,7 @@ class LayoutCache:
             return None
         if hashlib.sha256(layout_json.encode()).hexdigest() != digest:
             return None
-        if metrics is not None and not isinstance(metrics, dict):
+        if not isinstance(metrics, dict):
             return None
         return CacheEntry(key=key, layout_json=layout_json, metrics=metrics)
 
@@ -341,7 +317,7 @@ class LayoutCache:
         key: str,
         key_text: str,
         layout_json: str,
-        metrics: dict | None = None,
+        metrics: dict,
     ) -> bool:
         """Store an entry atomically; no-op (False) in readonly mode.
 
@@ -379,74 +355,3 @@ class LayoutCache:
         obs.count("cache.writes")
         olog.debug("cache.write", key=key[:16])
         return True
-
-    # -- single-flight build --------------------------------------------
-
-    def get_or_build(
-        self,
-        key: str,
-        key_text: str,
-        build,
-        *,
-        require_metrics: bool = True,
-    ) -> tuple[CacheEntry, str]:
-        """The entry under ``key``, building it at most once per handle.
-
-        ``build()`` must return ``(layout_json, metrics)``.  Returns
-        ``(entry, source)`` where ``source`` is ``"cache"`` (warm
-        hit), ``"built"`` (this caller paid the build), or
-        ``"coalesced"`` (another thread was already building the same
-        key; this caller waited for its result without re-probing the
-        disk, so neither the build work nor the ``cache.misses``
-        count is doubled).
-
-        Concurrency is **per handle**: two threads sharing one
-        :class:`LayoutCache` coalesce; separate processes (or separate
-        handles) still race benignly through the atomic ``put``.  A
-        build that raises releases the flight and propagates to every
-        waiter, so a later request retries cleanly.
-        """
-        while True:
-            with self._flight_lock:
-                flight = self._inflight.get(key)
-                if flight is None:
-                    flight = _Flight()
-                    self._inflight[key] = flight
-                    leader = True
-                else:
-                    leader = False
-            if not leader:
-                flight.done.wait()
-                if flight.error is not None:
-                    raise flight.error
-                if flight.entry is None:
-                    # The leader found a usable warm entry *after* we
-                    # enqueued (rare); loop and take the fast path.
-                    continue
-                self.stats.coalesced += 1
-                obs.count("cache.coalesced")
-                olog.debug("cache.coalesced", key=key[:16])
-                return flight.entry, "coalesced"
-            try:
-                entry = self.get(
-                    key, key_text, require_metrics=require_metrics
-                )
-                if entry is not None:
-                    flight.entry = entry
-                    return entry, "cache"
-                olog.info("cache.build", key=key[:16])
-                with obs.span("cache.build", key=key[:16]):
-                    layout_json, metrics = build()
-                self.put(key, key_text, layout_json, metrics)
-                entry = CacheEntry(
-                    key=key, layout_json=layout_json, metrics=metrics
-                )
-                flight.entry = entry
-                return entry, "built"
-            except BaseException as exc:
-                flight.error = exc
-                raise
-            finally:
-                with self._flight_lock:
-                    self._inflight.pop(key, None)
-                flight.done.set()

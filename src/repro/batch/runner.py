@@ -165,49 +165,32 @@ def run_sweep_job(
     *,
     validate: bool = True,
 ) -> JobResult:
-    """Execute one job: cache lookup, else build + validate + measure.
+    """Execute one job: a cache hit, else build + validate + measure.
 
-    Cached runs go through :meth:`LayoutCache.get_or_build`, so two
-    threads racing the same cold key on one cache handle pay exactly
-    one build (``source`` comes back ``"coalesced"`` for the waiter);
-    the serve-side coalescer and the sweep workers share this path.
+    With a cache the job is ``get``, and on a miss a build whose layout
+    is serialized and ``put`` under the same key; ``source`` says which
+    (``"cache"`` or ``"built"``).  Sweep, fuzz and pool workers, the
+    daemon, ``repro zoo`` and ``repro stats`` all run layout jobs
+    through here.
     """
     t0 = time.perf_counter()
     net = job.build_network()
-
-    def build() -> tuple:
-        # When a trace context is active -- a serve request shipped
-        # into a pool worker, or a sweep run stamped its own -- the
-        # job span carries the trace id and a request-style id, so a
-        # built row links straight to its trace document.
-        attrs: dict = {"job": job.job_id}
-        ctx = ocontext.current_context()
-        if ctx is not None:
-            attrs["trace_id"] = ctx.trace_id
-            attrs["request_id"] = (
-                f"j{job.index:05d}-{ctx.trace_id[:8]}"
-            )
-        with obs.span("sweep.job", **attrs):
-            layout = dispatch_scheme(
-                net, layers=job.layers, scheme=job.scheme
-            )
-            if validate:
-                validate_layout(layout)
-            metrics = measure(layout).as_dict()
-        obs.count("sweep.jobs_built")
-        return layout, metrics
-
-    if cache is not None:
+    source = "built"
+    if cache is None:
+        _, metrics = _build(job, net, validate)
+    else:
         key, key_text = cache.key_for(
             net, scheme=job.scheme, layers=job.layers,
         )
-        entry, source = cache.get_or_build(
-            key, key_text, lambda: _serialized(build())
-        )
-        metrics = entry.metrics
-    else:
-        _, metrics = build()
-        source = "built"
+        entry = cache.get(key, key_text)
+        if entry is not None:
+            metrics, source = entry.metrics, "cache"
+        else:
+            olog.info("cache.build", key=key[:16])
+            with obs.span("cache.build", key=key[:16]):
+                layout, metrics = _build(job, net, validate)
+                layout_json = layout_to_json(layout)
+            cache.put(key, key_text, layout_json, metrics)
     return JobResult(
         job_id=job.job_id,
         network=job.network,
@@ -221,10 +204,26 @@ def run_sweep_job(
     )
 
 
-def _serialized(built: tuple) -> tuple:
-    """``(layout, metrics) -> (layout_json, metrics)`` for the cache."""
-    layout, metrics = built
-    return layout_to_json(layout), metrics
+def _build(job: SweepJob, net, validate: bool) -> tuple:
+    """``(layout, metrics)`` for ``job`` under one ``sweep.job`` span.
+
+    When a trace context is active -- a serve request shipped into a
+    pool worker, or a sweep run stamped its own -- the span carries the
+    trace id and a request-style id, so a built row links straight to
+    its trace document.
+    """
+    attrs: dict = {"job": job.job_id}
+    ctx = ocontext.current_context()
+    if ctx is not None:
+        attrs["trace_id"] = ctx.trace_id
+        attrs["request_id"] = f"j{job.index:05d}-{ctx.trace_id[:8]}"
+    with obs.span("sweep.job", **attrs):
+        layout = dispatch_scheme(net, layers=job.layers, scheme=job.scheme)
+        if validate:
+            validate_layout(layout)
+        metrics = measure(layout).as_dict()
+    obs.count("sweep.jobs_built")
+    return layout, metrics
 
 
 def _maybe_fault(worker_id: int, jobs_done: int) -> None:
@@ -553,13 +552,12 @@ def run_directory(run_dir: str | None, **manifest):
 class _SweepJobs(FanOutTask):
     """Sweep jobs through :func:`run_sweep_job`, one cache per process."""
 
-    def __init__(self, cache_dir, readonly: bool, validate: bool):
-        self.cache_dir, self.readonly = cache_dir, readonly
-        self.validate, self.cache = validate, None
+    def __init__(self, cache_dir, validate: bool):
+        self.cache_dir, self.validate, self.cache = cache_dir, validate, None
 
     def open(self, parallel: bool) -> None:
         if self.cache_dir is not None:
-            self.cache = LayoutCache(self.cache_dir, readonly=self.readonly)
+            self.cache = LayoutCache(self.cache_dir)
 
     def label(self, job: SweepJob) -> str:
         return job.job_id
@@ -579,11 +577,8 @@ class SweepRunner:
         self,
         *,
         cache_dir: str | os.PathLike | None = None,
-        cache_readonly: bool = False,
         workers: int = 1,
         validate: bool = True,
-        trace_out: str | os.PathLike | None = None,
-        events_out: str | os.PathLike | None = None,
         run_dir: str | os.PathLike | None = None,
         metrics_out: str | os.PathLike | None = None,
         stall_after_s: float = live.DEFAULT_STALL_AFTER_S,
@@ -591,11 +586,8 @@ class SweepRunner:
         watch_interval_s: float | None = None,
     ):
         self.cache_dir = cache_dir
-        self.cache_readonly = cache_readonly
         self.workers = max(1, int(workers))
         self.validate = validate
-        self.trace_out = trace_out
-        self.events_out = events_out
         self.run_dir = run_dir
         self.metrics_out = metrics_out
         self.stall_after_s = stall_after_s
@@ -604,11 +596,10 @@ class SweepRunner:
 
     def run(self, spec: SweepSpec) -> SweepResult:
         jobs = spec.expand()
-        # An export request implies observation: turn collection on
-        # for the run (and back off, if we enabled it) so the written
-        # trace is never empty by accident.
-        exporting = self.trace_out or self.events_out or self.metrics_out
-        enabled_here = bool(exporting) and not obs.enabled()
+        # A metrics file implies observation: turn collection on for
+        # the run (and back off, if we enabled it) so the written
+        # exposition is never empty by accident.
+        enabled_here = bool(self.metrics_out) and not obs.enabled()
         if enabled_here:
             obs.enable()
         run_dir = None if self.run_dir is None else os.fspath(self.run_dir)
@@ -636,7 +627,7 @@ class SweepRunner:
                         _SweepJobs(
                             None if self.cache_dir is None
                             else os.fspath(self.cache_dir),
-                            self.cache_readonly, self.validate,
+                            self.validate,
                         ),
                         jobs, workers=workers, run_dir=run_dir,
                         heartbeat_s=self.heartbeat_s,
@@ -668,14 +659,6 @@ class SweepRunner:
                     cache=result.cache_stats.as_dict(),
                     lost_workers=result.lost_workers(),
                 )
-                if self.trace_out:
-                    from repro.obs.export import write_chrome_trace
-
-                    write_chrome_trace(self.trace_out)
-                if self.events_out:
-                    from repro.obs.export import write_jsonl
-
-                    write_jsonl(self.events_out)
                 if self.metrics_out:
                     from repro.obs.export import write_prometheus
 

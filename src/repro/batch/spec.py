@@ -100,9 +100,7 @@ def parse_network(spec: str) -> Network:
 # Scheme dispatch
 
 #: Scheme names a job may request.  ``auto`` is the paper's per-family
-#: dispatch (star graphs through the Cayley cluster route,
-#: shuffle-exchange / de Bruijn through the optimized generic grid,
-#: everything else through its family constructor); ``generic`` and
+#: dispatch, :func:`~repro.core.schemes.layout_network`; ``generic`` and
 #: ``generic-opt`` force the universal near-square grid (the fuzzer's
 #: adversarial target), without / with order optimization; ``cayley``
 #: forces the Cayley cluster scheme.
@@ -114,10 +112,6 @@ def dispatch_scheme(
 ) -> GridLayout:
     """Build ``net``'s layout under the named scheme."""
     if scheme == "auto":
-        if isinstance(net, (ShuffleExchange, DeBruijn)):
-            return layout_generic_grid(net, layers=layers, optimize=True)
-        if isinstance(net, StarGraph):
-            return layout_cayley(net, layers=layers)
         return layout_network(net, layers=layers)
     if scheme == "generic":
         return layout_generic_grid(net, layers=layers)
@@ -212,8 +206,8 @@ class TrafficSpec:
     """A declarative traffic experiment: one workload on one network.
 
     The batch-side mirror of :func:`repro.routing.make_workload` plus
-    the engine knobs -- everything needed to reproduce a simulation or
-    a saturation sweep from a JSON document.  ``rates`` non-empty
+    the simulation knobs -- everything needed to reproduce a simulation
+    or a saturation sweep from a JSON document.  ``rates`` non-empty
     means a sweep (``rate`` is then ignored); ``params`` passes
     through to the workload generator (``hot_fraction``, ``p_on``,
     ...).
@@ -228,12 +222,11 @@ class TrafficSpec:
     layers: int = 2
     mode: str = "store_forward"
     message_length: int = 1
-    engine: str = "fast"
     params: dict = field(default_factory=dict)
 
     _KEYS = (
         "network", "workload", "rate", "rates", "duration", "seed",
-        "layers", "mode", "message_length", "engine", "params",
+        "layers", "mode", "message_length", "params",
     )
 
     def __post_init__(self) -> None:
@@ -244,8 +237,6 @@ class TrafficSpec:
                 f"unknown workload {self.workload!r}; "
                 f"known: {', '.join(WORKLOAD_KINDS)}"
             )
-        if self.engine not in ("fast", "oracle"):
-            raise ValueError(f"unknown engine {self.engine!r}")
         if self.mode not in ("store_forward", "cut_through"):
             raise ValueError(f"unknown mode {self.mode!r}")
 
@@ -263,7 +254,6 @@ class TrafficSpec:
             knee_point,
             make_workload,
             saturation_sweep,
-            simulate,
             simulate_fast,
         )
 
@@ -273,7 +263,7 @@ class TrafficSpec:
             rows = saturation_sweep(
                 net, rates=self.rates, duration=self.duration,
                 workload=self.workload, seed=self.seed,
-                engine=self.engine, layout=lay, mode=self.mode,
+                layout=lay, mode=self.mode,
                 message_length=self.message_length,
                 workload_params=self.params or None,
             )
@@ -282,8 +272,7 @@ class TrafficSpec:
             self.workload, net, seed=self.seed, rate=self.rate,
             duration=self.duration, **self.params,
         )
-        run_fn = simulate_fast if self.engine == "fast" else simulate
-        return run_fn(
+        return simulate_fast(
             net, msgs, layout=lay, mode=self.mode,
             message_length=self.message_length,
         )
@@ -299,7 +288,6 @@ class TrafficSpec:
             "layers": self.layers,
             "mode": self.mode,
             "message_length": self.message_length,
-            "engine": self.engine,
             "params": dict(self.params),
         }
 
@@ -322,7 +310,6 @@ class TrafficSpec:
             layers=int(doc.get("layers", 2)),
             mode=str(doc.get("mode", "store_forward")),
             message_length=int(doc.get("message_length", 1)),
-            engine=str(doc.get("engine", "fast")),
             params=dict(doc.get("params", {})),
         )
 

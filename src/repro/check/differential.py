@@ -194,7 +194,10 @@ def build_scheme_layout(
     The cache is addressed by network structure + scheme + layers --
     the same keys the sweep runner writes -- so a fuzz run pointed at
     a sweep-populated cache directory skips rebuilding layouts the
-    sweep already produced.  Fuzz workers open the cache read-only.
+    sweep already produced.  As in a sweep job, a built layout is
+    validated and measured before it is written: the sweep runner and
+    the daemon answer from any entry without re-checking it.  Parallel
+    fuzz workers open the cache read-only and write nothing.
     """
     scheme = case_scheme(case)
     if cache is None:
@@ -206,7 +209,14 @@ def build_scheme_layout(
     if entry is not None:
         return entry.layout()
     lay = dispatch_scheme(case.network, layers=layers, scheme=scheme)
-    cache.put(key, key_text, layout_to_json(lay))
+    if not cache.readonly:
+        try:
+            validate_layout(lay)
+        except LayoutError:
+            return lay  # the stages report it; it is not cached
+        cache.put(
+            key, key_text, layout_to_json(lay), measure(lay).as_dict()
+        )
     return lay
 
 

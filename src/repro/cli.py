@@ -58,30 +58,11 @@ from repro import obs
 from repro.obs import live
 from repro.obs import logging as olog
 from repro.batch.spec import FAMILIES as _FAMILIES
-from repro.batch.spec import SCHEMES, dispatch_scheme, parse_network
+from repro.batch.spec import SCHEMES, SweepJob, parse_network
 from repro.bench.harness import print_table
 from repro.core import layout_network, measure, paper_prediction
-from repro.core.schemes import layout_cayley
 from repro.grid.io import dump_layout
 from repro.grid.validate import check_topology, validate_layout
-from repro.topology import (
-    HSN,
-    Butterfly,
-    CompleteGraph,
-    CubeConnectedCycles,
-    DeBruijn,
-    FoldedHypercube,
-    GeneralizedHypercube,
-    Hypercube,
-    IndirectSwapNetwork,
-    KAryNCube,
-    ReducedHypercube,
-    Ring,
-    ShuffleExchange,
-    StarConnectedCycles,
-    StarGraph,
-    WrappedButterfly,
-)
 from repro.viz import ascii_collinear, svg_layout
 
 __all__ = ["main", "parse_network"]
@@ -89,10 +70,7 @@ __all__ = ["main", "parse_network"]
 
 def _cmd_layout(args) -> int:
     net = parse_network(args.network)
-    if isinstance(net, StarGraph):
-        lay = layout_cayley(net, layers=args.layers)
-    else:
-        lay = layout_network(net, layers=args.layers)
+    lay = layout_network(net, layers=args.layers)
     if args.validate:
         validate_layout(lay)
         check_topology(lay, net.edges)
@@ -114,28 +92,34 @@ def _cmd_layout(args) -> int:
     return 0
 
 
+#: The network zoo ``zoo`` and ``stats`` lay out, one spec per family.
+ZOO = (
+    "ring:12", "kary:4,2", "hypercube:5", "folded-hypercube:4",
+    "complete:10", "ghc:4,4", "butterfly:3", "wrapped-butterfly:3",
+    "isn:3", "ccc:4", "reduced-hypercube:4", "hsn:4,2", "star:4",
+    "scc:4", "shuffle-exchange:5", "de-bruijn:5",
+)
+
+
 def _zoo_networks() -> list:
-    return [
-        Ring(12), KAryNCube(4, 2), Hypercube(5), FoldedHypercube(4),
-        CompleteGraph(10), GeneralizedHypercube((4, 4)), Butterfly(3),
-        WrappedButterfly(3), IndirectSwapNetwork(3),
-        CubeConnectedCycles(4), ReducedHypercube(4),
-        HSN(CompleteGraph(4), 2), StarGraph(4), StarConnectedCycles(4),
-        ShuffleExchange(5), DeBruijn(5),
-    ]
+    return [parse_network(spec) for spec in ZOO]
 
 
-def _zoo_dispatch(net, layers: int):
-    return dispatch_scheme(net, layers=layers, scheme="auto")
+def _zoo_jobs(layers: int) -> list:
+    return [SweepJob(i, spec, layers) for i, spec in enumerate(ZOO)]
 
 
 def _cmd_zoo(args) -> int:
+    from repro.batch.runner import run_sweep_job
+
     rows = []
-    for net in _zoo_networks():
-        lay = _zoo_dispatch(net, args.layers)
-        validate_layout(lay)
-        m = measure(lay)
-        rows.append([net.name, net.num_nodes, m.area, m.volume, m.max_wire])
+    for job in _zoo_jobs(args.layers):
+        r = run_sweep_job(job)
+        m = r.metrics
+        rows.append([
+            job.build_network().name, r.num_nodes, m["area"], m["volume"],
+            m["max_wire"],
+        ])
     print_table(
         f"network zoo at L={args.layers}",
         ["network", "N", "area", "volume", "max wire"],
@@ -210,34 +194,20 @@ def _cmd_stats(args) -> int:
     """Run the zoo with tracing on; print the phase timing breakdown."""
     import time as _time
 
+    from repro.batch.cache import LayoutCache
+    from repro.batch.runner import run_sweep_job
+
     if getattr(args, "mem", False):
         return _cmd_stats_mem(args)
     cache = None
     if getattr(args, "cache_dir", None):
-        from repro.batch.cache import LayoutCache
-
         cache = LayoutCache(args.cache_dir)
     obs.enable()
-    nets = _zoo_networks()
-    for net in nets:
+    jobs = _zoo_jobs(args.layers)
+    for job in jobs:
         t0 = _time.perf_counter()
-        with obs.span("network", network=net.name, N=net.num_nodes):
-            entry = key = key_text = None
-            if cache is not None:
-                key, key_text = cache.key_for(
-                    net, scheme="auto", layers=args.layers
-                )
-                entry = cache.get(key, key_text, require_metrics=True)
-            if entry is None:
-                lay = _zoo_dispatch(net, args.layers)
-                validate_layout(lay)
-                m = measure(lay)
-                if cache is not None:
-                    from repro.grid.io import layout_to_json
-
-                    cache.put(
-                        key, key_text, layout_to_json(lay), m.as_dict()
-                    )
+        with obs.span("network", network=job.network):
+            run_sweep_job(job, cache)
         obs.observe(
             "stats.network_ms", (_time.perf_counter() - t0) * 1e3
         )
@@ -256,7 +226,7 @@ def _cmd_stats(args) -> int:
         )
     ]
     print_table(
-        f"pipeline phase timings, zoo ({len(nets)} networks) "
+        f"pipeline phase timings, zoo ({len(jobs)} networks) "
         f"at L={args.layers}",
         ["phase", "calls", "total ms", "self ms", "self share"],
         rows,
@@ -314,7 +284,7 @@ def _cmd_stats_mem(args) -> int:
     rows = []
     tot_obj = tot_tab = 0
     for net in _zoo_networks():
-        lay = _zoo_dispatch(net, args.layers)
+        lay = layout_network(net, layers=args.layers)
         table = lay.wire_table()
         obj = object_graph_bytes(lay)
         tab = table.nbytes()
@@ -381,7 +351,6 @@ def _cmd_simulate(args) -> int:
         make_workload,
         random_permutation,
         saturation_sweep,
-        simulate,
         simulate_fast,
         transpose,
     )
@@ -405,7 +374,6 @@ def _cmd_simulate(args) -> int:
                 args.kernel if args.kernel in WORKLOAD_KINDS else "uniform"
             ),
             seed=args.seed,
-            engine=args.engine,
             layout=lay,
             mode=args.mode,
             message_length=args.message_length,
@@ -419,8 +387,7 @@ def _cmd_simulate(args) -> int:
             )
         print_table(
             f"{net.name} L={args.layers}: saturation sweep "
-            f"({args.engine} engine, knee at "
-            f"{'none in range' if knee is None else knee})",
+            f"(knee at {'none in range' if knee is None else knee})",
             ["rate", "offered", "messages", "avg latency", "p50", "p99",
              "max util"],
             [[r["rate"], f"{r['offered']:.3f}", r["messages"],
@@ -431,7 +398,7 @@ def _cmd_simulate(args) -> int:
             with open(args.json, "w") as fh:
                 _json.dump(
                     {"network": net.name, "layers": args.layers,
-                     "engine": args.engine, "knee": knee, "rows": rows},
+                     "knee": knee, "rows": rows},
                     fh, indent=2,
                 )
                 fh.write("\n")
@@ -452,14 +419,13 @@ def _cmd_simulate(args) -> int:
         raise SystemExit(
             f"unknown kernel {args.kernel!r}; known: {known}"
         )
-    run = simulate_fast if args.engine == "fast" else simulate
-    res = run(
+    res = simulate_fast(
         net, msgs, layout=lay, mode=args.mode,
         message_length=args.message_length,
     )
     print_table(
         f"{net.name} L={args.layers}: {args.kernel} "
-        f"({args.mode}, {args.engine} engine)",
+        f"({args.mode})",
         ["messages", "makespan", "avg latency", "p99", "max latency",
          "max link load"],
         [[res.messages, res.makespan, f"{res.avg_latency:.1f}",
@@ -966,10 +932,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", default="store_forward",
                    choices=["store_forward", "cut_through"])
     p.add_argument("--message-length", type=int, default=1)
-    p.add_argument("--engine", default="fast",
-                   choices=["fast", "oracle"],
-                   help="batched event engine (default) or the "
-                   "per-packet oracle -- results are identical")
     p.add_argument("--rate", type=float, default=0.1,
                    help="injection rate for the timed zoo kinds")
     p.add_argument("--duration", type=int, default=64,

@@ -40,6 +40,7 @@ from repro.topology.isn import IndirectSwapNetwork
 from repro.topology.kary import KAryNCube, Ring
 from repro.topology.partition import Partition, quotient
 from repro.topology.product import ProductNetwork
+from repro.topology.shuffle import DeBruijn, ShuffleExchange
 from repro.topology.swap import HSN
 
 __all__ = [
@@ -708,7 +709,18 @@ def layout_cayley(
 def layout_network(
     network: Network, *, layers: int = 2, node_side: int | None = None
 ) -> GridLayout:
-    """One-call layout for any supported network instance."""
+    """One-call layout for any supported network instance: the paper's
+    scheme for its family (the ``"auto"`` scheme of
+    :func:`repro.batch.spec.dispatch_scheme`).
+
+    Shuffle-exchange and de Bruijn networks, which the paper lays out
+    by no family construction, take the optimized generic grid; a
+    graph of no known family falls back to a collinear layout.
+    """
+    if isinstance(network, (ShuffleExchange, DeBruijn)):
+        return layout_generic_grid(
+            network, layers=layers, node_side=node_side, optimize=True
+        )
     if isinstance(network, FoldedHypercube):
         return layout_folded_hypercube(
             network.n, layers=layers, node_side=node_side

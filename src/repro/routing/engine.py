@@ -427,7 +427,6 @@ def saturation_sweep(
     duration: int,
     workload: str = "uniform",
     seed: int = 0,
-    engine: str = "fast",
     layout: GridLayout | None = None,
     router=None,
     link_delay=None,
@@ -443,17 +442,13 @@ def saturation_sweep(
     ``{"rate", "offered", "messages", "avg_latency", "p50", "p99",
     "max_latency", "makespan", "max_utilization"}`` where ``offered``
     is the measured injection rate (messages per node-cycle).  Feed the
-    rows to :func:`knee_point` to locate the saturation knee.
-    ``engine`` is ``"fast"`` (the default) or ``"oracle"``.  The fast
-    engine builds the shortest-hop table once for the whole sweep when
-    no ``router`` is given; the oracle keeps its own per-run dict BFS.
+    rows to :func:`knee_point` to locate the saturation knee.  Every
+    run goes through :func:`simulate_fast`; without a ``router`` the
+    shortest-hop table is built once for the whole sweep.
     """
-    from repro.routing.simulator import simulate
     from repro.routing.traffic import make_workload
 
-    if engine not in ("fast", "oracle"):
-        raise ValueError(f"unknown engine {engine!r}")
-    if engine == "fast" and router is None:
+    if router is None:
         router = shortest_hop_routes(network)
     rows = []
     n_nodes = network.num_nodes
@@ -462,15 +457,12 @@ def saturation_sweep(
             workload, network, seed=seed, rate=rate, duration=duration,
             **(workload_params or {}),
         )
-        kwargs = dict(
-            layout=layout, router=router, link_delay=link_delay,
-            default_delay=default_delay, router_overhead=router_overhead,
-            mode=mode, message_length=message_length,
+        res = simulate_fast(
+            network, msgs, layout=layout, router=router,
+            link_delay=link_delay, default_delay=default_delay,
+            router_overhead=router_overhead, mode=mode,
+            message_length=message_length,
         )
-        if engine == "fast":
-            res = simulate_fast(network, msgs, **kwargs)
-        else:
-            res = simulate(network, msgs, **kwargs)
         rows.append({
             "rate": rate,
             "offered": (

@@ -13,11 +13,10 @@ daemon well-behaved under load:
    per expanded job.
 2. **Coalescing** -- concurrent requests for the same cold key share
    one build: the first starts an ``asyncio.Task``, followers await a
-   ``shield`` of it and report ``source: "coalesced"``.  Duplicate
-   work is impossible by construction *within* the daemon, and the
-   thread-level single-flight in
-   :meth:`~repro.batch.cache.LayoutCache.get_or_build` covers racing
-   builders elsewhere on the machine.
+   ``shield`` of it and report ``source: "coalesced"``.  This flight
+   map is the only coalescer: the cache below it is plain get + put,
+   and pool workers are separate processes with separate handles, so
+   two daemons racing one key both build it and write identical bytes.
 3. **The pool** -- cache misses run on long-lived worker processes
    (:class:`~repro.serve.pool.WorkerPool`); the event loop never
    blocks on a build.  Warm keys are answered straight from the
@@ -634,7 +633,7 @@ class LayoutServer:
         entry = answer.entry
         if entry is None:
             # This flight built the key: read the entry the worker wrote.
-            entry = await asyncio.to_thread(self._read_entry, answer.key)
+            entry = await asyncio.to_thread(self.cache.get, *answer.key)
             if entry is None:
                 raise HttpError(
                     503,
@@ -700,13 +699,9 @@ class LayoutServer:
 
         def probe():
             key = self.cache.key_for(net, scheme=scheme, layers=layers)
-            return key, self._read_entry(key)
+            return key, self.cache.get(*key)
 
         return await asyncio.to_thread(probe)
-
-    def _read_entry(self, key: tuple[str, str]) -> CacheEntry | None:
-        """``LayoutCache.get``; an entry without metrics is a miss."""
-        return self.cache.get(*key, require_metrics=True)
 
     async def _lookup_or_build(
         self, network: str, scheme: str, layers: int

@@ -59,11 +59,3 @@ class Butterfly(Network):
             raise ValueError("row-pair partition needs m >= 2")
         mapping = {(lvl, row): row >> 1 for (lvl, row) in self.nodes}
         return Partition(mapping, name="butterfly-row-pairs")
-
-    def cluster_subgraph_nodes(self, q: int) -> list[Node]:
-        """Nodes of row-pair cluster ``q`` (2(m+1) of them)."""
-        return [
-            (lvl, row)
-            for row in (2 * q, 2 * q + 1)
-            for lvl in range(self.levels)
-        ]

@@ -233,40 +233,30 @@ class TestRoundTrip:
         assert cache.get(key, doc) is None
         assert cache.stats.misses == 1
 
-    def test_metrics_optional(self, cache):
+    def test_put_requires_metrics(self, cache):
         net = Ring(5)
-        lay = layout_network(net, layers=2)
         key, doc = cache.key_for(net, scheme="auto", layers=2)
-        cache.put(key, doc, layout_to_json(lay))
-        entry = cache.get(key, doc)
-        assert entry is not None and entry.metrics is None
+        with pytest.raises(TypeError, match="metrics"):
+            cache.put(key, doc, layout_to_json(layout_network(net)))
+        assert cache.get(key, doc) is None
 
     def test_metrics_less_entry_is_a_miss_when_metrics_required(self, cache):
-        """An entry without metrics (the fuzzer writes those) is a miss,
-        not a hit, for callers that need metrics -- and it is kept."""
+        """Every entry must carry metrics: one without (an older fuzzer
+        wrote those) is corrupt -- a miss, deleted so it is rebuilt."""
         net = Ring(5)
-        lay = layout_network(net, layers=2)
-        payload = layout_to_json(lay)
         key, doc = cache.key_for(net, scheme="auto", layers=2)
-        cache.put(key, doc, payload)
-        assert cache.get(key, doc, require_metrics=True) is None
-        assert cache._path(key).exists()
-        assert cache.stats.as_dict() == {
-            "hits": 0, "misses": 1, "corrupt": 0, "writes": 1,
-            "coalesced": 0,
-        }
-        metrics = measure(lay).as_dict()
-        entry, source = cache.get_or_build(
-            key, doc, lambda: (payload, metrics)
+        cache.put(key, doc, layout_to_json(layout_network(net)), {})
+        path = cache._path(key)
+        path.write_text(
+            path.read_text().replace('"metrics": {},', '"metrics": null,')
         )
-        assert source == "built" and entry.metrics == metrics
+        assert cache.get(key, doc) is None
+        assert not path.exists()
         assert cache.stats.as_dict() == {
-            "hits": 0, "misses": 2, "corrupt": 0, "writes": 2,
-            "coalesced": 0,
+            "hits": 0, "misses": 1, "corrupt": 1, "writes": 1,
         }
-        entry, source = cache.get_or_build(key, doc, None)
-        assert source == "cache" and entry.metrics == metrics
-        assert cache.stats.hits == 1
+        _, _, _, metrics = _store(cache, net)
+        assert cache.get(key, doc).metrics == metrics
 
 
 class TestCorruption:
@@ -414,125 +404,6 @@ class TestCorruption:
         path.write_text("[1, 2, 3]")
         assert cache.get(key, doc) is None
         assert cache.stats.corrupt == 1
-
-
-class TestSingleFlight:
-    """The duplicate-build race: concurrent getters of one cold key."""
-
-    def _inputs(self, cache, net):
-        lay = layout_network(net, layers=2)
-        key, doc = cache.key_for(net, scheme="auto", layers=2)
-        return key, doc, layout_to_json(lay), measure(lay).as_dict()
-
-    def test_racing_getters_build_exactly_once(self, cache):
-        """Two threads racing a cold key: one ``cache.build`` log
-        event, one ``build()`` call, the loser reports coalesced."""
-        import io
-        import threading
-
-        from repro.obs import logging as olog
-
-        key, doc, payload, metrics = self._inputs(cache, Ring(6))
-        sink = io.StringIO()
-        olog.configure(stream=sink, level="debug")
-        follower_arrived = threading.Event()
-        builds = []
-
-        def build():
-            builds.append(threading.get_ident())
-            # Hold the key in flight until the follower has committed
-            # to get_or_build, then a beat longer so it lands in the
-            # in-flight map rather than after the pop.
-            follower_arrived.wait(timeout=5.0)
-            import time
-
-            time.sleep(0.2)
-            return payload, metrics
-
-        results = {}
-
-        def leader():
-            results["leader"] = cache.get_or_build(key, doc, build)
-
-        def follower():
-            follower_arrived.set()
-            results["follower"] = cache.get_or_build(key, doc, build)
-
-        try:
-            t1 = threading.Thread(target=leader)
-            t1.start()
-            t2 = threading.Thread(target=follower)
-            t2.start()
-            t1.join(timeout=10)
-            t2.join(timeout=10)
-        finally:
-            records = [
-                json.loads(line)
-                for line in sink.getvalue().splitlines()
-                if line
-            ]
-            olog.close()
-        assert len(builds) == 1
-        build_events = [
-            r for r in records if r["event"] == "cache.build"
-        ]
-        assert len(build_events) == 1
-        sources = sorted(src for _, src in results.values())
-        assert sources == ["built", "coalesced"]
-        for entry, _ in results.values():
-            assert entry.metrics == metrics
-            assert entry.layout_json == payload
-        assert cache.stats.coalesced == 1
-        assert cache.stats.writes == 1
-
-    def test_leader_reprobes_after_winning(self, cache):
-        """A key stored between probe and flight entry is a hit, not a
-        rebuild."""
-        key, doc, payload, metrics = self._inputs(cache, Ring(6))
-        cache.put(key, doc, payload, metrics)
-        entry, source = cache.get_or_build(
-            key, doc, lambda: (_ for _ in ()).throw(AssertionError)
-        )
-        assert source == "cache"
-        assert entry.metrics == metrics
-
-    def test_failed_build_propagates_to_followers(self, cache):
-        import threading
-
-        key, doc, _, _ = self._inputs(cache, Ring(6))
-        follower_arrived = threading.Event()
-
-        def build():
-            follower_arrived.wait(timeout=5.0)
-            import time
-
-            time.sleep(0.1)
-            raise ValueError("boom")
-
-        errors = []
-
-        def run(set_event):
-            if set_event:
-                follower_arrived.set()
-            try:
-                cache.get_or_build(key, doc, build)
-            except ValueError as exc:
-                errors.append(str(exc))
-
-        t1 = threading.Thread(target=run, args=(False,))
-        t1.start()
-        t2 = threading.Thread(target=run, args=(True,))
-        t2.start()
-        t1.join(timeout=10)
-        t2.join(timeout=10)
-        assert errors.count("boom") == 2
-        # The flight is gone: the key is retryable afterwards.
-        lay = layout_network(Ring(6), layers=2)
-        entry, source = cache.get_or_build(
-            key, doc,
-            lambda: (layout_to_json(lay), measure(lay).as_dict()),
-        )
-        assert source == "built"
 
 
 class TestReadonly:

@@ -14,8 +14,10 @@ from repro.batch import (
     dispatch_scheme,
     standard_family_sweep,
 )
-from repro.batch.spec import parse_network
+from repro.batch.spec import FAMILIES, parse_network
 from repro.cli import main
+from repro.core import layout_network
+from repro.grid.io import layout_to_json
 
 SPEC = SweepSpec(
     networks=["ring:8", "hypercube:3", "star:3", "complete:5"],
@@ -61,12 +63,41 @@ class TestSpec:
             dispatch_scheme(parse_network("ring:4"), layers=2, scheme="x")
 
 
+#: One small member of every family in ``FAMILIES``.
+SMALL_FAMILIES = (
+    "ring:5", "mesh:3,2", "kary:3,2", "hypercube:3", "folded-hypercube:3",
+    "enhanced-cube:3", "complete:5", "ghc:3,3", "butterfly:2", "isn:2",
+    "ccc:3", "reduced-hypercube:4", "hsn:3,2", "hhn:2,2",
+    "kary-cluster:3,2,2", "star:4", "wrapped-butterfly:3",
+    "shuffle-exchange:4", "de-bruijn:4", "scc:4",
+)
+
+
+class TestOneDispatch:
+    """Every front door builds a key's layout the same way."""
+
+    def test_every_family_is_covered(self):
+        assert {s.split(":")[0] for s in SMALL_FAMILIES} == set(FAMILIES)
+
+    @pytest.mark.parametrize("spec", SMALL_FAMILIES)
+    def test_auto_scheme_is_layout_network(self, spec):
+        net = parse_network(spec)
+        assert layout_to_json(layout_network(net, layers=4)) == (
+            layout_to_json(dispatch_scheme(net, layers=4, scheme="auto"))
+        )
+
+    def test_cli_layout_takes_the_auto_scheme(self, capsys):
+        assert main(["layout", "shuffle-exchange:5", "-L", "4"]) == 0
+        header, rule, row = capsys.readouterr().out.strip().splitlines()[-3:]
+        assert dict(zip(header.split(), row.split()))["area"] == "840"
+
+
 class TestTrafficSpec:
     def test_roundtrip_through_dict(self):
         spec = TrafficSpec(
             network="hypercube:4", workload="hotspot", rate=0.3,
             duration=16, seed=7, layers=4, mode="cut_through",
-            message_length=4, engine="oracle",
+            message_length=4,
             params={"hot_fraction": 0.8},
         )
         assert TrafficSpec.from_dict(spec.to_dict()) == spec
@@ -78,22 +109,10 @@ class TestTrafficSpec:
     def test_bad_fields_rejected(self):
         with pytest.raises(ValueError, match="workload"):
             TrafficSpec(network="ring:4", workload="teleport")
-        with pytest.raises(ValueError, match="engine"):
-            TrafficSpec(network="ring:4", engine="warp")
         with pytest.raises(ValueError, match="mode"):
             TrafficSpec(network="ring:4", mode="wormhole")
         with pytest.raises(ValueError, match="network"):
             TrafficSpec.from_dict({"workload": "uniform"})
-
-    def test_run_engines_agree(self):
-        doc = {
-            "network": "hypercube:3", "workload": "uniform",
-            "rate": 0.4, "duration": 12, "seed": 3,
-        }
-        fast = TrafficSpec.from_dict(doc).run()
-        oracle = TrafficSpec.from_dict({**doc, "engine": "oracle"}).run()
-        assert fast == oracle
-        assert fast.messages > 0
 
     def test_run_saturation_sweep(self):
         spec = TrafficSpec(
@@ -129,13 +148,6 @@ class TestRunner:
         assert cold.rows() == warm.rows()
         assert warm.cache_stats.hits == len(SPEC.expand())
         assert all(r.source == "cache" for r in warm.results)
-
-    def test_readonly_runner_builds_but_never_writes(self, tmp_path):
-        cdir = tmp_path / "cache"
-        res = SweepRunner(cache_dir=cdir, cache_readonly=True).run(SPEC)
-        assert all(r.source == "built" for r in res.results)
-        assert res.cache_stats.writes == 0
-        assert not list(cdir.rglob("*.json")) if cdir.exists() else True
 
     def test_cache_shared_across_worker_counts(self, tmp_path):
         cdir = tmp_path / "cache"
@@ -460,6 +472,8 @@ class TestFuzzParallel:
         seeded = run_fuzz(seed=2, budget=6, workers=1, cache_dir=cdir)
         entries = sorted(p.name for p in cdir.rglob("*.json"))
         assert entries  # the serial run wrote layouts
+        for path in cdir.rglob("*.json"):  # each one measured
+            assert isinstance(json.loads(path.read_text())["metrics"], dict)
         par = run_fuzz(seed=2, budget=6, workers=2, cache_dir=cdir)
         assert sorted(p.name for p in cdir.rglob("*.json")) == entries
         assert par.cases_run == seeded.cases_run

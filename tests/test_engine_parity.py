@@ -12,7 +12,7 @@ import pytest
 
 from repro import obs
 from repro.batch.spec import dispatch_scheme
-from repro.core import layout_hypercube
+from repro.core import layout_hypercube, layout_network
 from repro.routing import (
     WORKLOAD_KINDS,
     dimension_order_route,
@@ -101,6 +101,19 @@ class TestZooParity:
             oracle = simulate(net, msgs, link_delay=link_delay)
             fast = simulate_fast(net, msgs, link_delay=link_delay)
             _assert_field_parity(oracle, fast)
+
+
+@pytest.mark.parametrize("seed", [3, 5])
+def test_hypercube3_uniform_on_its_layout(seed):
+    """The default traffic run of ``repro simulate`` and of a
+    ``TrafficSpec``: uniform load on the 3-cube's L=2 layout, with the
+    layout's own link delays."""
+    net = Hypercube(3)
+    lay = layout_network(net, layers=2)
+    msgs = make_workload("uniform", net, seed=seed, rate=0.4, duration=12)
+    oracle = simulate(net, msgs, layout=lay)
+    _assert_field_parity(oracle, simulate_fast(net, msgs, layout=lay))
+    assert oracle.messages > 0
 
 
 # ``simulate_fast``'s event count (message and wake entries it dequeued)

@@ -101,10 +101,11 @@ class TestZooRoundtrip:
     """Every zoo layout survives the JSON round-trip exactly."""
 
     def test_all_zoo_layouts(self):
-        from repro.cli import _zoo_dispatch, _zoo_networks
+        from repro.cli import _zoo_networks
+        from repro.core import layout_network
 
         for net in _zoo_networks():
-            lay = _zoo_dispatch(net, 4)
+            lay = layout_network(net, layers=4)
             back = roundtrip(lay)
             assert back.summary() == lay.summary(), net.name
             assert back.edge_multiset() == lay.edge_multiset(), net.name
@@ -247,23 +248,6 @@ class TestCli:
 
         with pytest.raises(SystemExit, match="kernel"):
             main(["simulate", "hypercube:3", "--kernel", "chaos"])
-
-    def test_simulate_zoo_kernel_both_engines(self, capsys):
-        from repro.cli import main
-
-        args = [
-            "simulate", "hypercube:3", "--kernel", "uniform",
-            "--rate", "0.4", "--duration", "12", "--seed", "5",
-        ]
-        assert main(args + ["--engine", "fast"]) == 0
-        fast_out = capsys.readouterr().out
-        assert main(args + ["--engine", "oracle"]) == 0
-        oracle_out = capsys.readouterr().out
-        # Same numbers either way; only the title names the engine.
-        assert (
-            fast_out.replace("fast engine", "X")
-            == oracle_out.replace("oracle engine", "X")
-        )
 
     def test_simulate_saturation_sweep(self, tmp_path, capsys):
         import json

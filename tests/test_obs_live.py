@@ -16,7 +16,7 @@ import pytest
 
 from repro import obs
 from repro.batch import SweepRunner, SweepSpec
-from repro.batch.runner import FAULT_ENV
+from repro.batch.runner import FAULT_ENV, FanOutTask, fan_out
 from repro.cli import main
 from repro.obs import live
 from repro.obs import logging as olog
@@ -574,3 +574,38 @@ class TestFuzzTelemetry:
         beats = live.read_heartbeats(rd)
         assert beats[0]["state"] == "done"
         assert beats[0]["jobs_done"] == 4
+
+
+class _Square(FanOutTask):
+    def run(self, item):
+        return {"sq": item * item}
+
+
+class TestFanOutLostResult:
+    @pytest.mark.parametrize("damage", ["torn", "missing"])
+    def test_done_worker_without_a_result_is_dead(
+        self, tmp_path, monkeypatch, damage
+    ):
+        """Worker 1 finishes its slice and its heartbeat says ``done``,
+        but its ``result-1.json`` is torn or never written: it handed
+        nothing back, so it is ``dead`` and its items are lost."""
+        write = live.write_json_atomic
+
+        def damaged(path, doc):
+            if os.path.basename(path) != "result-1.json":
+                return write(path, doc)
+            if damage == "torn":
+                write(path, doc)
+                with open(path, "r+") as fh:
+                    fh.truncate(os.path.getsize(path) // 2)
+
+        # Patched before the fork, so the workers inherit it.
+        monkeypatch.setattr(live, "write_json_atomic", damaged)
+        rd = tmp_path / "run"
+        rd.mkdir()
+        fan = fan_out(_Square(), range(6), workers=3, run_dir=str(rd), **FAST)
+        assert live.read_heartbeats(rd)[1]["state"] == "done"
+        assert fan.health[1]["verdict"] == "dead"
+        assert fan.lost == {1: 2}
+        assert fan.health[0]["verdict"] == fan.health[2]["verdict"] == "done"
+        assert fan.rows == {i: {"sq": i * i} for i in (0, 2, 3, 5)}

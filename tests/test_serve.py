@@ -238,8 +238,8 @@ class TestLayoutPayload:
         _serve(t, cache_dir=str(tmp_path / "cache"))
 
     def test_metrics_less_entry_is_a_miss_not_a_hit(self, tmp_path):
-        """An entry stored without metrics (the fuzzer writes those)
-        is rebuilt, and ``/stats`` counts it as a miss, not a hit."""
+        """An entry without metrics (an older fuzzer wrote those) is
+        corrupt: it is rebuilt, and ``/stats`` counts a miss, not a hit."""
         from repro.batch.cache import LayoutCache
 
         cache_dir = tmp_path / "cache"
@@ -247,14 +247,18 @@ class TestLayoutPayload:
         seeded = LayoutCache(cache_dir)
         key, key_text = seeded.key_for(net, scheme="auto", layers=2)
         layout = dispatch_scheme(net, layers=2)
-        seeded.put(key, key_text, layout_to_json(layout))
+        seeded.put(key, key_text, layout_to_json(layout), {})
+        path = seeded._path(key)
+        path.write_text(
+            path.read_text().replace('"metrics": {},', '"metrics": null,')
+        )
 
         async def t(server, port):
             st, _, body = await _post_layout(port, "ring:6")
             assert st == 200 and json.loads(body)["source"] == "built"
             stats = server.stats()["cache"]
             assert stats["hits"] == 0 and stats["misses"] == 1
-            assert stats["corrupt"] == 0
+            assert stats["corrupt"] == 1
             st, _, body = await _post_layout(port, "ring:6")
             assert st == 200 and json.loads(body)["source"] == "cache"
             assert server.stats()["cache"]["hits"] == 1

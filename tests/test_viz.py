@@ -108,10 +108,11 @@ class TestZooRenderSmoke:
     """Every zoo network renders through both backends without error."""
 
     def test_ascii_and_svg_for_every_zoo_network(self):
-        from repro.cli import _zoo_dispatch, _zoo_networks
+        from repro.cli import _zoo_networks
+        from repro.core import layout_network
 
         for net in _zoo_networks():
-            lay = _zoo_dispatch(net, 4)
+            lay = layout_network(net, layers=4)
             art = ascii_grid_layout(lay, max_width=4000)
             assert art.count("#") >= net.num_nodes, net.name
             svg = svg_layout(lay)
@@ -119,10 +120,11 @@ class TestZooRenderSmoke:
             assert svg.count("<rect") >= net.num_nodes, net.name
 
     def test_svg_layer_stack_for_multilayer_zoo(self):
-        from repro.cli import _zoo_dispatch, _zoo_networks
+        from repro.cli import _zoo_networks
+        from repro.core import layout_network
         from repro.viz import svg_layer_stack
 
         for net in _zoo_networks()[:4]:
-            lay = _zoo_dispatch(net, 4)
+            lay = layout_network(net, layers=4)
             svg = svg_layer_stack(lay)
             assert "layer 1" in svg, net.name
