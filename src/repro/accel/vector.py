@@ -9,8 +9,9 @@ or accepts after all.  A kernel must never return ``True`` when the
 scalar check would raise.
 
 * ``edge_sweep`` / ``self_consistency_clean`` / ``layer_budget_clean``
-  / ``parity_clean`` / ``via_clean`` / ``pins_clean`` are exact: their
-  verdict matches the scalar check precisely.
+  / ``parity_clean`` / ``via_clean`` / ``pins_clean`` /
+  ``edges_match`` are exact: their verdict matches the scalar check
+  precisely.
 * ``bend_clean`` is wire-blind: overlapping layer intervals claimed at
   one point by the *same* wire (legal) also report suspicion.
 * ``node_overlap_clean`` compares rects within a (layer, y-extent)
@@ -47,6 +48,7 @@ __all__ = [
     "node_overlap_clean",
     "node_sweep_clean",
     "pins_clean",
+    "edges_match",
     "wire_boxes",
     "cut_profile",
     "cutwidth_dp",
@@ -428,6 +430,27 @@ def pins_clean(table, u_rows, v_rows) -> bool:
         (sn[1:] == sn[:-1]) & (spx[1:] == spx[:-1]) & (spy[1:] == spy[:-1])
     )
     return not bool((same & (sw[1:] != sw[:-1])).any())
+
+
+def edges_match(want_rows, u_rows, v_rows, n: int) -> bool:
+    """The unordered row pairs ``want_rows[2i], want_rows[2i + 1]``
+    and ``u_rows[i], v_rows[i]`` are the same multiset (exact).
+
+    Rows index ``n`` placements.  Each side packs its pairs into
+    ``min * n + max`` keys and sorts them once; equal multisets give
+    equal key arrays.
+    """
+    want = np.asarray(want_rows, dtype=np.int64).reshape(-1, 2)
+    have = np.stack((
+        np.asarray(u_rows, dtype=np.int64), np.asarray(v_rows, dtype=np.int64)
+    ), axis=1)
+    if len(want) != len(have):
+        return False
+    keys = []
+    for pairs in (want, have):
+        lo, hi = np.sort(pairs, axis=1).T
+        keys.append(np.sort(lo * n + hi))
+    return bool(np.array_equal(*keys))
 
 
 def wire_boxes(table):

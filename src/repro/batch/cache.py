@@ -63,7 +63,7 @@ from repro.grid.io import (
     FORMAT_VERSION,
     _Memo,
     canonical_json,
-    encode_label,
+    label_text,
     layout_from_json,
 )
 from repro.grid.layout import GridLayout
@@ -99,15 +99,7 @@ _DECODER = json.JSONDecoder()
 
 def _label_text(label) -> str:
     """The canonical JSON text of one node label."""
-    kind = type(label)
-    if kind is int:
-        return repr(label)
-    if kind is str:
-        return json.dumps(label)
-    if kind is tuple:
-        return '{"t":[' + ",".join(map(_label_text, label)) + "]}"
-    # Int subclasses pass; bools and other types raise here.
-    return canonical_json(encode_label(label))
+    return label_text(label, (",", ":"))
 
 
 def _network_text(net: Network) -> str:

@@ -89,7 +89,7 @@ from repro.obs import live
 from repro.obs import logging as olog
 from repro.routing import layout_link_delays, make_workload, simulate
 from repro.routing.engine import simulate_fast
-from repro.topology import DeBruijn, KAryNCube, Ring, ShuffleExchange, StarGraph
+from repro.topology import KAryNCube, Ring
 
 __all__ = [
     "Violation",
@@ -172,18 +172,13 @@ class FuzzReport:
 def case_scheme(case: CheckCase) -> str:
     """The :data:`repro.batch.spec.SCHEMES` label the case routes to.
 
-    Zoo instances go through their family constructors; generated and
-    shrunk graphs take the universal near-square grid, which is the
-    scheme under adversarial test.
+    Zoo instances take ``auto`` -- the scheme ``repro layout``, the
+    sweep and the daemon build them with, so the fuzzer checks those
+    layouts and shares their cache keys; generated and shrunk graphs
+    take the universal near-square grid, which is the scheme under
+    adversarial test.
     """
-    net = case.network
-    if case.kind == "zoo":
-        if isinstance(net, (ShuffleExchange, DeBruijn)):
-            return "generic"
-        if isinstance(net, StarGraph):
-            return "cayley"
-        return "auto"
-    return "generic"
+    return "auto" if case.kind == "zoo" else "generic"
 
 
 def build_scheme_layout(

@@ -3,7 +3,9 @@
 Layouts are plain geometric data, so they round-trip exactly.  Node
 labels are arbitrary hashables in memory; serialization encodes the
 common cases (ints, strings, and arbitrarily nested tuples of those)
-with a type tag so deserialization restores identical labels.
+with a type tag so deserialization restores identical labels.  Other
+parallel-edge keys are stored as ``{"r": repr(key)}`` and read back as
+that string.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ __all__ = [
     "clone_layout",
     "encode_label",
     "decode_label",
+    "label_text",
     "canonical_json",
 ]
 
@@ -60,13 +63,6 @@ def _decode_label(obj):
     raise ValueError(f"bad label encoding: {obj!r}")
 
 
-def _encode_edge_key(key):
-    try:
-        return _encode_label(key)
-    except TypeError:
-        return {"r": repr(key)}
-
-
 def _decode_edge_key(obj):
     if isinstance(obj, dict) and set(obj) == {"r"}:
         return obj["r"]
@@ -84,55 +80,103 @@ decode_label = _decode_label
 def layout_to_json(layout: GridLayout) -> str:
     """Serialize a layout to a JSON string.
 
-    Everything per wire -- labels, edge key, segment rows, riser --
-    comes from the layout's :class:`~repro.grid.table.WireTable`
-    columns, which store wires and segments in exactly the order the
-    object path would serialize them, so the emitted JSON is
-    byte-identical to walking ``layout.wires`` (and no ``Wire``
-    object is built here).  Each distinct label is encoded once per
-    call.
+    The text is written directly, not through a document of dicts and
+    lists: one ``json.dumps`` for the small head (``format``,
+    ``layers``, ``meta``), then the placements and wires as text filled
+    in from the layout's :class:`~repro.grid.table.WireTable` columns.
+    Every label and edge key is turned into JSON text once per call
+    (:func:`label_text`); the segment ints are read as one flat list,
+    and each wire fills the ``%`` template of its shape (segment count,
+    riser or not).  Separators are ``json.dumps``'s defaults, so the
+    text is byte-identical to ``json.dumps`` of the document
+    :func:`layout_from_json` reads: key order ``format``, ``layers``,
+    ``meta``, ``placements`` (``node``, ``rect``, ``layer``) and
+    ``wires`` (``u``, ``v``, ``edge_key``, ``segments`` and, on a
+    riser, ``riser``).  No ``Wire`` object is built.
     """
     table = layout.wire_table()
-    seg_rows = table.segment_rows()
-    starts = table.wire_seg_start.tolist()
-    zstarts = table.wire_zrun_start.tolist()
+    label = _Memo(label_text)
+    edge_key = _Memo(_edge_key_text)
+    head = json.dumps({
+        "format": FORMAT_VERSION,
+        "layers": layout.layers,
+        "meta": _jsonable_meta(layout.meta),
+    })
+    places = [
+        _PLACEMENT % (
+            label[p.node], p.rect.x0, p.rect.y0, p.rect.w, p.rect.h, p.layer
+        )
+        for p in layout.placements.values()
+    ]
+    flat = np.stack((
+        table.seg_x1, table.seg_y1, table.seg_x2, table.seg_y2,
+        table.seg_layer,
+    ), axis=1).ravel().tolist()
+    ends = (table.wire_seg_start * 5).tolist()
     risers = table.wire_is_riser.tolist()
-    label = _Memo(_encode_label)
-    edge_key = _Memo(_encode_edge_key)
+    zstarts = table.wire_zrun_start.tolist()
     wires = []
     for wi, (u, v, key) in enumerate(
         zip(table.wire_u, table.wire_v, table.wire_edge_key)
     ):
-        wire = {
-            "u": label[u],
-            "v": label[v],
-            "edge_key": edge_key[key],
-            "segments": seg_rows[starts[wi]:starts[wi + 1]],
-        }
+        a, b = ends[wi], ends[wi + 1]
+        args = (label[u], label[v], edge_key[key], *flat[a:b])
         if risers[wi]:
             z = zstarts[wi]
-            wire["riser"] = [
+            args += (
                 int(table.zrun_x[z]), int(table.zrun_y[z]),
                 int(table.zrun_lo[z]), int(table.zrun_hi[z]),
-            ]
-        wires.append(wire)
-    doc = {
-        "format": FORMAT_VERSION,
-        "layers": layout.layers,
-        "meta": _jsonable_meta(layout.meta),
-        "placements": [
-            {
-                "node": label[p.node],
-                "rect": [p.rect.x0, p.rect.y0, p.rect.w, p.rect.h],
-                "layer": p.layer,
-            }
-            for p in layout.placements.values()
-        ],
-        "wires": wires,
-    }
-    # The document is freshly built and acyclic (memoized codes are
-    # shared, never nested in themselves): skip the cycle bookkeeping.
-    return json.dumps(doc, check_circular=False)
+            )
+        wires.append(_WIRE[b - a, risers[wi]] % args)
+    return (
+        head[:-1] + ', "placements": [' + ", ".join(places)
+        + '], "wires": [' + ", ".join(wires) + "]}"
+    )
+
+
+def label_text(label: Hashable, separators=(", ", ": ")) -> str:
+    """The JSON text of one node label's encoding (:func:`encode_label`).
+
+    ``separators`` are ``json.dumps``'s ``(item, key)`` separators: the
+    defaults give the layout text's form, ``(",", ":")`` the cache
+    key's canonical form.  Bools, ``None`` and other unsupported types
+    raise ``TypeError``, as the codec does.
+    """
+    kind = type(label)
+    if kind is int:
+        return repr(label)
+    if kind is str:
+        return json.dumps(label)
+    if kind is tuple:
+        item, key = separators
+        return (
+            '{"t"' + key + "["
+            + item.join([label_text(x, separators) for x in label]) + "]}"
+        )
+    # Subclasses of int, str and tuple encode as their base type.
+    return json.dumps(_encode_label(label), separators=separators)
+
+
+def _edge_key_text(key) -> str:
+    try:
+        return label_text(key)
+    except TypeError:
+        return json.dumps({"r": repr(key)})
+
+
+#: One placement's text: node, rect ``[x0, y0, w, h]`` and layer.
+_PLACEMENT = '{"node": %s, "rect": [%d, %d, %d, %d], "layer": %d}'
+
+
+def _wire_template(shape: tuple[int, int]) -> str:
+    """The ``%`` template of a wire with ``shape[0] // 5`` segment rows
+    that is a riser when ``shape[1]``."""
+    ints, riser = shape
+    rows = ", ".join(["[%d, %d, %d, %d, %d]"] * (ints // 5))
+    text = '{"u": %s, "v": %s, "edge_key": %s, "segments": [' + rows + "]"
+    if riser:
+        text += ', "riser": [%d, %d, %d, %d]'
+    return text + "}"
 
 
 class _Memo(dict):
@@ -147,6 +191,11 @@ class _Memo(dict):
     def __missing__(self, key):
         value = self[key] = self.fn(key)
         return value
+
+
+#: Wire templates by ``(segment ints, riser)``, filled in by
+#: :func:`layout_to_json`.
+_WIRE = _Memo(_wire_template)
 
 
 def _jsonable_meta(meta: dict) -> dict:

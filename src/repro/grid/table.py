@@ -515,7 +515,7 @@ class WireTable:
 
     def segment_rows(self) -> list[list[int]]:
         """``[x1, y1, x2, y2, layer]`` per segment, wire-major path
-        order -- exactly the lists ``layout_to_json`` serializes."""
+        order -- the rows ``layout_to_json`` writes as text."""
         if self._seg_rows is None:
             self._seg_rows = _np.stack((
                 self.seg_x1, self.seg_y1, self.seg_x2, self.seg_y2,

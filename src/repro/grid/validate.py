@@ -54,6 +54,7 @@ up past ``DirtyTracker.MAX_BANDS``.
 from __future__ import annotations
 
 from collections import defaultdict
+from itertools import chain
 from typing import Hashable
 
 from repro import accel as _accel
@@ -658,8 +659,27 @@ def check_topology(layout: GridLayout, expected_edges: list[tuple]) -> None:
     """Verify the routed wires realize exactly ``expected_edges``.
 
     ``expected_edges`` is a list of (u, v) pairs (repeats = parallel
-    edges).  Raises :class:`LayoutError` on any mismatch.
+    edges).  Raises :class:`LayoutError` on any mismatch.  Both sides
+    map to placement rows with one ``map`` each and compare as packed
+    int pair keys; the label-pair dicts are built only to word a
+    mismatch, or when a label is not placed.
     """
+    table = layout.wire_table()
+    placements = layout.placements
+    rows = dict(zip(placements, range(len(placements))))
+    want = list(map(rows.get, chain.from_iterable(expected_edges)))
+    u_rows = list(map(rows.get, table.wire_u))
+    v_rows = list(map(rows.get, table.wire_v))
+    if (
+        len(want) == 2 * len(expected_edges)
+        and None not in want and None not in u_rows and None not in v_rows
+        and _accel.edges_match(want, u_rows, v_rows, len(placements))
+    ):
+        return
+    _topology_scalar(layout, expected_edges)
+
+
+def _topology_scalar(layout: GridLayout, expected_edges: list[tuple]) -> None:
     want: dict[tuple, int] = {}
     for u, v in expected_edges:
         a, b = sorted_pair(u, v)

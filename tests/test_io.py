@@ -1,15 +1,24 @@
 """Layout serialization round-trips."""
 
+import json
+
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from repro.core import layout_ccc, layout_folded_hypercube, layout_kary
+from repro.grid.geometry import Rect, Segment
 from repro.grid.io import (
+    FORMAT_VERSION,
     dump_layout,
+    encode_label,
     layout_from_json,
     layout_to_json,
     load_layout,
 )
+from repro.grid.layout import GridLayout
 from repro.grid.validate import validate_layout
+from repro.grid.wire import Wire, WirePathError
 
 
 def roundtrip(lay):
@@ -125,14 +134,15 @@ class TestZooRoundtrip:
         assert len(twin.wires) == len(lay.wires) - 1
 
 
+@pytest.fixture(scope="module")
+def golden_cases():
+    from test_golden import build_cases
+
+    return build_cases()
+
+
 class TestClone:
     """``clone_layout`` shares the wire table but never leaks an edit."""
-
-    @pytest.fixture(scope="class")
-    def golden_cases(self):
-        from test_golden import build_cases
-
-        return build_cases()
 
     def test_clone_serializes_like_the_original(self, golden_cases):
         from repro.grid.io import clone_layout
@@ -180,6 +190,203 @@ class TestClone:
         validate_layout(lay, incremental=True)
         assert lay._dirty is not None
         assert clone_layout(lay)._dirty is None
+
+
+def dict_document_json(layout) -> str:
+    """The layout text as the dict/list document writer made it: one
+    dict per wire and placement, one list per segment row, then
+    ``json.dumps`` of the whole document.  ``layout_to_json`` must
+    write exactly these bytes.  Codes are memoized per call, so keys
+    that compare equal (``0`` and ``False``) share the first one's."""
+
+    def memo(fn):
+        codes = {}
+
+        def code(x):
+            if x not in codes:
+                codes[x] = fn(x)
+            return codes[x]
+
+        return code
+
+    @memo
+    def edge_key(key):
+        try:
+            return encode_label(key)
+        except TypeError:
+            return {"r": repr(key)}
+
+    label = memo(encode_label)
+
+    def jsonable(value):
+        try:
+            json.dumps(value)
+        except (TypeError, ValueError):
+            return repr(value)
+        return value
+
+    table = layout.wire_table()
+    seg_rows = table.segment_rows()
+    starts = table.wire_seg_start.tolist()
+    wires = []
+    for wi, (u, v, key) in enumerate(
+        zip(table.wire_u, table.wire_v, table.wire_edge_key)
+    ):
+        wire = {
+            "u": label(u),
+            "v": label(v),
+            "edge_key": edge_key(key),
+            "segments": seg_rows[starts[wi]:starts[wi + 1]],
+        }
+        if table.wire_is_riser[wi]:
+            z = int(table.wire_zrun_start[wi])
+            wire["riser"] = [
+                int(table.zrun_x[z]), int(table.zrun_y[z]),
+                int(table.zrun_lo[z]), int(table.zrun_hi[z]),
+            ]
+        wires.append(wire)
+    return json.dumps({
+        "format": FORMAT_VERSION,
+        "layers": layout.layers,
+        "meta": {str(k): jsonable(v) for k, v in layout.meta.items()},
+        "placements": [
+            {
+                "node": label(p.node),
+                "rect": [p.rect.x0, p.rect.y0, p.rect.w, p.rect.h],
+                "layer": p.layer,
+            }
+            for p in layout.placements.values()
+        ],
+        "wires": wires,
+    })
+
+
+#: Labels whose JSON text needs escaping or a type tag.
+_labels = st.recursive(
+    st.integers(-10**12, 10**12)
+    | st.text(max_size=6)
+    | st.sampled_from(['"', "\\", "\u00e9t\u00e9", "\u7f51", "a\nb", "\U0001f600"]),
+    lambda inner: st.tuples(inner) | st.tuples(inner, inner)
+    | st.tuples(inner, inner, inner),
+    max_leaves=6,
+)
+#: Parallel-edge keys: label-like ones, and others the codec stores as
+#: ``{"r": repr}``.
+_edge_keys = (
+    st.integers(0, 3) | _labels | st.none() | st.booleans()
+    | st.floats(allow_nan=False) | st.frozensets(st.integers(0, 3))
+)
+_meta_values = (
+    st.integers() | st.text(max_size=4) | st.none() | st.floats()
+    | st.lists(st.integers(), max_size=3)
+    | st.sets(st.integers(0, 5), max_size=3)
+    | st.builds(Rect, st.integers(0, 5), st.integers(0, 5),
+                st.integers(0, 5), st.integers(0, 5))
+)
+
+
+@st.composite
+def _wire_paths(draw):
+    """An axis-aligned path: alternating horizontal and vertical steps
+    on random layers."""
+    x, y = draw(st.integers(-20, 20)), draw(st.integers(-20, 20))
+    segs = []
+    for i in range(draw(st.integers(1, 4))):
+        step = draw(st.integers(1, 6)) * draw(st.sampled_from((-1, 1)))
+        nx, ny = (x + step, y) if i % 2 == 0 else (x, y + step)
+        segs.append(Segment.make(x, y, nx, ny, draw(st.integers(1, 4))))
+        x, y = nx, ny
+    return segs
+
+
+@st.composite
+def _layouts(draw):
+    nodes = draw(st.lists(_labels, max_size=5, unique=True))
+    lay = GridLayout(
+        layers=draw(st.integers(1, 8)),
+        meta=draw(st.dictionaries(
+            st.text(max_size=4) | st.integers(0, 9), _meta_values,
+            max_size=3,
+        )),
+    )
+    for i, node in enumerate(nodes):
+        lay.place(node, Rect(10 * i, 0, 2, 2), draw(st.integers(1, 2)))
+    for _ in range(draw(st.integers(0, 6)) if nodes else 0):
+        u, v = draw(st.sampled_from(nodes)), draw(st.sampled_from(nodes))
+        key = draw(_edge_keys)
+        if draw(st.booleans()):
+            lo = draw(st.integers(1, 4))
+            wire = Wire.make_riser(u, v, 3, 4, lo, lo + draw(
+                st.integers(1, 3)), edge_key=key)
+        else:
+            try:
+                wire = Wire(u, v, draw(_wire_paths()), edge_key=key)
+            except WirePathError:
+                assume(False)
+        lay.add_wire(wire)
+    return lay
+
+
+class TestTextWriter:
+    """``layout_to_json`` writes the document writer's bytes exactly."""
+
+    @pytest.mark.parametrize("layers", [2, 4])
+    def test_every_zoo_network(self, layers):
+        from repro.cli import _zoo_networks
+        from repro.core import layout_network
+
+        for net in _zoo_networks():
+            lay = layout_network(net, layers=layers)
+            assert layout_to_json(lay) == dict_document_json(lay), net.name
+
+    def test_every_golden_case(self, golden_cases):
+        risers = 0
+        for name, lay in sorted(golden_cases.items()):
+            text = layout_to_json(lay)
+            assert text == dict_document_json(lay), name
+            assert layout_to_json(layout_from_json(text)) == text, name
+            risers += int(lay.wire_table().wire_is_riser.sum())
+        assert risers, "no golden case has a riser wire"
+
+    def test_folded_stacked_and_two_sided(self):
+        from repro.collinear.two_sided import two_sided_collinear_layout
+        from repro.core import layout_hypercube
+        from repro.core.folding import fold_layout
+        from repro.core.threedee import layout_product_3d
+        from repro.topology import CompleteGraph, Ring
+
+        for lay in (
+            fold_layout(layout_hypercube(5), 4),
+            fold_layout(layout_kary(4, 2), 8),
+            layout_product_3d(Ring(3), Ring(4), Ring(3), layers=6),
+            two_sided_collinear_layout(CompleteGraph(7), layers=4),
+        ):
+            assert layout_to_json(lay) == dict_document_json(lay)
+
+    @settings(
+        max_examples=150, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(_layouts())
+    def test_hand_made_layouts(self, lay):
+        assert layout_to_json(lay) == dict_document_json(lay)
+        # A non-label edge key reads back as its repr string, so the
+        # decoded layout is compared with the oracle, not the text.
+        back = layout_from_json(layout_to_json(lay))
+        assert layout_to_json(back) == dict_document_json(back)
+
+    def test_empty_layout(self):
+        lay = GridLayout(layers=2, meta={"scheme": "none", 3: {1, 2}})
+        assert layout_to_json(lay) == dict_document_json(lay)
+        lay.place("a", Rect(0, 0, 2, 2))
+        assert layout_to_json(lay) == dict_document_json(lay)
+
+    @pytest.mark.parametrize("label", [True, None, 1.5, ("a", False)])
+    def test_unsupported_label_raises(self, label):
+        lay = GridLayout(layers=2)
+        lay.place(label, Rect(0, 0, 2, 2))
+        with pytest.raises(TypeError):
+            layout_to_json(lay)
 
 
 class TestCli:

@@ -301,3 +301,23 @@ class TestTopologyCheck:
         lay.add_wire(straight_wire())
         with pytest.raises(LayoutError, match="differs"):
             check_topology(lay, [])
+
+    def test_same_endpoints_other_pairs(self):
+        """The multiset is of pairs: the same endpoint counts paired
+        differently is a mismatch."""
+        lay = GridLayout(layers=2)
+        for i, node in enumerate("abcd"):
+            lay.place(node, Rect(10 * i, 10, 2, 2))
+        lay.add_wire(Wire("a", "b", [Segment.make(2, 11, 10, 11, 1)]))
+        lay.add_wire(Wire("c", "d", [Segment.make(22, 11, 30, 11, 1)]))
+        check_topology(lay, [("d", "c"), ("b", "a")])
+        with pytest.raises(LayoutError, match="differs"):
+            check_topology(lay, [("a", "c"), ("b", "d")])
+        with pytest.raises(LayoutError, match="differs"):
+            check_topology(lay, [("a", "b"), ("c", "c")])
+
+    def test_unplaced_expected_label(self):
+        lay = two_node_layout()
+        lay.add_wire(straight_wire())
+        with pytest.raises(LayoutError, match="differs"):
+            check_topology(lay, [("a", "z")])
