@@ -7,6 +7,10 @@ at a grid position, classify each edge as row/column/extra) and
 :func:`layout_cluster_network` (quotient + blocks: the PN-cluster
 route of Sections 3.2, 4.2, 4.3 and 5.2).
 
+Each public ``layout_<family>`` builds its network from the family's
+parameters and lays out that instance; :func:`layout_network` lays out
+the instance it is given, so a layout job builds its network once.
+
 All functions accept:
 
 * ``layers`` -- the multilayer budget L (L = 2 is the Thompson model);
@@ -30,18 +34,19 @@ from repro.core.spec import (
 from repro.grid.layout import GridLayout
 from repro.topology.base import Network, Node
 from repro.topology.butterfly import Butterfly
-from repro.topology.cayley import CayleyGraph
+from repro.topology.cayley import CayleyGraph, StarConnectedCycles
 from repro.topology.ccc import CubeConnectedCycles, ReducedHypercube
 from repro.topology.clustered import KAryNCubeCluster
 from repro.topology.complete import CompleteGraph
 from repro.topology.ghc import GeneralizedHypercube
 from repro.topology.hypercube import EnhancedCube, FoldedHypercube, Hypercube
 from repro.topology.isn import IndirectSwapNetwork
-from repro.topology.kary import KAryNCube, Ring
+from repro.topology.kary import KAryNCube
 from repro.topology.partition import Partition, quotient
 from repro.topology.product import ProductNetwork
 from repro.topology.shuffle import DeBruijn, ShuffleExchange
 from repro.topology.swap import HSN
+from repro.topology.wrapped_butterfly import WrappedButterfly
 
 __all__ = [
     "layout_grid",
@@ -246,7 +251,16 @@ def layout_kary(
     """Section 3.1: the k-ary n-cube.  Rows take the high ``ceil(n/2)``
     digits, columns the low ``floor(n/2)`` digits, so each row is a
     k-ary floor(n/2)-cube and each column a k-ary ceil(n/2)-cube."""
-    net = KAryNCube(k, n, wraparound=wraparound)
+    return _kary_grid(
+        KAryNCube(k, n, wraparound=wraparound),
+        layers=layers, node_side=node_side, folded=folded,
+    )
+
+
+def _kary_grid(
+    net: KAryNCube, *, layers: int, node_side, folded: bool = False
+) -> GridLayout:
+    k, n = net.k, net.n
     hi = (n + 1) // 2  # number of high digits (row coordinate)
     hi_radices = [k] * hi
     lo_radices = [k] * (n - hi)
@@ -272,8 +286,14 @@ def layout_hypercube(
     """Section 5.1: rows take the high ``ceil(n/2)`` bits (binary
     order), columns the low bits; each row/column is laid out by the
     binary-order collinear layout with floor(2 sqrt(N)/3)-ish tracks."""
-    net = Hypercube(n)
-    lo_bits = n // 2
+    return _cube_grid(Hypercube(n), layers=layers, node_side=node_side)
+
+
+def _cube_grid(net: Network, *, layers: int, node_side) -> GridLayout:
+    """The n-cube grid of ``net`` (an n-cube, possibly with extra
+    links): rows take the high bits of a node, columns the low
+    ``n // 2`` bits."""
+    lo_bits = net.n // 2
 
     def position(v: int) -> tuple[int, int]:
         return (v >> lo_bits, v & ((1 << lo_bits) - 1))
@@ -294,7 +314,16 @@ def layout_ghc(
     """Section 4.1: the generalized hypercube.  ``split`` = m gives the
     rows the high ``n - m`` digits and the columns the low ``m`` digits
     (default: m = floor(n/2))."""
-    net = GeneralizedHypercube(radices)
+    return _ghc_grid(
+        GeneralizedHypercube(radices),
+        layers=layers, node_side=node_side, split=split,
+    )
+
+
+def _ghc_grid(
+    net: GeneralizedHypercube, *, layers: int, node_side,
+    split: int | None = None,
+) -> GridLayout:
     n = len(net.radices)
     m = split if split is not None else n // 2
     if not (0 <= m <= n):
@@ -332,9 +361,16 @@ def layout_product(
 ) -> GridLayout:
     """Section 3.2: lay out ``A x B`` from the factors' collinear
     layouts -- A along rows, B along columns."""
-    net = ProductNetwork(a, b)
-    a_index = a.index
-    b_index = b.index
+    return _product_grid(
+        ProductNetwork(a, b), layers=layers, node_side=node_side
+    )
+
+
+def _product_grid(
+    net: ProductNetwork, *, layers: int, node_side
+) -> GridLayout:
+    a_index = net.a.index
+    b_index = net.b.index
 
     def position(v: tuple) -> tuple[int, int]:
         x, y = v
@@ -355,31 +391,15 @@ def layout_folded_hypercube(
 ) -> GridLayout:
     """Section 5.3: hypercube layout plus N/2 diameter links, each on a
     dedicated extra horizontal + vertical track."""
-    net = FoldedHypercube(n)
-    lo_bits = n // 2
-
-    def position(v: int) -> tuple[int, int]:
-        return (v >> lo_bits, v & ((1 << lo_bits) - 1))
-
-    return layout_grid(
-        net, position, layers=layers, node_side=node_side,
-        name=f"{net.name} L={layers}",
-    )
+    return _cube_grid(FoldedHypercube(n), layers=layers, node_side=node_side)
 
 
 def layout_enhanced_cube(
     n: int, *, layers: int = 2, node_side: int | None = None, seed: int = 2000
 ) -> GridLayout:
     """Section 5.3: hypercube plus N random extra links."""
-    net = EnhancedCube(n, seed=seed)
-    lo_bits = n // 2
-
-    def position(v: int) -> tuple[int, int]:
-        return (v >> lo_bits, v & ((1 << lo_bits) - 1))
-
-    return layout_grid(
-        net, position, layers=layers, node_side=node_side,
-        name=f"{net.name} L={layers}",
+    return _cube_grid(
+        EnhancedCube(n, seed=seed), layers=layers, node_side=node_side
     )
 
 
@@ -449,21 +469,23 @@ def layout_butterfly(
 ) -> GridLayout:
     """Section 4.2: the butterfly as a (radix-2) GHC cluster -- quotient
     hypercube with 4 parallel links per pair, row-pair blocks."""
-    net = Butterfly(m)
-    part = net.row_pair_partition()
+    return _row_pair_clusters(
+        Butterfly(m), layers=layers, node_side=node_side
+    )
 
-    def member_order(c, members):
-        # Strip order: level-major, so straight edges are short and the
-        # strip cutwidth stays O(1).
-        return sorted(members)
 
+def _row_pair_clusters(net: Network, *, layers: int, node_side) -> GridLayout:
+    """The row-pair GHC-cluster layout of a butterfly-like ``net`` on
+    ``m`` levels: quotient hypercube on ``m - 1`` bits."""
     return layout_cluster_network(
         net,
-        part,
-        _bit_split_position(m - 1),
+        net.row_pair_partition(),
+        _bit_split_position(net.m - 1),
         layers=layers,
         node_side=node_side,
-        member_order=member_order,
+        # Strip order: level-major, so straight edges are short and the
+        # strip cutwidth stays O(1).
+        member_order=lambda c, ms: sorted(ms),
         name=f"{net.name} L={layers}",
     )
 
@@ -474,18 +496,8 @@ def layout_wrapped_butterfly(
     """The wrapped butterfly, via the same row-pair GHC-cluster route
     as Section 4.2's plain butterfly (quotient hypercube, multiplicity
     4)."""
-    from repro.topology.wrapped_butterfly import WrappedButterfly
-
-    net = WrappedButterfly(m)
-    part = net.row_pair_partition()
-    return layout_cluster_network(
-        net,
-        part,
-        _bit_split_position(m - 1),
-        layers=layers,
-        node_side=node_side,
-        member_order=lambda c, ms: sorted(ms),
-        name=f"{net.name} L={layers}",
+    return _row_pair_clusters(
+        WrappedButterfly(m), layers=layers, node_side=node_side
     )
 
 
@@ -494,16 +506,8 @@ def layout_isn(
 ) -> GridLayout:
     """Section 4.3: the indirect swap network; same structure as the
     butterfly with quotient multiplicity 2 instead of 4."""
-    net = IndirectSwapNetwork(m)
-    part = net.row_pair_partition()
-    return layout_cluster_network(
-        net,
-        part,
-        _bit_split_position(m - 1),
-        layers=layers,
-        node_side=node_side,
-        member_order=lambda c, ms: sorted(ms),
-        name=f"{net.name} L={layers}",
+    return _row_pair_clusters(
+        IndirectSwapNetwork(m), layers=layers, node_side=node_side
     )
 
 
@@ -511,12 +515,18 @@ def layout_ccc(
     n: int, *, layers: int = 2, node_side: int | None = None
 ) -> GridLayout:
     """Section 5.2: CCC as a hypercube cluster; cycle-order strips."""
-    net = CubeConnectedCycles(n)
-    part = net.cluster_partition()
+    return _cube_clusters(
+        CubeConnectedCycles(n), layers=layers, node_side=node_side
+    )
+
+
+def _cube_clusters(net: Network, *, layers: int, node_side) -> GridLayout:
+    """The n-cube cluster layout of ``net`` (a CCC or a reduced
+    hypercube): one strip per cube node, members in position order."""
     return layout_cluster_network(
         net,
-        part,
-        _bit_split_position(n),
+        net.cluster_partition(),
+        _bit_split_position(net.n),
         layers=layers,
         node_side=node_side,
         member_order=lambda w, ms: sorted(ms, key=lambda v: v[1]),
@@ -528,16 +538,8 @@ def layout_reduced_hypercube(
     n: int, *, layers: int = 2, node_side: int | None = None
 ) -> GridLayout:
     """Section 5.2: reduced hypercube; binary-order strips."""
-    net = ReducedHypercube(n)
-    part = net.cluster_partition()
-    return layout_cluster_network(
-        net,
-        part,
-        _bit_split_position(n),
-        layers=layers,
-        node_side=node_side,
-        member_order=lambda w, ms: sorted(ms, key=lambda v: v[1]),
-        name=f"{net.name} L={layers}",
+    return _cube_clusters(
+        ReducedHypercube(n), layers=layers, node_side=node_side
     )
 
 
@@ -550,10 +552,15 @@ def layout_hsn(
 ) -> GridLayout:
     """Section 4.3: HSN/HHN -- quotient is the (l-1)-dimensional radix-r
     GHC over the cluster addresses."""
-    net = HSN(nucleus, levels)
+    return _hsn_clusters(
+        HSN(nucleus, levels), layers=layers, node_side=node_side
+    )
+
+
+def _hsn_clusters(net: HSN, *, layers: int, node_side) -> GridLayout:
     part = net.cluster_partition()
     r = net.r
-    digits = levels - 1
+    digits = net.levels - 1
     hi = digits - digits // 2
     hi_radices = [r] * hi
     lo_radices = [r] * (digits - hi)
@@ -585,8 +592,17 @@ def layout_kary_cluster(
     node_side: int | None = None,
 ) -> GridLayout:
     """Section 3.2: k-ary n-cube cluster-c."""
-    net = KAryNCubeCluster(k, n, c, cluster=cluster)
+    return _kary_clusters(
+        KAryNCubeCluster(k, n, c, cluster=cluster),
+        layers=layers, node_side=node_side,
+    )
+
+
+def _kary_clusters(
+    net: KAryNCubeCluster, *, layers: int, node_side
+) -> GridLayout:
     part = net.cluster_partition()
+    k, n = net.k, net.n
     hi = (n + 1) // 2
     hi_radices = [k] * hi
     lo_radices = [k] * (n - hi)
@@ -669,9 +685,14 @@ def layout_scc(
     the star graph's own last-symbol decomposition -- laid out
     collinearly like the other Cayley families.
     """
-    from repro.topology.cayley import StarConnectedCycles
+    return _scc_clusters(
+        StarConnectedCycles(n), layers=layers, node_side=node_side
+    )
 
-    net = StarConnectedCycles(n)
+
+def _scc_clusters(
+    net: StarConnectedCycles, *, layers: int, node_side
+) -> GridLayout:
     part = Partition(
         {v: v[0][-1] for v in net.nodes}, name="scc-last-symbol"
     )
@@ -711,82 +732,36 @@ def layout_network(
 ) -> GridLayout:
     """One-call layout for any supported network instance: the paper's
     scheme for its family (the ``"auto"`` scheme of
-    :func:`repro.batch.spec.dispatch_scheme`).
+    :func:`repro.batch.spec.dispatch_scheme`), applied to ``network``
+    itself.
 
     Shuffle-exchange and de Bruijn networks, which the paper lays out
-    by no family construction, take the optimized generic grid; a
-    graph of no known family falls back to a collinear layout.
+    by no family construction, take the optimized generic grid; rings,
+    complete graphs and graphs of no known family take a collinear
+    layout.
     """
     if isinstance(network, (ShuffleExchange, DeBruijn)):
         return layout_generic_grid(
             network, layers=layers, node_side=node_side, optimize=True
         )
-    if isinstance(network, FoldedHypercube):
-        return layout_folded_hypercube(
-            network.n, layers=layers, node_side=node_side
-        )
-    if isinstance(network, EnhancedCube):
-        return layout_enhanced_cube(
-            network.n, layers=layers, node_side=node_side, seed=network.seed
-        )
-    if isinstance(network, Hypercube):
-        return layout_hypercube(network.n, layers=layers, node_side=node_side)
-    if isinstance(network, Ring):
-        return layout_collinear_network(
-            network, layers=layers, node_side=node_side
-        )
-    if isinstance(network, KAryNCubeCluster):
-        return layout_kary_cluster(
-            network.k,
-            network.n,
-            network.c,
-            cluster=network.cluster_kind,
-            layers=layers,
-            node_side=node_side,
-        )
-    if isinstance(network, KAryNCube):
-        return layout_kary(
-            network.k,
-            network.n,
-            layers=layers,
-            node_side=node_side,
-            wraparound=network.wraparound,
-        )
-    if isinstance(network, GeneralizedHypercube):
-        return layout_ghc(network.radices, layers=layers, node_side=node_side)
-    if isinstance(network, CompleteGraph):
-        return layout_complete(network.n, layers=layers, node_side=node_side)
-    if isinstance(network, Butterfly):
-        return layout_butterfly(network.m, layers=layers, node_side=node_side)
-    from repro.topology.wrapped_butterfly import WrappedButterfly
-
-    if isinstance(network, WrappedButterfly):
-        return layout_wrapped_butterfly(
-            network.m, layers=layers, node_side=node_side
-        )
-    from repro.topology.cayley import StarConnectedCycles
-
-    if isinstance(network, StarConnectedCycles):
-        return layout_scc(network.n, layers=layers, node_side=node_side)
-    if isinstance(network, IndirectSwapNetwork):
-        return layout_isn(network.m, layers=layers, node_side=node_side)
-    if isinstance(network, CubeConnectedCycles):
-        return layout_ccc(network.n, layers=layers, node_side=node_side)
-    if isinstance(network, ReducedHypercube):
-        return layout_reduced_hypercube(
-            network.n, layers=layers, node_side=node_side
-        )
-    if isinstance(network, HSN):
-        return layout_hsn(
-            network.nucleus, network.levels, layers=layers, node_side=node_side
-        )
-    if isinstance(network, CayleyGraph):
-        return layout_cayley(network, layers=layers, node_side=node_side)
-    if isinstance(network, ProductNetwork):
-        return layout_product(
-            network.a, network.b, layers=layers, node_side=node_side
-        )
-    # Fallback: any graph has a collinear layout.
+    for family, body in _FAMILY_LAYOUTS:
+        if isinstance(network, family):
+            return body(network, layers=layers, node_side=node_side)
     return layout_collinear_network(
         network, layers=layers, node_side=node_side
     )
+
+
+#: Each family's layout body, called with the caller's instance.
+_FAMILY_LAYOUTS = (
+    ((Hypercube, FoldedHypercube, EnhancedCube), _cube_grid),
+    (KAryNCubeCluster, _kary_clusters),
+    (KAryNCube, _kary_grid),
+    (GeneralizedHypercube, _ghc_grid),
+    ((Butterfly, WrappedButterfly, IndirectSwapNetwork), _row_pair_clusters),
+    (StarConnectedCycles, _scc_clusters),
+    ((CubeConnectedCycles, ReducedHypercube), _cube_clusters),
+    (HSN, _hsn_clusters),
+    (CayleyGraph, layout_cayley),
+    (ProductNetwork, _product_grid),
+)

@@ -21,11 +21,14 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import heapq
 import os
 import random
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Iterator, Optional
 
 from .trace import SpanRecord
@@ -237,55 +240,65 @@ class RequestLog:
         self._clock = clock
         self._lock = threading.Lock()
         self._seq = 0
-        self._recent: list[RequestRecord] = []
-        self._errors: list[RequestRecord] = []
-        self._slow: list[RequestRecord] = []
+        self._recent: deque[RequestRecord] = deque(maxlen=self.capacity)
+        self._errors: deque[RequestRecord] = deque(maxlen=self.keep_errors)
+        self._error_seqs: set[int] = set()
+        # Min-heap of (latency_ms, seq, record): the root is the record
+        # the next slower one displaces.  Ordering by (latency, seq)
+        # keeps the newest of equally slow requests, as the slowest-
+        # first, newest-first rule does.
+        self._slow: list[tuple[float, int, RequestRecord]] = []
+        self._slow_seqs: set[int] = set()
         self._added = 0
         self._dropped = 0
 
     def add(self, record: RequestRecord) -> None:
         with self._lock:
             self._seq += 1
-            record.seq = self._seq
+            seq = record.seq = self._seq
             if not record.time_unix:
                 record.time_unix = self._clock()
             self._added += 1
-            self._recent.append(record)
-            if len(self._recent) > self.capacity:
-                evicted = self._recent.pop(0)
-                if not self._retained_elsewhere(evicted):
+            if len(self._recent) == self.capacity:
+                evicted = self._recent[0].seq
+                if not (
+                    evicted in self._error_seqs or evicted in self._slow_seqs
+                ):
                     self._dropped += 1
+            self._recent.append(record)
             if self.keep_errors and (
                 record.status >= 500 or record.error is not None
             ):
+                if len(self._errors) == self.keep_errors:
+                    self._error_seqs.discard(self._errors[0].seq)
                 self._errors.append(record)
-                if len(self._errors) > self.keep_errors:
-                    self._errors.pop(0)
+                self._error_seqs.add(seq)
             if self.keep_slow:
-                self._slow.append(record)
-                self._slow.sort(
-                    key=lambda r: (-r.latency_ms, -r.seq)
-                )
-                del self._slow[self.keep_slow:]
-
-    def _retained_elsewhere(self, record: RequestRecord) -> bool:
-        return any(
-            r.seq == record.seq for r in self._errors
-        ) or any(r.seq == record.seq for r in self._slow)
+                item = (record.latency_ms, seq, record)
+                if len(self._slow) < self.keep_slow:
+                    heapq.heappush(self._slow, item)
+                    self._slow_seqs.add(seq)
+                elif item[:2] > self._slow[0][:2]:
+                    out = heapq.heapreplace(self._slow, item)
+                    self._slow_seqs.discard(out[1])
+                    self._slow_seqs.add(seq)
 
     def _pools(self, record: RequestRecord) -> list:
         tags = []
-        if any(r.seq == record.seq for r in self._recent):
+        # ``recent`` holds exactly the newest len(_recent) sequence numbers.
+        if record.seq > self._seq - len(self._recent):
             tags.append("recent")
-        if any(r.seq == record.seq for r in self._errors):
+        if record.seq in self._error_seqs:
             tags.append("error")
-        if any(r.seq == record.seq for r in self._slow):
+        if record.seq in self._slow_seqs:
             tags.append("slow")
         return tags
 
     def _all_records(self) -> list[RequestRecord]:
         seen: dict[int, RequestRecord] = {}
-        for rec in self._recent + self._errors + self._slow:
+        for rec in chain(
+            self._recent, self._errors, (r for _, _, r in self._slow)
+        ):
             seen[rec.seq] = rec
         return sorted(seen.values(), key=lambda r: -r.seq)
 

@@ -1,5 +1,6 @@
 """Sweep engine: expansion, determinism, worker fan-out, CLI, fuzz."""
 
+import functools
 import json
 import os
 
@@ -14,10 +15,12 @@ from repro.batch import (
     dispatch_scheme,
     standard_family_sweep,
 )
-from repro.batch.spec import FAMILIES, parse_network
+from repro.batch.runner import run_sweep_job
+from repro.batch.spec import FAMILIES, SweepJob, parse_network
 from repro.cli import main
 from repro.core import layout_network
 from repro.grid.io import layout_to_json
+from repro.topology.base import Network
 
 SPEC = SweepSpec(
     networks=["ring:8", "hypercube:3", "star:3", "complete:5"],
@@ -85,6 +88,25 @@ class TestOneDispatch:
         assert layout_to_json(layout_network(net, layers=4)) == (
             layout_to_json(dispatch_scheme(net, layers=4, scheme="auto"))
         )
+
+    @pytest.mark.parametrize("spec", SMALL_FAMILIES)
+    def test_one_network_per_job(self, spec, tmp_path, monkeypatch):
+        """A cached job keys, builds and lays out one network instance:
+        its family's edge list is evaluated exactly once."""
+        evaluated = []
+        real_edges = Network.edges.func
+
+        def edges(self):
+            evaluated.append(type(self))
+            return real_edges(self)
+
+        counted = functools.cached_property(edges)
+        counted.__set_name__(Network, "edges")
+        monkeypatch.setattr(Network, "edges", counted)
+        family = type(parse_network(spec))
+        res = run_sweep_job(SweepJob(0, spec, 4), LayoutCache(tmp_path))
+        assert res.source == "built"
+        assert evaluated.count(family) == 1
 
     def test_cli_layout_takes_the_auto_scheme(self, capsys):
         assert main(["layout", "shuffle-exchange:5", "-L", "4"]) == 0

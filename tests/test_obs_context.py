@@ -8,6 +8,7 @@ estimator's bucket interpolation.
 """
 
 import asyncio
+import random
 import threading
 
 import pytest
@@ -152,6 +153,73 @@ class TestRequestLog:
             log.add(_rec(f"r{i}"))
         docs = log.requests(limit=2)
         assert [d["request_id"] for d in docs] == ["r4", "r3"]
+
+
+class _ReferenceLog:
+    """The retention rule as plain lists: FIFO ``recent`` and
+    ``errors``, and ``slow`` re-sorted slowest first, newest first on
+    ties, after every add."""
+
+    def __init__(self, capacity, keep_errors, keep_slow):
+        self.capacity = capacity
+        self.keep_errors, self.keep_slow = keep_errors, keep_slow
+        self.recent, self.errors, self.slow = [], [], []
+        self.dropped = 0
+
+    def add(self, rec):
+        self.recent.append(rec)
+        if len(self.recent) > self.capacity:
+            old = self.recent.pop(0)
+            if old not in self.errors and old not in self.slow:
+                self.dropped += 1
+        if self.keep_errors and (rec.status >= 500 or rec.error):
+            self.errors = (self.errors + [rec])[-self.keep_errors:]
+        if self.keep_slow:
+            self.slow.append(rec)
+            self.slow.sort(key=lambda r: (-r.latency_ms, -r.seq))
+            del self.slow[self.keep_slow:]
+
+    def retained(self):
+        pools = (
+            ("recent", self.recent), ("error", self.errors),
+            ("slow", self.slow),
+        )
+        recs = {r.seq: r for _, pool in pools for r in pool}
+        return [
+            (recs[q].request_id, [t for t, pool in pools if recs[q] in pool])
+            for q in sorted(recs, reverse=True)
+        ]
+
+
+class TestRequestLogMatchesReference:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_sequences(self, seed):
+        rng = random.Random(seed)
+        capacity = rng.randint(1, 12)
+        keep_errors = rng.choice([None, 0, 1, rng.randint(1, 6)])
+        keep_slow = rng.choice([None, 0, 1, rng.randint(1, 6)])
+        log = ocontext.RequestLog(
+            capacity=capacity, keep_errors=keep_errors, keep_slow=keep_slow
+        )
+        ref = _ReferenceLog(capacity, log.keep_errors, log.keep_slow)
+        # Few distinct latencies, so ties are common.
+        latencies = [rng.choice([0.5, 1.0, 2.0, 3.5]) for _ in range(4)]
+        for i in range(rng.randint(1, 80)):
+            rec = _rec(
+                f"r{i}",
+                status=rng.choice([200] * 6 + [404, 500, 503]),
+                latency_ms=rng.choice(latencies),
+                error=rng.choice([None] * 8 + ["boom"]),
+            )
+            log.add(rec)
+            ref.add(rec)
+            got = [(d["request_id"], d["retained"]) for d in log.requests()]
+            assert got == ref.retained()
+            snap = log.snapshot()
+            assert snap["added"] == i + 1
+            assert snap["dropped"] == ref.dropped
+            assert snap["retained"] == len(got)
+            assert snap["errors_retained"] == len(ref.errors)
 
 
 class TestSLO:
