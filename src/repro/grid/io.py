@@ -5,13 +5,14 @@ labels are arbitrary hashables in memory; serialization encodes the
 common cases (ints, strings, and arbitrarily nested tuples of those)
 with a type tag so deserialization restores identical labels.  Other
 parallel-edge keys are stored as ``{"r": repr(key)}`` and read back as
-that string.
+a :class:`ReprKey`, which writes the same text again.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+from dataclasses import dataclass
 from typing import Hashable
 
 import numpy as np
@@ -31,6 +32,7 @@ __all__ = [
     "decode_label",
     "label_text",
     "canonical_json",
+    "ReprKey",
 ]
 
 FORMAT_VERSION = 1
@@ -63,9 +65,24 @@ def _decode_label(obj):
     raise ValueError(f"bad label encoding: {obj!r}")
 
 
+@dataclass(frozen=True)
+class ReprKey:
+    """A parallel-edge key read back from ``{"r": text}``.
+
+    Its ``repr`` is ``text``, so writing the layout again stores the
+    same ``{"r": text}``: a layout text is a fixed point of read and
+    write.  It never equals a plain string key.
+    """
+
+    text: str
+
+    def __repr__(self) -> str:
+        return self.text
+
+
 def _decode_edge_key(obj):
     if isinstance(obj, dict) and set(obj) == {"r"}:
-        return obj["r"]
+        return ReprKey(obj["r"])
     return _decode_label(obj)
 
 
@@ -85,28 +102,28 @@ def layout_to_json(layout: GridLayout) -> str:
     ``layers``, ``meta``), then the placements and wires as text filled
     in from the layout's :class:`~repro.grid.table.WireTable` columns.
     Every label and edge key is turned into JSON text once per call
-    (:func:`label_text`); the segment ints are read as one flat list,
-    and each wire fills the ``%`` template of its shape (segment count,
-    riser or not).  Separators are ``json.dumps``'s defaults, so the
-    text is byte-identical to ``json.dumps`` of the document
-    :func:`layout_from_json` reads: key order ``format``, ``layers``,
+    (:func:`label_text`, :func:`_texts`); the segment ints are read as
+    one flat list, and each wire fills the ``%`` template of its shape
+    (segment count, riser or not).  Separators are ``json.dumps``'s
+    defaults, so the text is byte-identical to ``json.dumps`` of the
+    document :func:`layout_from_json` reads: key order ``format``, ``layers``,
     ``meta``, ``placements`` (``node``, ``rect``, ``layer``) and
     ``wires`` (``u``, ``v``, ``edge_key``, ``segments`` and, on a
     riser, ``riser``).  No ``Wire`` object is built.
     """
     table = layout.wire_table()
-    label = _Memo(label_text)
-    edge_key = _Memo(_edge_key_text)
+    label = _Memo(lambda typed: label_text(typed[1]))
+    edge_key = _Memo(lambda typed: _edge_key_text(typed[1]))
     head = json.dumps({
         "format": FORMAT_VERSION,
         "layers": layout.layers,
         "meta": _jsonable_meta(layout.meta),
     })
+    placements = layout.placements.values()
+    nodes = _texts(label, [p.node for p in placements])
     places = [
-        _PLACEMENT % (
-            label[p.node], p.rect.x0, p.rect.y0, p.rect.w, p.rect.h, p.layer
-        )
-        for p in layout.placements.values()
+        _PLACEMENT % (node, p.rect.x0, p.rect.y0, p.rect.w, p.rect.h, p.layer)
+        for node, p in zip(nodes, placements)
     ]
     flat = np.stack((
         table.seg_x1, table.seg_y1, table.seg_x2, table.seg_y2,
@@ -116,11 +133,12 @@ def layout_to_json(layout: GridLayout) -> str:
     risers = table.wire_is_riser.tolist()
     zstarts = table.wire_zrun_start.tolist()
     wires = []
-    for wi, (u, v, key) in enumerate(
-        zip(table.wire_u, table.wire_v, table.wire_edge_key)
-    ):
+    for wi, (u, v, key) in enumerate(zip(
+        _texts(label, table.wire_u), _texts(label, table.wire_v),
+        _texts(edge_key, table.wire_edge_key),
+    )):
         a, b = ends[wi], ends[wi + 1]
-        args = (label[u], label[v], edge_key[key], *flat[a:b])
+        args = (u, v, key, *flat[a:b])
         if risers[wi]:
             z = zstarts[wi]
             args += (
@@ -155,6 +173,13 @@ def label_text(label: Hashable, separators=(", ", ": ")) -> str:
         )
     # Subclasses of int, str and tuple encode as their base type.
     return json.dumps(_encode_label(label), separators=separators)
+
+
+def _texts(memo: "_Memo", values: list) -> list[str]:
+    """``memo``'s text of each value, looked up by ``(type, value)``:
+    equal values of different types (``0`` and ``False``) have
+    different texts."""
+    return list(map(memo.__getitem__, zip(map(type, values), values)))
 
 
 def _edge_key_text(key) -> str:

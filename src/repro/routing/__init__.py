@@ -12,7 +12,7 @@ the loop from layout geometry to network performance:
 * :mod:`repro.routing.traffic` -- the seeded workload zoo (uniform,
   hotspot, transpose, bit-reversal, bursty ON/OFF, adversarial
   permutation, trace replay) behind one :func:`make_workload` entry
-  point, plus worker-invariant sharding;
+  point;
 * :mod:`repro.routing.simulator` -- the cycle-driven, store-and-forward
   per-packet simulator with per-link delays taken from the layout's
   routed wire lengths, reporting makespan, latency and congestion --
@@ -51,11 +51,9 @@ from repro.routing.traffic import (
     hotspot_traffic,
     load_trace,
     make_workload,
-    merge_shards,
     random_permutation,
     rate_injection,
     save_trace,
-    shard_workload,
     trace_replay,
     transpose,
     uniform,
@@ -87,8 +85,6 @@ __all__ = [
     "load_trace",
     "make_workload",
     "WORKLOAD_KINDS",
-    "shard_workload",
-    "merge_shards",
     "binomial_broadcast",
     "recursive_doubling_allgather",
     "schedule_rounds",

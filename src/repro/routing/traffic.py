@@ -8,13 +8,8 @@ nodes.  Randomized patterns are seeded for reproducibility.
 The **workload zoo** behind :func:`make_workload` is what the engine
 parity suite, the ``traffic`` fuzz stage, and the saturation sweeps
 consume: a registry of named generators (:data:`WORKLOAD_KINDS`) that
-are pure functions of ``(network, seed, parameters)``.  Every stream
-is therefore deterministic per seed and *worker-invariant*: a parallel
-consumer shards an already-generated stream with
-:func:`shard_workload` (round-robin by message index), and
-:func:`merge_shards` reassembles the exact original order for any
-worker count -- generation itself never depends on how many workers
-will consume it.
+are pure functions of ``(network, seed, parameters)``, so every
+stream is deterministic per seed.
 
 Trace replay closes the loop: :func:`save_trace`/:func:`load_trace`
 serialize any message stream as JSONL, and ``make_workload("trace",
@@ -48,8 +43,6 @@ __all__ = [
     "load_trace",
     "make_workload",
     "WORKLOAD_KINDS",
-    "shard_workload",
-    "merge_shards",
 ]
 
 Node = Hashable
@@ -451,35 +444,3 @@ def make_workload(
         f"unknown workload {kind!r}; known: {', '.join(WORKLOAD_KINDS)}"
     )
 
-
-def shard_workload(msgs: list, worker: int, workers: int) -> list:
-    """Worker ``worker``'s round-robin share of a generated stream.
-
-    Sharding happens *after* generation, so the stream itself never
-    depends on the worker count; :func:`merge_shards` reassembles the
-    exact original order.
-    """
-    if workers < 1:
-        raise ValueError("workers >= 1")
-    if not 0 <= worker < workers:
-        raise ValueError("0 <= worker < workers")
-    return msgs[worker::workers]
-
-
-def merge_shards(shards: list[list]) -> list:
-    """Inverse of :func:`shard_workload`: interleave shards back.
-
-    ``merge_shards([shard_workload(m, w, k) for w in range(k)]) == m``
-    for every worker count ``k`` -- the worker-invariance property the
-    traffic tests pin.
-    """
-    out = []
-    k = len(shards)
-    if not k:
-        return out
-    longest = max(len(s) for s in shards)
-    for i in range(longest):
-        for w in range(k):
-            if i < len(shards[w]):
-                out.append(shards[w][i])
-    return out

@@ -6,8 +6,9 @@ The serving stack, bottom to top:
   (both sides of the wire) with chunked JSONL streaming;
 * :mod:`repro.serve.quotas` -- per-client token buckets and the
   global in-flight admission gate;
-* :mod:`repro.serve.pool` -- long-lived worker processes running
-  :func:`repro.batch.runner.run_sweep_job` behind an asyncio facade;
+* :mod:`repro.serve.pool` -- a stdlib process pool running
+  :func:`repro.batch.runner.run_sweep_job` behind an asyncio facade,
+  replaced when a worker dies;
 * :mod:`repro.serve.server` -- the daemon: routing, request
   coalescing, cache-first resolution, streaming sweeps;
 * :mod:`repro.serve.loadgen` -- the trace-replaying load generator

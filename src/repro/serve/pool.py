@@ -1,33 +1,32 @@
-"""A persistent process pool executing layout jobs for the server.
+"""The daemon's layout builds, run on a stdlib process pool.
 
-The sweep runner (:mod:`repro.batch.runner`) forks one process per
-job *slice* and lets it exit; a server cannot afford that -- workers
-here are **long-lived**: forked once at startup (inheriting the warm
-interpreter on POSIX, ``spawn`` elsewhere), fed jobs through a
-``multiprocessing`` task queue, and answering on a shared result
-queue.  Each task is one :func:`repro.batch.runner.run_sweep_job`
-call, so a pool worker gets the exact same pure build + cache +
-observability path as a batch sweep worker -- including the
-per-process :class:`~repro.batch.cache.LayoutCache` handle, whose
-content-addressed atomic writes make concurrent workers building the
-same key safe (last write wins with identical bytes).
+A sweep must survive losing one of its slices, so it keeps its own
+fan-out (:mod:`repro.batch.runner`); the server's requests are
+independent, so its builds run on one ``ProcessPoolExecutor``.  Each
+build is one :func:`~repro.batch.runner.run_sweep_job` call, as in a
+sweep worker, with a per-process cache handle and a heartbeat in the
+server's run directory (when one is kept).
 
-The asyncio side never blocks: :meth:`WorkerPool.submit` returns an
-``asyncio.Future`` resolved by a dispatcher thread that drains the
-result queue and hops onto the event loop with
-``loop.call_soon_threadsafe``.
-
-Workers heartbeat into the server's run directory (when one is kept),
-so ``python -m repro watch RUNDIR`` works on a serve run exactly as
-on a sweep run.
+:meth:`WorkerPool.start` forks every worker before the daemon starts
+any other thread, and does not wait for them.  A dead worker breaks
+the executor: every build queued or running on it fails at once with
+:class:`WorkerLost` (the server answers 503), and a new executor
+started with ``spawn`` takes over -- a fork from the now
+multi-threaded daemon can deadlock the child.  A build submitted
+after an idle worker's death runs on the replacement.
 """
 
 from __future__ import annotations
 
 import asyncio
+import multiprocessing
 import os
-import threading
 import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from multiprocessing import resource_tracker
+from multiprocessing import util as mp_util
+from multiprocessing.connection import wait
 
 from repro import obs
 from repro.batch.cache import LayoutCache
@@ -37,281 +36,163 @@ from repro.obs import context as ocontext
 from repro.obs import live
 from repro.obs import logging as olog
 
-__all__ = ["POOL_DELAY_ENV", "WorkerPool"]
+__all__ = ["POOL_DELAY_ENV", "WorkerLost", "WorkerPool"]
 
-#: Test/CI hook: a float number of seconds every pool worker sleeps
-#: before starting a job's build.  Lets tests hold a cold key in
-#: flight long enough to deterministically observe request
-#: coalescing; never set in production.
+#: Test/CI hook: seconds every pool worker sleeps before a build, to
+#: hold a cold key in flight; never set in production.
 POOL_DELAY_ENV = "REPRO_POOL_DELAY_S"
 
 
-def _pool_worker(wid: int, tasks, results, cfg: dict) -> None:
-    """Worker process entry: loop on the task queue until sentinel."""
+class WorkerLost(RuntimeError):
+    """A worker process died while this build was queued or running."""
+
+
+#: This worker process's state, set by :func:`_init_worker`.
+_worker: dict = {}
+
+
+def _init_worker(cfg: dict) -> None:
+    """Executor initializer; a worker's id is its pid."""
+    wid = os.getpid()
     olog.fork_child(wid)
-    if not olog.configured() and cfg.get("log_path"):
+    if not olog.configured() and cfg["log_path"]:
         # spawn start method: module state did not survive the fork.
-        olog.configure(
-            cfg["log_path"], run_id=cfg.get("run_id"), worker_id=wid
-        )
-    cache = (
-        LayoutCache(cfg["cache_dir"])
-        if cfg.get("cache_dir") is not None
-        else None
-    )
+        olog.configure(cfg["log_path"], run_id=cfg["run_id"], worker_id=wid)
     hb = None
-    if cfg.get("run_dir"):
+    if cfg["run_dir"]:
         hb = live.HeartbeatWriter(cfg["run_dir"], wid)
         hb.beat(force=True)
         hb.start_pulse()
+    cache_dir = cfg["cache_dir"]
+    _worker.update(
+        wid=wid, hb=hb, validate=cfg["validate"],
+        cache=None if cache_dir is None else LayoutCache(cache_dir),
+        delay_s=float(os.environ.get(POOL_DELAY_ENV) or 0.0),
+    )
+    # Runs as the worker exits when the executor shuts down.
+    mp_util.Finalize(None, _worker_done, exitpriority=0)
     olog.info("serve.worker_start", worker_id=wid)
-    delay_s = 0.0
-    try:
-        delay_s = float(os.environ.get(POOL_DELAY_ENV, "") or 0.0)
-    except ValueError:
-        pass
-    while True:
-        task = tasks.get()
-        if task is None:
-            break
-        job = SweepJob(
-            index=0,
-            network=task["network"],
-            layers=task["layers"],
-            scheme=task["scheme"],
-        )
-        if hb is not None:
-            hb.current_job = job.job_id
-            hb.beat(force=True)
-        if delay_s > 0:
-            time.sleep(delay_s)
-        # Rehydrate the request's trace context so log lines carry
-        # its trace id and, when the request is sampled, collect this
-        # job's span forest to ship home with the result -- the
-        # server reroots it under the request's root span.
-        trace = task.get("trace")
-        ctx = (
-            ocontext.TraceContext.from_dict(trace)
-            if trace is not None
-            else None
-        )
-        collect = ctx is not None and ctx.sampled
-        token = ocontext.set_context(ctx) if ctx is not None else None
-        was_enabled = obs.enabled()
-        if collect:
-            obs.reset_trace()
-            obs.enable()
-        try:
-            res = run_sweep_job(job, cache, validate=cfg["validate"])
-        except (Exception, SystemExit) as exc:  # noqa: BLE001 - to parent
-            olog.error(
-                "serve.worker_error",
-                worker_id=wid,
-                job=job.job_id,
-                error=str(exc),
-            )
-            results.put(
-                {
-                    "id": task["id"],
-                    "ok": False,
-                    "error": f"{type(exc).__name__}: {exc}",
-                    "worker": wid,
-                }
-            )
-            continue
-        finally:
-            spans = None
-            if collect:
-                spans = [r.as_dict() for r in obs.trace_roots()]
-                obs.reset_trace()
-                if not was_enabled:
-                    obs.disable()
-            if token is not None:
-                ocontext.reset_context(token)
-        results.put(
-            {
-                "id": task["id"],
-                "ok": True,
-                "result": res.as_dict(),
-                "worker": wid,
-                "spans": spans,
-            }
-        )
-        if hb is not None:
-            hb.job_tick(
-                cache=cache.stats.as_dict() if cache is not None else {},
-            )
+
+
+def _worker_done() -> None:
+    if _worker["hb"] is not None:
+        _worker["hb"].finish("done")
+    olog.info("serve.worker_done", worker_id=_worker["wid"])
+
+
+def _build(network: str, scheme: str, layers: int, trace) -> dict:
+    """One build in a worker, as :meth:`WorkerPool.submit` returns it."""
+    wid, cache, hb = _worker["wid"], _worker["cache"], _worker["hb"]
+    job = SweepJob(index=0, network=network, layers=layers, scheme=scheme)
     if hb is not None:
-        hb.finish("done")
-    olog.info("serve.worker_done", worker_id=wid)
+        hb.current_job = job.job_id
+        hb.beat(force=True)
+    if _worker["delay_s"] > 0:
+        time.sleep(_worker["delay_s"])
+    # Log lines carry the request's trace id; a sampled request gets
+    # this job's span forest, which the server reroots under its root
+    # span.  Unsampled jobs collect nothing.
+    ctx = ocontext.TraceContext.from_dict(trace) if trace else None
+    sampled = ctx is not None and ctx.sampled
+    obs.enable() if sampled else obs.disable()
+    obs.reset_trace()
+    try:
+        with ocontext.use_context(ctx):
+            res = run_sweep_job(job, cache, validate=_worker["validate"])
+    except (Exception, SystemExit) as exc:  # noqa: BLE001 - to parent
+        olog.error("serve.worker_error", worker_id=wid, job=job.job_id,
+                   error=str(exc))
+        # A plain error: a SystemExit must not end the daemon's loop.
+        raise RuntimeError(f"{type(exc).__name__}: {exc}") from None
+    spans = [r.as_dict() for r in obs.trace_roots()] if sampled else None
+    if hb is not None:
+        hb.job_tick(cache=cache.stats.as_dict() if cache is not None else {})
+    return {"result": res.as_dict(), "worker": wid, "spans": spans}
 
 
 class WorkerPool:
     """Long-lived layout-building processes behind an asyncio facade."""
 
-    def __init__(
-        self,
-        workers: int = 1,
-        *,
-        cache_dir: str | os.PathLike | None = None,
-        validate: bool = True,
-        run_dir: str | os.PathLike | None = None,
-    ):
+    def __init__(self, workers: int = 1, *, cache_dir=None, validate=True,
+                 run_dir=None):
         self.workers = max(1, int(workers))
-        self.cache_dir = (
-            None if cache_dir is None else os.fspath(cache_dir)
-        )
-        self.validate = validate
-        self.run_dir = None if run_dir is None else os.fspath(run_dir)
-        self._ctx = _mp_context()
-        self._tasks = self._ctx.Queue()
-        self._results = self._ctx.Queue()
-        self._procs: list = []
-        self._pending: dict[int, asyncio.Future] = {}
-        self._next_id = 0
-        self._lock = threading.Lock()
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._dispatcher: threading.Thread | None = None
-        self._closed = False
-
-    def start(self, loop: asyncio.AbstractEventLoop) -> "WorkerPool":
-        """Fork the workers and start the result dispatcher thread."""
-        self._loop = loop
-        log_path = None
-        if olog.configured():
-            from repro.obs.logging import _config as _log_cfg
-
-            log_path = _log_cfg.path if _log_cfg is not None else None
-        cfg = {
-            "cache_dir": self.cache_dir,
-            "validate": self.validate,
-            "run_dir": self.run_dir,
-            "log_path": log_path,
-            "run_id": olog.run_id(),
+        self._cfg = {
+            "cache_dir": cache_dir and os.fspath(cache_dir),
+            "run_dir": run_dir and os.fspath(run_dir), "validate": validate,
         }
-        for wid in range(self.workers):
-            p = self._ctx.Process(
-                target=_pool_worker,
-                args=(wid, self._tasks, self._results, cfg),
-                name=f"repro-serve-{wid}",
-                daemon=True,
-            )
-            p.start()
-            olog.info(
-                "serve.worker_spawn", worker_id=wid, worker_pid=p.pid
-            )
-            self._procs.append(p)
-        self._dispatcher = threading.Thread(
-            target=self._dispatch_loop,
-            daemon=True,
-            name="repro-serve-dispatch",
-        )
-        self._dispatcher.start()
+        self._executor: ProcessPoolExecutor | None = None
+        self._pending = 0
+
+    def start(self) -> "WorkerPool":
+        self._executor = self._new_executor(_mp_context())
         return self
 
-    def _dispatch_loop(self) -> None:
-        while True:
-            doc = self._results.get()
-            if doc is None:
-                break
-            with self._lock:
-                fut = self._pending.pop(doc["id"], None)
-            if fut is None or self._loop is None:
-                continue
-            if doc.get("ok"):
-                self._loop.call_soon_threadsafe(
-                    _resolve,
-                    fut,
-                    {
-                        "result": doc["result"],
-                        "worker": doc.get("worker"),
-                        "spans": doc.get("spans"),
-                    },
-                )
-            else:
-                self._loop.call_soon_threadsafe(
-                    _reject, fut, RuntimeError(doc.get("error", "worker error"))
-                )
+    def _new_executor(self, ctx) -> ProcessPoolExecutor:
+        cfg = {**self._cfg, "run_id": olog.run_id(),
+               "log_path": getattr(olog._config, "path", None)}
+        executor = ProcessPoolExecutor(self.workers, ctx, _init_worker, (cfg,))
+        # Under fork the first submit forks every worker; under spawn
+        # each submit starts one while none is idle.
+        for _ in range(self.workers):
+            executor.submit(os.getpid)
+        olog.info("serve.pool_start", workers=self.workers,
+                  start_method=ctx.get_start_method())
+        return executor
 
-    def submit(
-        self,
-        network: str,
-        scheme: str,
-        layers: int,
-        *,
-        trace: dict | None = None,
-    ) -> asyncio.Future:
-        """Queue one build; the future resolves to an envelope dict.
+    def _replace(self, lost: ProcessPoolExecutor) -> ProcessPoolExecutor:
+        """Swap ``lost``, an executor short of a worker, for a
+        spawn-started one unless that is done; return the current one."""
+        if self._executor is lost:
+            olog.warning("serve.worker_lost", workers=self.workers)
+            lost.shutdown(wait=False)
+            spawn = multiprocessing.get_context("spawn")
+            self._executor = self._new_executor(spawn)
+            # Spawning starts the resource tracker, a child that would
+            # outlive us: stop it at exit, after semaphores (priority 0).
+            mp_util.Finalize(None, resource_tracker._resource_tracker._stop,
+                             exitpriority=-1)
+        return self._executor
 
-        The envelope carries ``result`` (the job-result dict),
-        ``worker`` (which process built it), and ``spans`` (the
-        worker's serialized span forest when ``trace`` named a
-        sampled context, else ``None``).
-        """
-        if self._loop is None:
-            raise RuntimeError("WorkerPool.start() not called")
-        if self._closed:
-            raise RuntimeError("WorkerPool is closed")
-        fut = self._loop.create_future()
-        with self._lock:
-            task_id = self._next_id
-            self._next_id += 1
-            self._pending[task_id] = fut
-        self._tasks.put(
-            {
-                "id": task_id,
-                "network": network,
-                "scheme": scheme,
-                "layers": layers,
-                "trace": trace,
-            }
-        )
-        return fut
+    async def submit(self, network: str, scheme: str, layers: int, *,
+                     trace: dict | None = None) -> dict:
+        """Run one build: ``{"result", "worker", "spans"}`` (spans when
+        ``trace`` is sampled), or :class:`WorkerLost` if a worker dies."""
+        if self._executor is None:
+            raise RuntimeError("WorkerPool is not running")
+        executor = self._executor
+        if self.alive() < self.workers:  # a worker died while idle
+            executor = self._replace(executor)
+        self._pending += 1
+        try:
+            return await asyncio.wrap_future(
+                executor.submit(_build, network, scheme, layers, trace)
+            )
+        except BrokenProcessPool:
+            self._replace(executor)
+            raise WorkerLost("a pool worker died during the build") from None
+        finally:
+            self._pending -= 1
 
     def alive(self) -> int:
-        return sum(1 for p in self._procs if p.is_alive())
+        # A broken executor keeps its dead processes, a shut-down one
+        # has None.
+        procs = getattr(self._executor, "_processes", None) or {}
+        return sum(1 for p in list(procs.values()) if p.is_alive())
 
     def snapshot(self) -> dict:
-        with self._lock:
-            pending = len(self._pending)
-        return {
-            "workers": self.workers,
-            "alive": self.alive(),
-            "pending": pending,
-        }
+        return {"workers": self.workers, "alive": self.alive(),
+                "pending": self._pending}
 
     def close(self, timeout: float = 5.0) -> None:
-        """Drain: sentinel every worker, join, stop the dispatcher."""
-        if self._closed:
+        """Drain: let running builds finish, terminate past ``timeout``."""
+        executor, self._executor = self._executor, None
+        if executor is None:
             return
-        self._closed = True
-        for _ in self._procs:
-            self._tasks.put(None)
+        procs = list((executor._processes or {}).values())
+        # Queued builds are cancelled, running ones finish; the
+        # executor's own thread reaps the workers.
+        executor.shutdown(wait=False, cancel_futures=True)
         deadline = time.monotonic() + timeout
-        for p in self._procs:
-            p.join(timeout=max(0.1, deadline - time.monotonic()))
-            if p.is_alive():
+        for p in procs:
+            if not wait([p.sentinel], max(0.0, deadline - time.monotonic())):
                 p.terminate()
-                p.join(timeout=1.0)
-        self._results.put(None)
-        if self._dispatcher is not None:
-            self._dispatcher.join(timeout=2.0)
-            self._dispatcher = None
-        with self._lock:
-            pending = list(self._pending.values())
-            self._pending.clear()
-        for fut in pending:
-            if self._loop is not None:
-                self._loop.call_soon_threadsafe(
-                    _reject, fut, RuntimeError("worker pool closed")
-                )
-
-
-def _resolve(fut: asyncio.Future, value) -> None:
-    if not fut.done():
-        fut.set_result(value)
-
-
-def _reject(fut: asyncio.Future, exc: BaseException) -> None:
-    if not fut.done():
-        fut.set_exception(exc)

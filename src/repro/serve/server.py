@@ -57,7 +57,7 @@ from repro.obs import logging as olog
 from repro.obs import slo as oslo
 from repro.obs.export import chrome_trace, write_prometheus
 from repro.obs.trace import SpanRecord
-from repro.serve.pool import WorkerPool
+from repro.serve.pool import WorkerLost, WorkerPool
 from repro.serve.protocol import (
     SERVE_SCHEMA,
     TRACE_HEADER,
@@ -210,13 +210,12 @@ class LayoutServer:
                 workers=cfg.workers,
                 cache_dir=cfg.cache_dir,
             )
-        loop = asyncio.get_running_loop()
         self.pool = WorkerPool(
             cfg.workers,
             cache_dir=cfg.cache_dir,
             validate=cfg.validate,
             run_dir=cfg.run_dir,
-        ).start(loop)
+        ).start()
         if cfg.run_dir is not None:
             # The same live loop a sweep run gets: classify pool
             # worker heartbeats and rewrite <run_dir>/metrics.prom
@@ -473,16 +472,12 @@ class LayoutServer:
         """Dispatch one request; True keeps the connection usable."""
         obs.count("serve.requests")
         if req.path == "/healthz" and req.method == "GET":
+            alive = self.pool.alive() if self.pool else 0
             await send_json(
                 writer,
                 200,
-                {
-                    "schema": SERVE_SCHEMA,
-                    "ok": True,
-                    "workers_alive": (
-                        self.pool.alive() if self.pool else 0
-                    ),
-                },
+                {"schema": SERVE_SCHEMA, "ok": alive > 0,
+                 "workers_alive": alive},
                 close=close,
             )
             return True
@@ -593,6 +588,8 @@ class LayoutServer:
     # -- admission ---------------------------------------------------------
 
     def _admit(self, req: HttpRequest, cost: float) -> None:
+        """Charge ``cost`` quota tokens and enter the in-flight gate
+        (429 or 503 when either refuses); the caller leaves the gate."""
         ok, retry_after = self.quotas.admit(req.client_id, cost)
         if not ok:
             obs.count("serve.rejected_quota")
@@ -615,6 +612,13 @@ class LayoutServer:
                 f"quota exceeded for client {req.client_id!r}",
                 retry_after=retry_after,
             )
+        if not self.gate.try_enter():
+            obs.count("serve.rejected_busy")
+            raise HttpError(
+                503,
+                f"server at max in-flight ({self.gate.limit}); retry",
+                retry_after=1.0,
+            )
 
     # -- /v1/layout --------------------------------------------------------
 
@@ -623,12 +627,7 @@ class LayoutServer:
         network = doc.get("network")
         if not isinstance(network, str) or not network:
             raise HttpError(400, "missing required field: network")
-        scheme = doc.get("scheme", "auto")
-        if scheme not in SCHEMES:
-            raise HttpError(
-                400,
-                f"unknown scheme {scheme!r}; known: {', '.join(SCHEMES)}",
-            )
+        scheme = _scheme(doc)
         layers = doc.get("layers", 2)
         if not isinstance(layers, int) or isinstance(layers, bool):
             raise HttpError(400, "layers must be an integer")
@@ -657,13 +656,6 @@ class LayoutServer:
                 "--cache-dir (layout payloads are served from the cache)",
             )
         self._admit(req, 1.0)
-        if not self.gate.try_enter():
-            obs.count("serve.rejected_busy")
-            raise HttpError(
-                503,
-                f"server at max in-flight ({self.gate.limit}); retry",
-                retry_after=1.0,
-            )
         try:
             answer = await self._resolve(network, scheme, layers)
         finally:
@@ -823,9 +815,14 @@ class LayoutServer:
         with obs.span(
             "pool.build", network=network, scheme=scheme, layers=layers
         ):
-            env = await self.pool.submit(
-                network, scheme, layers, trace=trace
-            )
+            try:
+                env = await self.pool.submit(
+                    network, scheme, layers, trace=trace
+                )
+            except WorkerLost as exc:
+                raise HttpError(
+                    503, f"{exc}; retry", retry_after=1.0
+                ) from None
             reroot_worker_spans(
                 env.get("worker"), env.get("spans"), name="pool.worker"
             )
@@ -860,12 +857,7 @@ class LayoutServer:
             isinstance(x, int) and not isinstance(x, bool) for x in layers
         ):
             raise HttpError(400, "layers must be a list of integers")
-        scheme = body.get("scheme", "auto")
-        if scheme not in SCHEMES:
-            raise HttpError(
-                400,
-                f"unknown scheme {scheme!r}; known: {', '.join(SCHEMES)}",
-            )
+        scheme = _scheme(body)
         spec = SweepSpec(
             networks=[str(n) for n in networks],
             layers=layers,
@@ -881,13 +873,6 @@ class LayoutServer:
             )
         obs.current_span().attrs.update(sweep=spec.name, jobs=len(jobs))
         self._admit(req, float(len(jobs)))
-        if not self.gate.try_enter():
-            obs.count("serve.rejected_busy")
-            raise HttpError(
-                503,
-                f"server at max in-flight ({self.gate.limit}); retry",
-                retry_after=1.0,
-            )
         obs.count("serve.sweeps")
         stream = ChunkedJsonWriter(writer)
         await stream.start()
@@ -984,6 +969,16 @@ class LayoutServer:
             "slo": slo_doc,
             "debug_requests": self.requests.snapshot(),
         }
+
+
+def _scheme(doc: dict) -> str:
+    """The body's ``scheme`` (default ``auto``); 400 when unknown."""
+    scheme = doc.get("scheme", "auto")
+    if scheme not in SCHEMES:
+        raise HttpError(
+            400, f"unknown scheme {scheme!r}; known: {', '.join(SCHEMES)}"
+        )
+    return scheme
 
 
 def _parse_net(network: str):

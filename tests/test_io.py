@@ -196,16 +196,17 @@ def dict_document_json(layout) -> str:
     """The layout text as the dict/list document writer made it: one
     dict per wire and placement, one list per segment row, then
     ``json.dumps`` of the whole document.  ``layout_to_json`` must
-    write exactly these bytes.  Codes are memoized per call, so keys
-    that compare equal (``0`` and ``False``) share the first one's."""
+    write exactly these bytes.  Codes are memoized per call by type
+    and value, so ``0`` and ``False`` keep their own codes."""
 
     def memo(fn):
         codes = {}
 
         def code(x):
-            if x not in codes:
-                codes[x] = fn(x)
-            return codes[x]
+            typed = (type(x), x)
+            if typed not in codes:
+                codes[typed] = fn(x)
+            return codes[typed]
 
         return code
 
@@ -369,11 +370,23 @@ class TestTextWriter:
     )
     @given(_layouts())
     def test_hand_made_layouts(self, lay):
-        assert layout_to_json(lay) == dict_document_json(lay)
-        # A non-label edge key reads back as its repr string, so the
-        # decoded layout is compared with the oracle, not the text.
-        back = layout_from_json(layout_to_json(lay))
-        assert layout_to_json(back) == dict_document_json(back)
+        text = layout_to_json(lay)
+        assert text == dict_document_json(lay)
+        assert layout_to_json(layout_from_json(text)) == text
+
+    def test_equal_edge_keys_of_other_types_keep_their_text(self):
+        lay = GridLayout(layers=2)
+        lay.place(0, Rect(0, 0, 2, 2))
+        lay.place(1, Rect(10, 0, 2, 2))
+        for y, key in enumerate((0, False, 1, True, 1.0, None, "None")):
+            lay.add_wire(Wire(0, 1, [Segment.make(1, y, 11, y, 1)],
+                              edge_key=key))
+        text = layout_to_json(lay)
+        keys = [w["edge_key"] for w in json.loads(text)["wires"]]
+        assert keys == [0, {"r": "False"}, 1, {"r": "True"},
+                        {"r": "1.0"}, {"r": "None"}, "None"]
+        assert text == dict_document_json(lay)
+        assert layout_to_json(layout_from_json(text)) == text
 
     def test_empty_layout(self):
         lay = GridLayout(layers=2, meta={"scheme": "none", 3: {1, 2}})
@@ -385,6 +398,15 @@ class TestTextWriter:
     def test_unsupported_label_raises(self, label):
         lay = GridLayout(layers=2)
         lay.place(label, Rect(0, 0, 2, 2))
+        with pytest.raises(TypeError):
+            layout_to_json(lay)
+
+    def test_bool_label_after_an_equal_int_raises(self):
+        lay = GridLayout(layers=2)
+        lay.place(1, Rect(0, 0, 2, 2))
+        lay.place(0, Rect(10, 0, 2, 2))
+        lay.add_wire(Wire(1, 0, [Segment.make(1, 1, 11, 1, 1)]))
+        lay.add_wire(Wire(True, 0, [Segment.make(1, 2, 11, 2, 1)]))
         with pytest.raises(TypeError):
             layout_to_json(lay)
 

@@ -10,7 +10,11 @@ deterministic instead of scheduler-lucky.
 
 import asyncio
 import json
+import multiprocessing
+import os
 import shutil
+import signal
+import time
 
 import pytest
 
@@ -717,6 +721,88 @@ class TestIntrospection:
                 writer.close()
 
         _serve(t, cache_dir=str(tmp_path / "cache"))
+
+
+def _kill_pool_worker():
+    """SIGKILL one pool worker of the in-process server."""
+    (victim, *_) = multiprocessing.active_children()
+    os.kill(victim.pid, signal.SIGKILL)
+
+
+async def _healthz(port):
+    _, _, body = await http_request("127.0.0.1", port, "GET", "/healthz")
+    return json.loads(body)
+
+
+async def _alive_is(port, n):
+    return (await _healthz(port))["workers_alive"] == n
+
+
+async def _until(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not await predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        await asyncio.sleep(0.05)
+
+
+class TestWorkerDeath:
+    """A dead pool worker costs its in-flight requests a prompt 503 and
+    nothing more: the pool is replaced and later builds succeed."""
+
+    def test_killed_mid_build_is_503_at_once_then_rebuilt(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv(POOL_DELAY_ENV, "1.0")
+
+        async def t(server, port):
+            # One build running, one queued behind it on the only worker.
+            held = [
+                asyncio.ensure_future(_post_layout(port, net))
+                for net in ("ring:8", "ring:10")
+            ]
+            await asyncio.sleep(0.3)
+            _kill_pool_worker()
+            killed = time.monotonic()
+            for st, headers, body in await asyncio.gather(*held):
+                assert st == 503, (st, body)
+                assert int(headers["retry-after"]) >= 1
+            assert time.monotonic() - killed < 2.0
+            st, _, body = await _post_layout(port, "ring:8")
+            assert st == 200 and json.loads(body)["source"] == "built"
+
+        _serve(t, cache_dir=str(tmp_path / "cache"), request_timeout_s=6)
+
+    def test_idle_death_next_cold_key_is_built(self, tmp_path):
+        async def t(server, port):
+            st, _, _ = await _post_layout(port, "ring:6")
+            assert st == 200
+            _kill_pool_worker()
+            await _until(lambda: _alive_is(port, 0))
+            st, _, body = await _post_layout(port, "ring:8")
+            assert st == 200, body
+            assert json.loads(body)["source"] == "built"
+
+        _serve(t, cache_dir=str(tmp_path / "cache"))
+
+    def test_healthz_follows_alive_and_stats_keep_pool_keys(self, tmp_path):
+        async def t(server, port):
+            doc = await _healthz(port)
+            assert doc["ok"] is True and doc["workers_alive"] == 2
+            # One death breaks the executor, which ends the other worker.
+            _kill_pool_worker()
+            await _until(lambda: _alive_is(port, 0))
+            assert (await _healthz(port))["ok"] is False
+            st, _, _ = await _post_layout(port, "ring:6")
+            assert st == 200
+            doc = await _healthz(port)
+            assert doc["ok"] is True and doc["workers_alive"] == 2
+            _, _, body = await http_request(
+                "127.0.0.1", port, "GET", "/stats"
+            )
+            pool = json.loads(body)["pool"]
+            assert pool == {"workers": 2, "alive": 2, "pending": 0}
+
+        _serve(t, cache_dir=str(tmp_path / "cache"), workers=2)
 
 
 class TestQuotaUnits:

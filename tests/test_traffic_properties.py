@@ -8,10 +8,7 @@ fuzz stage all rely on:
 * the permutation kinds really are permutations (bijections, and for
   ``adversarial`` a derangement over *all* nodes);
 * generation is a pure function of ``(network, seed, params)`` --
-  identical seeds give identical streams;
-* offered load is conserved under sharding: ``shard_workload`` splits
-  a stream into an exact partition and ``merge_shards`` reassembles
-  the original order for *any* worker count (worker invariance).
+  identical seeds give identical streams.
 """
 
 from hypothesis import given, settings
@@ -22,9 +19,7 @@ from repro.routing.traffic import (
     adversarial_permutation,
     load_trace,
     make_workload,
-    merge_shards,
     save_trace,
-    shard_workload,
     trace_replay,
     uniform,
 )
@@ -122,32 +117,6 @@ class TestDeterminism:
         a = make_workload("uniform", net, seed=0, rate=0.5, duration=32)
         b = make_workload("uniform", net, seed=1, rate=0.5, duration=32)
         assert a != b
-
-
-class TestWorkerInvariance:
-    @given(workload_cases(), st.integers(1, 8))
-    @settings(max_examples=60, deadline=None)
-    def test_shard_merge_roundtrip(self, case, workers):
-        net, kind, seed, rate, duration = case
-        msgs = _gen(net, kind, seed, rate, duration)
-        shards = [shard_workload(msgs, w, workers) for w in range(workers)]
-        # Exact partition: offered load is conserved across workers...
-        assert sum(len(s) for s in shards) == len(msgs)
-        # ...and the original order is recoverable for any worker count.
-        assert merge_shards(shards) == msgs
-
-    @given(workload_cases(), st.integers(1, 6), st.integers(1, 6))
-    @settings(max_examples=40, deadline=None)
-    def test_worker_count_invariant(self, case, k1, k2):
-        net, kind, seed, rate, duration = case
-        msgs = _gen(net, kind, seed, rate, duration)
-        merged1 = merge_shards(
-            [shard_workload(msgs, w, k1) for w in range(k1)]
-        )
-        merged2 = merge_shards(
-            [shard_workload(msgs, w, k2) for w in range(k2)]
-        )
-        assert merged1 == merged2 == msgs
 
 
 class TestTraceReplay:
