@@ -13,6 +13,7 @@ from __future__ import annotations
 import copy
 import json
 from dataclasses import dataclass
+from itertools import chain, compress, repeat
 from typing import Hashable
 
 import numpy as np
@@ -36,6 +37,9 @@ __all__ = [
 ]
 
 FORMAT_VERSION = 1
+
+#: Member types whose equal values always have equal texts.
+_PLAIN = frozenset((int, str))
 
 
 def canonical_json(doc) -> str:
@@ -135,7 +139,7 @@ def layout_to_json(layout: GridLayout) -> str:
     wires = []
     for wi, (u, v, key) in enumerate(zip(
         _texts(label, table.wire_u), _texts(label, table.wire_v),
-        _texts(edge_key, table.wire_edge_key),
+        _edge_key_texts(edge_key, table.wire_edge_key),
     )):
         a, b = ends[wi], ends[wi + 1]
         args = (u, v, key, *flat[a:b])
@@ -180,6 +184,22 @@ def _texts(memo: "_Memo", values: list) -> list[str]:
     equal values of different types (``0`` and ``False``) have
     different texts."""
     return list(map(memo.__getitem__, zip(map(type, values), values)))
+
+
+def _edge_key_texts(memo: "_Memo", keys: list) -> list[str]:
+    """The text of each edge key, through ``memo``.  Equal tuples share
+    a memo entry, but their texts differ when their members' types do
+    (``(0, 0)`` and ``(0, False)``).  That takes a tuple key with a
+    member that is not exactly an int or a str; then every key is
+    written afresh.  Built layouts have int keys, or tuples of a str
+    and an int (butterflies, CCCs), and pass the check in one C loop."""
+    texts = _texts(memo, keys)
+    if not any(issubclass(kind, tuple) for kind, _ in memo):
+        return texts
+    tuples = compress(keys, map(isinstance, keys, repeat(tuple)))
+    if set(map(type, chain.from_iterable(tuples))) <= _PLAIN:
+        return texts
+    return list(map(_edge_key_text, keys))
 
 
 def _edge_key_text(key) -> str:

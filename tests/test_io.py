@@ -196,8 +196,10 @@ def dict_document_json(layout) -> str:
     """The layout text as the dict/list document writer made it: one
     dict per wire and placement, one list per segment row, then
     ``json.dumps`` of the whole document.  ``layout_to_json`` must
-    write exactly these bytes.  Codes are memoized per call by type
-    and value, so ``0`` and ``False`` keep their own codes."""
+    write exactly these bytes.  Label codes are memoized per call by
+    type and value, so ``0`` and ``False`` keep their own codes; edge
+    keys are encoded one by one, since equal tuples of other member
+    types (``(0, 0)`` and ``(0, False)``) have other codes."""
 
     def memo(fn):
         codes = {}
@@ -210,7 +212,6 @@ def dict_document_json(layout) -> str:
 
         return code
 
-    @memo
     def edge_key(key):
         try:
             return encode_label(key)
@@ -378,13 +379,16 @@ class TestTextWriter:
         lay = GridLayout(layers=2)
         lay.place(0, Rect(0, 0, 2, 2))
         lay.place(1, Rect(10, 0, 2, 2))
-        for y, key in enumerate((0, False, 1, True, 1.0, None, "None")):
+        for y, key in enumerate((0, False, 1, True, 1.0, None, "None",
+                                 (0, 0), (0, False), ("a", 1.0))):
             lay.add_wire(Wire(0, 1, [Segment.make(1, y, 11, y, 1)],
                               edge_key=key))
         text = layout_to_json(lay)
         keys = [w["edge_key"] for w in json.loads(text)["wires"]]
         assert keys == [0, {"r": "False"}, 1, {"r": "True"},
-                        {"r": "1.0"}, {"r": "None"}, "None"]
+                        {"r": "1.0"}, {"r": "None"}, "None",
+                        {"t": [0, 0]}, {"r": "(0, False)"},
+                        {"r": "('a', 1.0)"}]
         assert text == dict_document_json(lay)
         assert layout_to_json(layout_from_json(text)) == text
 
