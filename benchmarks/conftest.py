@@ -24,6 +24,7 @@ import pytest
 
 from repro import __version__
 from repro.bench.harness import format_table, json_cell
+from repro.bench.trajectory import git_stamp
 
 RESULTS = pathlib.Path(__file__).resolve().parent / "results"
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -97,7 +98,7 @@ def _bench_timer(request):
     )
 
 
-def _flush_json_results() -> None:
+def _flush_json_results(stamp: dict | None) -> None:
     if not _SESSION:
         return
     env = _environment()
@@ -166,31 +167,39 @@ def _flush_json_results() -> None:
     with (REPO_ROOT / "BENCH_summary.json").open("w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    _append_trajectory(summary)
+    _append_trajectory(summary, stamp)
 
 
-def _append_trajectory(summary: dict) -> None:
+def _append_trajectory(summary: dict, stamp: dict | None) -> None:
     """Append this session to the perf-regression trajectory.
 
     Partial runs (``pytest benchmarks/bench_kary.py``) would register
     as "every other bench vanished" in a diff, so only sessions that
-    ran the performance gates contribute a record.  Disable entirely
-    with ``REPRO_NO_TRAJECTORY=1`` (CI's throwaway runs do).
+    ran the performance gates contribute a record.  The record holds
+    the benches this session ran, not the stale ones the summary
+    merges, so it is ``partial`` unless the session ran every module;
+    it carries ``stamp``, the tree as it was before the session
+    rewrote its tracked results.  ``stamp`` is None -- no record --
+    under ``REPRO_NO_TRAJECTORY=1`` (CI's throwaway runs set it).
     """
-    if os.environ.get("REPRO_NO_TRAJECTORY"):
-        return
     from repro.bench.trajectory import (
         GATE_BENCHES,
         append_record,
         trajectory_record,
     )
 
-    if any(name not in _SESSION for name in GATE_BENCHES):
+    if stamp is None or any(name not in _SESSION for name in GATE_BENCHES):
         return
 
+    ran = [b for b in summary["benches"] if b["bench"] in _SESSION]
     record = trajectory_record(
-        summary,
-        {m: rec for m, rec in _SESSION.items()},
+        {
+            **summary,
+            "total_seconds": round(sum(b["seconds"] for b in ran), 4),
+            "benches": ran,
+        },
+        dict(_SESSION),
+        stamp=stamp,
         repo_root=REPO_ROOT,
     )
     append_record(REPO_ROOT / "benchmarks" / "trajectory.jsonl", record)
@@ -198,12 +207,20 @@ def _append_trajectory(summary: dict) -> None:
 
 @pytest.fixture(scope="session", autouse=True)
 def _fresh_results():
-    """Flush JSON results at session end.
+    """Stamp the tree before any bench runs; flush JSON results at
+    session end.
 
     Individual modules truncate their own .txt report on first write
     (see the ``report`` fixture); results of benches *not* run this
     session stay on disk and are merged -- marked stale -- into the
-    summary, so partial runs never masquerade as full ones.
+    summary, so partial runs never masquerade as full ones.  The
+    :func:`~repro.bench.trajectory.git_stamp` is taken first, so the
+    tracked results the session rewrites do not make a clean checkout
+    read as dirty.
     """
+    stamp = (
+        None if os.environ.get("REPRO_NO_TRAJECTORY")
+        else git_stamp(REPO_ROOT)
+    )
     yield
-    _flush_json_results()
+    _flush_json_results(stamp)

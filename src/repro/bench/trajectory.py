@@ -154,6 +154,7 @@ def trajectory_record(
     per_bench: dict[str, dict] | None = None,
     *,
     sha: str | None = None,
+    stamp: dict | None = None,
     repo_root=None,
 ) -> dict:
     """Distill one bench session into a trajectory record.
@@ -161,9 +162,11 @@ def trajectory_record(
     ``summary`` is a ``BENCH_summary.json`` document; ``per_bench``
     optionally maps bench module name to its ``bench-result`` record
     (used for per-test seconds and, for the :data:`GATE_BENCHES`, the
-    gate ratios).  The record is stamped with :func:`git_stamp` of
-    ``repo_root`` (default: the working directory), unless ``sha``
-    names the measured commit outright, which stamps it clean.  It is
+    gate ratios).  The record is stamped with ``stamp``, a
+    :func:`git_stamp` taken earlier (before the session rewrote its
+    tracked results), else with :func:`git_stamp` of ``repo_root``
+    (default: the working directory), unless ``sha`` names the
+    measured commit outright, which stamps it clean.  It is
     ``partial`` when its benches leave out some of that checkout's
     :func:`bench_modules`, which it then lists, sorted, as ``missing``;
     a record for an explicit ``sha`` inspects no checkout unless
@@ -180,10 +183,11 @@ def trajectory_record(
             tests[f"{name}::{t['test']}"] = t.get("seconds", 0.0)
         if name in GATE_BENCHES:
             gates.update(gate_ratios(rec))
-    stamp = (
-        git_stamp(repo_root) if sha is None
-        else {"git_sha": sha, "dirty": False}
-    )
+    if stamp is None:
+        stamp = (
+            git_stamp(repo_root) if sha is None
+            else {"git_sha": sha, "dirty": False}
+        )
     modules = (
         bench_modules(repo_root) if sha is None or repo_root is not None
         else []

@@ -2,8 +2,11 @@
 
 import hashlib
 import json
+import os
+import pathlib
 import shutil
 import subprocess
+import sys
 
 import pytest
 
@@ -225,6 +228,85 @@ class TestPartial:
         for field in ("partial", "missing"):
             rec.pop(field, None)
         assert self._label(tmp_path, rec) == "trajectory.jsonl@abc123"
+
+
+#: A bench module for :class:`TestSession`: one table per run, with a
+#: row no two runs share, so every run rewrites its results.
+_BENCH = """
+import time
+
+
+def test_{name}(report):
+    report("{name}", ["run", "speedup"], [[time.time_ns(), "2.0x"]])
+"""
+
+_ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+class TestSession:
+    """A bench session's trajectory record, as ``benchmarks/conftest.py``
+    writes it: stamped with the tree as it was before the session
+    rewrote its tracked results, and partial unless the session itself
+    ran every bench module."""
+
+    MODULES = ("bench_other", "bench_performance", "bench_traffic")
+
+    @pytest.fixture
+    def checkout(self, tmp_path):
+        """A committed checkout with the repo's bench conftest, three
+        bench modules, and every module's results from a full run."""
+        bench = tmp_path / "benchmarks"
+        bench.mkdir()
+        shutil.copy(_ROOT / "benchmarks" / "conftest.py", bench)
+        for name in self.MODULES:
+            (bench / f"{name}.py").write_text(_BENCH.format(name=name))
+        _git(tmp_path, "init", "-q")
+        self._run(tmp_path, *self.MODULES)
+        _git(tmp_path, "add", "-A")
+        _git(tmp_path, "commit", "-q", "-m", "full run")
+        return tmp_path
+
+    def _run(self, root, *modules) -> dict:
+        """Run a bench session of ``modules``; its trajectory record."""
+        env = {
+            k: v for k, v in os.environ.items() if k != "REPRO_NO_TRAJECTORY"
+        }
+        env["PYTHONPATH"] = str(_ROOT / "src")
+        subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             *[f"benchmarks/{name}.py" for name in modules]],
+            cwd=root, env=env, check=True, capture_output=True,
+        )
+        return load_records(root / "benchmarks" / "trajectory.jsonl")[-1]
+
+    def test_clean_checkout_records_clean(self, checkout):
+        head = _git(checkout, "rev-parse", "HEAD").decode().strip()
+        rec = self._run(checkout, *self.MODULES)
+        assert rec["git_sha"] == head
+        assert rec["dirty"] is False and "diff_sha256" not in rec
+        # The session did rewrite tracked results.
+        assert _git(checkout, "diff", "HEAD", "--", "BENCH_summary.json")
+
+    def test_dirty_checkout_records_dirty(self, checkout):
+        (checkout / "benchmarks" / "bench_other.py").write_text(
+            _BENCH.format(name="bench_other") + "\n"
+        )
+        rec = self._run(checkout, *self.MODULES)
+        assert rec["dirty"] is True and rec["diff_sha256"]
+
+    def test_stale_results_do_not_fill_a_partial_session(self, checkout):
+        rec = self._run(checkout, "bench_performance", "bench_traffic")
+        assert rec["partial"] is True and rec["missing"] == ["bench_other"]
+        assert set(rec["benches"]) == {"bench_performance", "bench_traffic"}
+        # The summary still merges the stale results.
+        summary = json.loads((checkout / "BENCH_summary.json").read_text())
+        assert len(summary["benches"]) == 3
+
+    def test_full_session_is_not_partial(self, checkout):
+        rec = self._run(checkout, *self.MODULES)
+        assert rec["partial"] is False and "missing" not in rec
+        assert set(rec["benches"]) == set(self.MODULES)
 
 
 class TestLoadTimings:

@@ -332,7 +332,7 @@ def _layouts(draw):
 class TestTextWriter:
     """``layout_to_json`` writes the document writer's bytes exactly."""
 
-    @pytest.mark.parametrize("layers", [2, 4])
+    @pytest.mark.parametrize("layers", [2, 4, 8])
     def test_every_zoo_network(self, layers):
         from repro.cli import _zoo_networks
         from repro.core import layout_network
@@ -392,6 +392,21 @@ class TestTextWriter:
         assert text == dict_document_json(lay)
         assert layout_to_json(layout_from_json(text)) == text
 
+    def test_equal_edge_keys_of_one_type_keep_their_text(self):
+        from decimal import Decimal
+
+        lay = GridLayout(layers=2)
+        lay.place(0, Rect(0, 0, 2, 2))
+        lay.place(1, Rect(10, 0, 2, 2))
+        for key in (0.0, -0.0, Decimal("1.0"), Decimal("1.00"), 7):
+            lay.add_wire(Wire.make_riser(0, 1, 3, 4, 1, 2, edge_key=key))
+        text = layout_to_json(lay)
+        keys = [w["edge_key"] for w in json.loads(text)["wires"]]
+        assert keys == [{"r": "0.0"}, {"r": "-0.0"},
+                        {"r": "Decimal('1.0')"}, {"r": "Decimal('1.00')"}, 7]
+        assert text == dict_document_json(lay)
+        assert layout_to_json(layout_from_json(text)) == text
+
     def test_empty_layout(self):
         lay = GridLayout(layers=2, meta={"scheme": "none", 3: {1, 2}})
         assert layout_to_json(lay) == dict_document_json(lay)
@@ -413,6 +428,93 @@ class TestTextWriter:
         lay.add_wire(Wire(True, 0, [Segment.make(1, 2, 11, 2, 1)]))
         with pytest.raises(TypeError):
             layout_to_json(lay)
+
+    @pytest.mark.parametrize("first", ["placed", "wired"])
+    def test_tuple_label_after_an_equal_one_keeps_its_own_text(self, first):
+        """``(0, True)`` equals ``(0, 1)`` but is no label: it raises,
+        whether ``(0, 1)`` came first as a placed node or as a wire's
+        end."""
+        lay = GridLayout(layers=2)
+        lay.place((0, 1), Rect(0, 0, 2, 2))
+        lay.place((1, 1), Rect(10, 0, 2, 2))
+        if first == "wired":
+            lay.add_wire(Wire((0, 1), (1, 1), [Segment.make(1, 1, 11, 1, 1)]))
+        lay.add_wire(Wire((0, True), (1, 1), [Segment.make(1, 2, 11, 2, 1)]))
+        with pytest.raises(TypeError):
+            layout_to_json(lay)
+
+    def test_tuple_labels_of_other_members(self):
+        """Tuples of strs, of nested tuples and of mixed lengths keep
+        the codec's text."""
+        lay = GridLayout(layers=2)
+        labels = [("a", 1), (("b", 2), 3), (4,), (5, 6, 7), (-8, 9)]
+        for i, node in enumerate(labels):
+            lay.place(node, Rect(10 * i, 0, 2, 2))
+        for i, (u, v) in enumerate(zip(labels, labels[1:])):
+            lay.add_wire(Wire(u, v, [Segment.make(1, i, 11, i, 1)],
+                              edge_key=v))
+        text = layout_to_json(lay)
+        assert text == dict_document_json(lay)
+        assert layout_to_json(layout_from_json(text)) == text
+
+
+#: Ints on both sides of every digit-count boundary up to 10**12, a few
+#: negatives, and some past 2**31.
+_BOUNDARY_INTS = sorted(
+    {10**k + d for k in range(1, 13) for d in (-1, 0)}
+    | {0, -1, -10, -999, 2**31 - 1, 2**31, 2**31 + 1, 2**40,
+       -(2**31) - 1, -(2**33)}
+)
+
+
+def _boundary_layout():
+    """A layout whose placement rects, segment rows, risers, int and
+    int-tuple labels and edge keys take every :data:`_BOUNDARY_INTS`
+    value (layers only the positive ones)."""
+    values = _BOUNDARY_INTS
+    layers = [v for v in values if v > 0]
+    lay = GridLayout(layers=2)
+    for i, v in enumerate(values):
+        layer = layers[i % len(layers)]
+        lay.place(v, Rect(v, -v, abs(v), abs(v) + 1), layer)
+        lay.place((v, -v), Rect(-v, v, i, abs(v)), layer)
+    for i, (a, b) in enumerate(zip(values, values[1:])):
+        lo, hi = layers[i % len(layers)], layers[(i + 1) % len(layers)]
+        lay.add_wire(Wire(a, b, [
+            Segment.make(a, b, b, b, lo), Segment.make(b, b, b, a, hi),
+        ], edge_key=a))
+        lay.add_wire(Wire.make_riser(
+            (a, -a), (b, -b), a, b, min(lo, hi), max(lo, hi) + 1,
+            edge_key=(b, a),
+        ))
+    return lay
+
+
+class TestDigits:
+    """The writer's ints straddle every digit-count boundary."""
+
+    def test_boundary_layout(self):
+        lay = _boundary_layout()
+        text = layout_to_json(lay)
+        assert text == dict_document_json(lay)
+        assert layout_to_json(layout_from_json(text)) == text
+        doc = json.loads(text)
+        assert sorted(p["rect"][0] for p in doc["placements"]) == sorted(
+            _BOUNDARY_INTS + [-v for v in _BOUNDARY_INTS]
+        )
+
+    def test_kernel_at_the_int64_limits(self):
+        import numpy as np
+
+        from repro.grid.io import _digits
+
+        values = [v + d for v in _BOUNDARY_INTS + [10**18]
+                  for d in (-1, 0, 1)]
+        values += [-v for v in values] + [2**63 - 1, -(2**63), -(2**63) + 1]
+        digits = _digits(np.array(values, dtype=np.int64))
+        assert [bytes(row).lstrip(b"\0").decode() for row in digits] == [
+            str(v) for v in values
+        ]
 
 
 class TestCli:
