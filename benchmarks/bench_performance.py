@@ -432,10 +432,9 @@ def test_wiretable_memory(report):
 
 
 # ---------------------------------------------------------------------------
-# E7i/E7j: the accel kernels and incremental revalidation.
-# The "before" for E7i is the validator's own scalar battery (still the
-# diagnosis path, so it cannot rot); for E7j it is a full revalidation
-# after each edit.
+# E7i: the accel kernels.
+# The "before" is the validator's own scalar battery (still the
+# diagnosis path, so it cannot rot).
 
 
 def test_validator_kernels(report):
@@ -464,56 +463,4 @@ def test_validator_kernels(report):
     )
     assert speedup >= 5.0, (
         f"kernelized validator only {speedup:.1f}x faster"
-    )
-
-
-def test_incremental_revalidation(report):
-    """E7j gate: single-wire edit + incremental revalidation >= 10x an
-    edit + full revalidation on the 10-cube at L=4."""
-    from repro.grid.validate import validate_layout
-    from repro.grid.wire import Wire
-
-    lay = layout_hypercube(10, layers=4, node_side="min")
-    validate_layout(lay, incremental=True)  # attach + arm the tracker
-
-    edit_idx = [
-        i for i, w in enumerate(lay.wires) if w.riser is None
-    ][:8]
-
-    def clone_wire(i):
-        w = lay.wires[i]
-        return Wire(w.u, w.v, list(w.segments), edge_key=w.edge_key)
-
-    state = {"k": 0}
-
-    def edit_and_full():
-        i = edit_idx[state["k"] % len(edit_idx)]
-        state["k"] += 1
-        lay.replace_wire(i, clone_wire(i))
-        validate_layout(lay)
-
-    def edit_and_incremental():
-        i = edit_idx[state["k"] % len(edit_idx)]
-        state["k"] += 1
-        lay.replace_wire(i, clone_wire(i))
-        validate_layout(lay, incremental=True)
-
-    # Both sides are sub-millisecond to ~10 ms, so a median of 3 swings
-    # with host noise; 15 repeats make the ratio stable.
-    repeats = 15
-    full_s = timed_median(edit_and_full, repeats=repeats)
-    inc_s = timed_median(edit_and_incremental, repeats=repeats)
-
-    speedup = full_s / inc_s
-    report(
-        f"E7j: single-wire edit + revalidation on the 10-cube at L=4, "
-        f"median of {repeats} ({len(lay.wires)} wires)",
-        ["implementation", "seconds", "speedup"],
-        [
-            ["edit + full sweep", f"{full_s:.4f}", "1.00x"],
-            ["edit + dirty bands", f"{inc_s:.4f}", f"{speedup:.1f}x"],
-        ],
-    )
-    assert speedup >= 10.0, (
-        f"incremental revalidation only {speedup:.1f}x faster"
     )

@@ -1,8 +1,8 @@
 """Array kernels for the hot validation and analysis passes.
 
 The kernels live in :mod:`repro.accel.vector` and run on numpy arrays:
-validator clean-tests over :class:`repro.grid.table.WireTable` columns,
-per-wire boxes for dirty-region tracking, and the exact-cutwidth DP.
+validator clean-tests over :class:`repro.grid.table.WireTable` columns
+and the exact-cutwidth DP.
 Validator kernels are *conservative*: a "clean" verdict is only
 returned when the scalar check provably accepts, so callers fall back
 to the original scalar sweep -- and its byte-identical error message --

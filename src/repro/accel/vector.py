@@ -1,4 +1,4 @@
-"""Numpy kernels for the validator, the cutwidth DP and dirty tracking.
+"""Numpy kernels for the validator and the cutwidth DP.
 
 Validator kernels operate on :class:`repro.grid.table.WireTable` arrays
 and return *clean verdicts*, not error messages: ``True`` means the
@@ -49,7 +49,6 @@ __all__ = [
     "node_sweep_clean",
     "pins_clean",
     "edges_match",
-    "wire_boxes",
     "cut_profile",
     "cutwidth_dp",
 ]
@@ -451,40 +450,6 @@ def edges_match(want_rows, u_rows, v_rows, n: int) -> bool:
         lo, hi = np.sort(pairs, axis=1).T
         keys.append(np.sort(lo * n + hi))
     return bool(np.array_equal(*keys))
-
-
-def wire_boxes(table):
-    """Per-wire box columns ``x0, x1, y0, y1, l0, l1`` (a ``(6, W)``
-    array), for dirty-region tracking.
-
-    Planar extent over segment endpoints (a riser's planar point);
-    layer extent over segment layers (a riser's z-span).  Via
-    interiors lie between the adjacent segments' layers, so the
-    segment layer range covers them.
-    """
-    out = np.zeros((6, table.num_wires), dtype=np.int64)
-    starts = table.wire_seg_start
-    nonempty = np.diff(starts) > 0
-    if bool(nonempty.any()):
-        # Risers have empty segment ranges; reduceat over only the
-        # non-empty starts keeps every group's slice exact (consecutive
-        # non-empty wires are adjacent in the segment arrays).
-        ne_idx = starts[:-1][nonempty]
-        for row, col, reduce in (
-            (out[0], table.seg_x1, np.minimum), (out[1], table.seg_x2, np.maximum),
-            (out[2], table.seg_y1, np.minimum), (out[3], table.seg_y2, np.maximum),
-            (out[4], table.seg_layer, np.minimum),
-            (out[5], table.seg_layer, np.maximum),
-        ):
-            row[nonempty] = reduce.reduceat(col, ne_idx)
-    riser = table.wire_is_riser.astype(bool)
-    if riser.any():
-        zi = table.wire_zrun_start[:-1][riser]
-        out[:, riser] = (
-            table.zrun_x[zi], table.zrun_x[zi], table.zrun_y[zi],
-            table.zrun_y[zi], table.zrun_lo[zi], table.zrun_hi[zi],
-        )
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,6 @@ reference model:
 ``validator-oracle``
     on randomly corrupted clones, the fast validator and the oracle
     return the *same* verdict;
-``dirty-region``
-    incremental (dirty-band) revalidation returns the same verdict as
-    a from-scratch validation after every random edit sequence;
 ``area-lb`` / ``volume-lb`` / ``wire-lb``
     measured area/volume/total-wire respect the bisection and unit-edge
     lower bounds of :mod:`repro.core.bounds` (exact brute-force
@@ -107,7 +104,6 @@ STAGES = (
     "cutwidth",
     "orthogonal",
     "agreement",
-    "dirty-region",
     "folding",
     "threedee",
     "traffic",
@@ -369,66 +365,6 @@ def _stage_agreement(case: CheckCase, res: CheckResult, opts: dict) -> None:
             )
 
 
-def _stage_dirty_region(case: CheckCase, res: CheckResult, opts: dict) -> None:
-    """Incremental revalidation agrees with from-scratch validation.
-
-    A clone of the case's largest-L layout is validated with
-    ``incremental=True`` (arming the dirty tracker), then mutated in
-    rounds of 1-3 random edits -- ``mutate_layout`` routes each through
-    ``GridLayout.splice``, so the tracker sees every one.  After
-    every round the incremental verdict must match a from-scratch
-    ``validate_layout`` of a fresh clone; only verdicts are compared
-    (a broken layout may hold several conflicts, and the two paths may
-    legitimately report different ones first).
-    """
-    base = opts.get("_layouts", {}).get(max(case.layers))
-    if base is None:
-        base = build_scheme_layout(case, max(case.layers), opts.get("cache"))
-    lay = clone_layout(base)
-    try:
-        validate_layout(
-            lay, check_pins=False, check_node_interference=True,
-            incremental=True,
-        )
-    except LayoutError:
-        # The base layout itself is rejected (scheme bug -- the
-        # orthogonal stage reports it); no baseline to increment from.
-        res.skipped.append("dirty-region")
-        return
-    rng = random.Random(case.seed ^ 0xD187E)
-    for _ in range(opts["mutation_rounds"]):
-        applied = 0
-        for _ in range(rng.randint(1, 3)):
-            applied += mutate_layout(lay, rng)
-        if not applied:
-            continue
-        try:
-            validate_layout(
-                lay, check_pins=False, check_node_interference=True,
-                incremental=True,
-            )
-            inc_ok, inc_msg = True, ""
-        except LayoutError as exc:
-            inc_ok, inc_msg = False, str(exc)
-        try:
-            validate_layout(
-                clone_layout(lay), check_pins=False,
-                check_node_interference=True,
-            )
-            full_ok, full_msg = True, ""
-        except LayoutError as exc:
-            full_ok, full_msg = False, str(exc)
-        if inc_ok != full_ok:
-            res.add(
-                "dirty-region", "dirty-region",
-                f"verdicts diverge: incremental "
-                f"{'accepts' if inc_ok else f'rejects ({inc_msg})'}, "
-                f"from-scratch "
-                f"{'accepts' if full_ok else f'rejects ({full_msg})'}",
-            )
-            return
-
-
 def _stage_folding(case: CheckCase, res: CheckResult, opts: dict) -> None:
     if 2 not in case.layers or max(case.layers) < 4:
         res.skipped.append("folding")
@@ -538,7 +474,6 @@ _STAGE_FNS = {
     "cutwidth": _stage_cutwidth,
     "orthogonal": _stage_orthogonal,
     "agreement": _stage_agreement,
-    "dirty-region": _stage_dirty_region,
     "folding": _stage_folding,
     "threedee": _stage_threedee,
     "traffic": _stage_traffic,

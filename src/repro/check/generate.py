@@ -292,8 +292,7 @@ def mutate_layout(lay: GridLayout, rng: random.Random) -> bool:
     mutation may be harmless or illegal -- deciding which is the
     validators' job, and both must agree.  The edit is a row edit: one
     segment row of one wire changes, and the wire's rows go back
-    through ``GridLayout.splice``, so an attached dirty tracker sees
-    it (mutated layouts feed the dirty-region stage).
+    through ``GridLayout.splice``.
     """
     table = lay.wire_table()
     if not table.num_wires:

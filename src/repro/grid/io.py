@@ -483,12 +483,11 @@ def layout_from_json(text: str) -> GridLayout:
 def clone_layout(layout: GridLayout) -> GridLayout:
     """An independent copy whose edits never reach ``layout``.
 
-    The clone shares the original's flushed
+    The clone shares the original's
     :class:`~repro.grid.table.WireTable` -- no table column is written
     after construction; every edit swaps in a new table -- and copies
-    the placements dict and (deeply) ``meta``.  It starts with no dirty
-    tracker.  The mutation harness in :mod:`repro.check` corrupts
-    clones, never originals.
+    the placements dict and (deeply) ``meta``.  The mutation harness in
+    :mod:`repro.check` corrupts clones, never originals.
     """
     return GridLayout(
         layers=layout.layers,

@@ -9,15 +9,10 @@ A layout stores its geometry once, as a
 :class:`~repro.grid.table.WireTable`: producers hand it a finished
 table, mutations (``place``, ``add_wire``, ``replace_wire``,
 ``splice``) swap in an edited one, and measurement reads its columns.
-A one-wire-for-one replacement is queued as its rows and applied by
-the next :meth:`GridLayout.wire_table` in one
-:meth:`~repro.grid.table.WireTable.gather`, so an edit followed by an
-incremental revalidation (which reads the queued rows through
-:meth:`GridLayout.band_layout`) touches only the dirty rows, not every
-column of the table.  :attr:`GridLayout.wires` is a read-only
-:class:`WireView` of ``Wire`` objects built from the rows on first read
-and kept in step by later edits (only the inserted rows are built), so
-code that only measures, validates or serializes never creates one.
+:attr:`GridLayout.wires` is a read-only :class:`WireView` of ``Wire``
+objects built from the rows on first read and kept in step by later
+edits (only the inserted rows are built), so code that only measures,
+validates or serializes never creates one.
 """
 
 from __future__ import annotations
@@ -85,10 +80,7 @@ class GridLayout:
         channel structure, track counts); benches and tests read it.
     """
 
-    __slots__ = (
-        "layers", "placements", "meta", "_table", "_pending", "_wires",
-        "_dirty",
-    )
+    __slots__ = ("layers", "placements", "meta", "_table", "_wires")
 
     def __init__(
         self,
@@ -107,14 +99,7 @@ class GridLayout:
             WireTable.from_wires((), self.placements) if table is None
             else table
         )
-        #: Queued one-wire replacements, wire index -> its new rows.
-        self._pending: dict[int, WireTable] = {}
         self._wires: list[Wire] | None = None
-        #: Lazily attached :class:`repro.grid.dirty.DirtyTracker`;
-        #: ``None`` until the first ``validate_layout(...,
-        #: incremental=True)`` call opts this layout into dirty-region
-        #: bookkeeping.
-        self._dirty = None
 
     def __repr__(self) -> str:
         return (
@@ -128,7 +113,7 @@ class GridLayout:
         """The wires as ``Wire`` objects, built from the table's rows on
         first read (edit through the mutation methods, not the view)."""
         if self._wires is None:
-            self._wires = self.wire_table().build_wires()
+            self._wires = self._table.build_wires()
         return WireView(self._wires)
 
     # -- construction ---------------------------------------------------
@@ -138,82 +123,31 @@ class GridLayout:
             raise ValueError(f"node placed twice: {node!r}")
         self.placements[node] = Placement(node, rect, layer)
         self._table = self._table.with_nodes(self.placements)
-        if self._dirty is not None:
-            self._dirty.on_place(rect, layer)
 
     def add_wire(self, wire: Wire) -> None:
         n = self._table.num_wires
         self.splice(n, n, WireTable.from_wires([wire], {}))
 
     def replace_wire(self, i: int, wire: Wire) -> None:
-        """Swap wire ``i`` for ``wire``, recording dirty regions."""
+        """Swap wire ``i`` for ``wire``."""
         i = range(self._table.num_wires)[i]  # IndexError when out of range
         self.splice(i, i + 1, WireTable.from_wires([wire], {}))
 
     def splice(self, i: int, j: int, rows: WireTable) -> None:
         """Replace wires ``i..j-1`` with the wires of ``rows`` (``i ==
-        j`` inserts), telling the attached dirty tracker, so
-        incremental revalidation stays sound."""
+        j`` inserts)."""
         if not 0 <= i <= j <= self._table.num_wires:
             raise IndexError(f"bad wire range {i}..{j}")
-        if j == i + 1 and rows.num_wires == 1:
-            self._pending[i] = rows
-        else:
-            self._table = self.wire_table().splice(i, j, rows)
+        self._table = self._table.splice(i, j, rows)
         if self._wires is not None:
             # Keep a view already built in step: only the new rows
             # become ``Wire`` objects.
             self._wires[i:j] = rows.build_wires()
-        if self._dirty is not None:
-            self._dirty.on_splice(i, j, rows)
 
     def wire_table(self) -> WireTable:
         """The layout's geometry: a structure-of-arrays
-        :class:`~repro.grid.table.WireTable` (queued replacements
-        applied)."""
-        if self._pending:
-            pieces, prev = [], 0
-            for i in sorted(self._pending):
-                pieces += [
-                    (self._table, slice(prev, i)),
-                    (self._pending[i], slice(None)),
-                ]
-                prev = i + 1
-            pieces.append((self._table, slice(prev, None)))
-            self._table = WireTable.gather(pieces, nodes=self._table)
-            self._pending = {}
+        :class:`~repro.grid.table.WireTable`."""
         return self._table
-
-    def band_layout(self, wire_idx, bands) -> "GridLayout":
-        """The layout of wires ``wire_idx`` and of the nodes whose
-        squares meet the ``(x0, x1, y0, y1, l0, l1)`` boxes ``bands`` in
-        plan, plus those wires' endpoint nodes (so the pin check can
-        resolve them).  Queued replacements are read from their own
-        rows (and listed last), not applied to the whole table."""
-        import numpy as np
-
-        from repro.grid.dirty import hits
-
-        table, pending, nodes = self._table, self._pending, self.placements
-        rects = (table.node_x0, table.node_x1, table.node_y0, table.node_y1)
-        labels = list(nodes)
-        placements = {
-            labels[i]: nodes[labels[i]]
-            for i in np.flatnonzero(hits(rects, bands)).tolist()
-        }
-        clean = [i for i in wire_idx if i not in pending]
-        queued = [pending[i] for i in wire_idx if i in pending]
-        for label in [
-            x for i in clean for x in (table.wire_u[i], table.wire_v[i])
-        ] + [x for t in queued for x in (t.wire_u[0], t.wire_v[0])]:
-            if label not in placements and label in nodes:
-                placements[label] = nodes[label]
-        return GridLayout(
-            layers=self.layers,
-            placements=placements,
-            table=table.select(clean, placements, queued),
-            meta=self.meta,
-        )
 
     # -- measurement ----------------------------------------------------
 

@@ -27,13 +27,11 @@ Tables are **immutable data**, made only from rows:
 Edits return new tables, all through :meth:`gather` (runs or picks of
 wires from several tables, one after another): :meth:`splice` replaces
 a run of wires (``GridLayout`` mutations), :meth:`select` keeps a
-subset, optionally followed by other tables' wires (the incremental
-validator's dirty bands), :meth:`stack` piles tables up
-with a layer offset each (3-D decks), and :meth:`with_nodes` refreshes
-the placement columns.  ``Wire`` objects exist only as the
-read-only view :meth:`build_wires` materializes for code that walks
-objects: the validator's scalar diagnose sweeps, the brute-force
-oracle, and tests.
+subset, :meth:`stack` piles tables up with a layer offset each (3-D
+decks), and :meth:`with_nodes` refreshes the placement columns.
+``Wire`` objects exist only as the read-only view :meth:`build_wires`
+materializes for code that walks objects: the validator's scalar
+diagnose sweeps, the brute-force oracle, and tests.
 
 The arrays are numpy ndarrays, and the reductions below run on them
 directly.
@@ -431,12 +429,9 @@ class WireTable:
             nodes=self,
         )
 
-    def select(self, wire_idx, placements, extra=()) -> "WireTable":
-        """The table of wires ``wire_idx``, then of the wires of the
-        tables ``extra``, over ``placements``."""
-        return self.gather(
-            [(self, wire_idx), *((t, slice(None)) for t in extra)], placements
-        )
+    def select(self, wire_idx, placements) -> "WireTable":
+        """The table of wires ``wire_idx`` over ``placements``."""
+        return self.gather([(self, wire_idx)], placements)
 
     @classmethod
     def stack(cls, tables, offsets, placements) -> "WireTable":

@@ -35,20 +35,6 @@ message (or accepts, for the few deliberately conservative kernels).
 Error paths therefore cost one extra vector pass plus the view;
 accept paths -- the overwhelming majority in sweeps, serving, and
 fuzzing -- never build a ``Wire``.
-
-``validate_layout(layout, incremental=True)`` additionally enables
-dirty-region revalidation: the layout grows a
-:class:`~repro.grid.dirty.DirtyTracker`, every mutation
-(``GridLayout.splice`` / ``replace_wire`` / ``add_wire`` / ``place``)
-records the touched boxes (planar rectangle x layer range), and
-subsequent incremental calls re-check only the rows and nodes
-intersecting those boxes (``GridLayout.band_layout``, which reads
-queued one-wire replacements without applying them to the whole
-table).  The verdict is relative to the last
-successful validation (conflicts purely among untouched elements were
-ruled out then); the tracker falls back to a full sweep when the dirty
-set exceeds ``incremental_threshold`` of the wires or when boxes pile
-up past ``DirtyTracker.MAX_BANDS``.
 """
 
 from __future__ import annotations
@@ -75,8 +61,6 @@ def validate_layout(
     check_node_interference: bool = True,
     check_pins: bool = True,
     check_parity: bool = False,
-    incremental: bool = False,
-    incremental_threshold: float = 0.25,
 ) -> dict:
     """Check ``layout`` against the multilayer grid model rules.
 
@@ -92,47 +76,9 @@ def validate_layout(
         Additionally enforce the *scheme convention* that horizontal
         segments use odd layers and vertical segments even layers.  Not
         a model rule; useful when testing the orthogonal scheme.
-    incremental:
-        Re-check only the regions dirtied since the last successful
-        validation (see the module docstring).  The first incremental
-        call on a layout attaches the tracker and runs a full sweep.
-    incremental_threshold:
-        Fraction of the layout's wires above which an incremental call
-        falls back to a full sweep (dirty sets that large re-check
-        most of the layout anyway).
 
-    Returns a report dict (counts of segments, conflicts checked); an
-    incremental call adds an ``"incremental"`` sub-dict describing the
-    mode taken (``full`` / ``bands`` / ``clean``).
+    Returns a report dict (counts of segments, conflicts checked).
     """
-    if incremental:
-        return _validate_incremental(
-            layout,
-            check_node_interference=check_node_interference,
-            check_pins=check_pins,
-            check_parity=check_parity,
-            threshold=incremental_threshold,
-        )
-    report = _run_checks(
-        layout,
-        check_node_interference=check_node_interference,
-        check_pins=check_pins,
-        check_parity=check_parity,
-    )
-    tracker = layout._dirty
-    if tracker is not None:
-        tracker.reset_after_full(layout)
-    return report
-
-
-def _run_checks(
-    layout: GridLayout,
-    *,
-    check_node_interference: bool,
-    check_pins: bool,
-    check_parity: bool,
-    nodes_changed: bool = True,
-) -> dict:
     checks: list = [_check_layer_budget]
     if check_parity:
         checks.append(_check_parity)
@@ -143,10 +89,7 @@ def _run_checks(
         _check_via_occupancy,
     ]
     if check_node_interference:
-        # Node-node overlap can only change when a node is placed.
-        checks.append(
-            _check_node_interference if nodes_changed else _check_node_sweep
-        )
+        checks.append(_check_node_interference)
     if check_pins:
         checks.append(_check_pins)
 
@@ -171,73 +114,6 @@ def _run_checks(
         "layers": layout.layers,
         "checks": len(checks),
     }
-
-
-# ---------------------------------------------------------------------------
-# Incremental revalidation
-
-
-def _validate_incremental(
-    layout: GridLayout,
-    *,
-    check_node_interference: bool,
-    check_pins: bool,
-    check_parity: bool,
-    threshold: float,
-) -> dict:
-    from repro.grid.dirty import DirtyTracker
-
-    kwargs = dict(
-        check_node_interference=check_node_interference,
-        check_pins=check_pins,
-        check_parity=check_parity,
-    )
-    tracker = layout._dirty
-    if tracker is None:
-        tracker = DirtyTracker()
-        layout._dirty = tracker
-    if tracker.needs_full():
-        report = _run_checks(layout, **kwargs)
-        tracker.reset_after_full(layout)
-        report["incremental"] = {"mode": "full", "reason": "untracked"}
-        return report
-    bands = tracker.coalesced_bands()
-    if not bands:
-        # Nothing touched since the last successful validation.
-        obs.count("validator.incremental_clean")
-        return {
-            "segments": 0,
-            "wires": 0,
-            "nodes": 0,
-            "layers": layout.layers,
-            "checks": 0,
-            "incremental": {"mode": "clean", "bands": 0, "wires_checked": 0},
-        }
-    sel = tracker.select_wires(bands)
-    n_wires = tracker.boxes.shape[1]
-    if len(bands) > tracker.MAX_BANDS or len(sel) > threshold * n_wires:
-        report = _run_checks(layout, **kwargs)
-        tracker.reset_after_full(layout)
-        report["incremental"] = {
-            "mode": "full",
-            "reason": "threshold",
-            "bands": len(bands),
-            "wires_dirty": len(sel),
-        }
-        return report
-    sub = layout.band_layout(sel, bands)
-    with obs.span(
-        "validate.incremental", bands=len(bands), wires=len(sel)
-    ):
-        report = _run_checks(sub, **kwargs, nodes_changed=tracker.placed)
-    tracker.clear_bands()
-    obs.count("validator.incremental_band_runs")
-    report["incremental"] = {
-        "mode": "bands",
-        "bands": len(bands),
-        "wires_checked": len(sel),
-    }
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -480,16 +356,11 @@ def _check_node_interference(layout: GridLayout) -> None:
     the scalar overlap sweep diagnoses -- or, by accepting,
     re-establishes that invariant -- before any segment sweep runs.
     """
-    if not _accel.node_overlap_clean(layout.wire_table()):
+    table = layout.wire_table()
+    if not _accel.node_overlap_clean(table):
         _node_overlap_scalar(layout)
-    _check_node_sweep(layout)
-
-
-def _check_node_sweep(layout: GridLayout) -> None:
-    """No segment crosses a node interior (rects known disjoint)."""
-    if _accel.node_sweep_clean(layout.wire_table()):
-        return
-    _node_seg_sweep_scalar(layout)
+    if not _accel.node_sweep_clean(table):
+        _node_seg_sweep_scalar(layout)
 
 
 def _node_overlap_scalar(layout: GridLayout) -> None:

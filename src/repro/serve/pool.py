@@ -121,7 +121,7 @@ class WorkerPool:
             "run_dir": run_dir and os.fspath(run_dir), "validate": validate,
         }
         self._executor: ProcessPoolExecutor | None = None
-        self._pending = 0
+        self._in_flight = 0
 
     def start(self) -> "WorkerPool":
         self._executor = self._new_executor(_mp_context())
@@ -162,7 +162,7 @@ class WorkerPool:
         executor = self._executor
         if self.alive() < self.workers:  # a worker died while idle
             executor = self._replace(executor)
-        self._pending += 1
+        self._in_flight += 1
         try:
             return await asyncio.wrap_future(
                 executor.submit(_build, network, scheme, layers, trace)
@@ -171,7 +171,7 @@ class WorkerPool:
             self._replace(executor)
             raise WorkerLost("a pool worker died during the build") from None
         finally:
-            self._pending -= 1
+            self._in_flight -= 1
 
     def alive(self) -> int:
         # A broken executor keeps its dead processes, a shut-down one
@@ -181,7 +181,7 @@ class WorkerPool:
 
     def snapshot(self) -> dict:
         return {"workers": self.workers, "alive": self.alive(),
-                "pending": self._pending}
+                "pending": self._in_flight}
 
     def close(self, timeout: float = 5.0) -> None:
         """Drain: let running builds finish, terminate past ``timeout``."""

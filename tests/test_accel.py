@@ -8,8 +8,6 @@ kernel to a reference that shares none of its code:
   :mod:`repro.grid.validate` -- exact kernels report clean on every
   legal layout, and no kernel ever reports clean where its scalar
   check rejects a corrupted one;
-* ``wire_boxes`` against a per-wire walk of the ``Wire`` objects
-  (:func:`_wire_box` below);
 * ``cut_profile`` against a direct count of edges over every gap, and
   the cutwidth DP against a brute-force minimum of
   ``collinear_layout(...).num_tracks`` over every node order.
@@ -109,21 +107,6 @@ def _kernel_verdicts(lay) -> dict:
 # Legal layouts
 
 
-def _wire_box(w) -> list[int]:
-    """``[x0, x1, y0, y1, l0, l1]`` of one ``Wire``: its planar extent
-    over segment endpoints and its layer extent (a riser's planar
-    point and z-span)."""
-    if w.riser is not None:
-        x, y, zlo, zhi = w.riser
-        return [x, x, y, y, zlo, zhi]
-    segs = w.segments
-    return [
-        min(s.x1 for s in segs), max(s.x2 for s in segs),
-        min(s.y1 for s in segs), max(s.y2 for s in segs),
-        min(s.layer for s in segs), max(s.layer for s in segs),
-    ]
-
-
 @pytest.mark.parametrize(
     "case_id,net,layers", _CASES, ids=[c[0] for c in _CASES]
 )
@@ -132,8 +115,8 @@ def test_kernel_parity_legal(case_id, net, layers):
 
     Every scalar sweep accepts these layouts, so every exact kernel
     must report clean (``bend_clean`` and ``node_overlap_clean`` are
-    conservative and may not); ``edge_sweep`` counts every segment,
-    and ``wire_boxes`` equals the per-wire object walk.
+    conservative and may not), and ``edge_sweep`` counts every
+    segment.
     """
     lay = _layout(case_id, net, layers)
     table = lay.wire_table()
@@ -145,9 +128,6 @@ def test_kernel_parity_legal(case_id, net, layers):
     assert accel.edge_sweep(table)[0] == sum(
         len(w.segments) for w in lay.wires
     )
-    assert accel.wire_boxes(table).T.tolist() == [
-        _wire_box(w) for w in lay.wires
-    ]
 
 
 @pytest.mark.parametrize(

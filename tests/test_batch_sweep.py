@@ -469,7 +469,7 @@ class TestFuzzParallel:
         # non-uniform pitch, threedee off the k^3 tori) is not counted.
         assert rep.stage_counts == {
             "collinear": 30, "cutwidth": 25, "orthogonal": 30,
-            "agreement": 30, "dirty-region": 30, "folding": 8,
+            "agreement": 30, "folding": 8,
             "traffic": 30,
         }
 

@@ -17,7 +17,6 @@ import json
 import numpy as np
 import pytest
 
-from repro import obs
 from repro.batch.cache import LayoutCache
 from repro.batch.runner import run_sweep_job
 from repro.batch.spec import SweepJob, dispatch_scheme
@@ -128,30 +127,6 @@ class TestMutationKeepsGeometry:
         assert after["placements"][:-1] == before["placements"]
         assert after["placements"][-1]["node"] == "extra-node"
 
-    def test_incremental_revalidation_keeps_off_the_full_table(self):
-        """A single-wire edit revalidates only its dirty bands' rows: it
-        builds no ``Wire`` view, and the replacement stays queued until
-        the next ``wire_table()``."""
-        lay = self._layout()
-        validate_layout(lay, incremental=True)
-        table = lay.wire_table()
-        (w,) = table.select([0], {}).build_wires()
-        lay.replace_wire(0, Wire(w.u, w.v, list(w.segments), edge_key=w.edge_key))
-        obs.reset()
-        obs.enable()
-        try:
-            report = validate_layout(lay, incremental=True)
-            (sweep,) = obs.find_spans("validate")
-        finally:
-            obs.disable()
-            obs.reset()
-        assert report["incremental"]["mode"] == "bands"
-        assert 0 < sweep.attrs["wires"] < table.num_wires
-        assert report["wires"] == sweep.attrs["wires"]
-        assert lay._wires is None
-        assert lay._table is table
-        assert lay.wire_table() is not table
-
     def test_wires_view_is_read_only(self):
         lay = self._layout()
         w = lay.wires[0]
@@ -162,9 +137,8 @@ class TestMutationKeepsGeometry:
         assert isinstance(lay.wires[:2], tuple)
 
     def test_queued_replacements_match_splices(self):
-        """One-for-one replacements queued on a layout and applied by the
-        next ``wire_table()`` in one gather equal the same swaps made one
-        ``splice`` at a time, risers and wires of other lengths
+        """One-for-one ``GridLayout.splice`` replacements equal the same
+        ``WireTable.splice`` swaps, risers and wires of other lengths
         included."""
         from repro.core.threedee import layout_product_3d
         from repro.topology import Ring
@@ -179,32 +153,7 @@ class TestMutationKeepsGeometry:
             rows = table.select([donors[k]], {})
             lay.splice(i, i + 1, rows)
             want = want.splice(i, i + 1, rows)
-        assert len(lay._pending) == len(at)
         _assert_tables_equal(lay.wire_table(), want)
-        assert not lay._pending
-
-    def test_queued_replacements_reach_band_layouts(self):
-        """Replacements queued since the last ``wire_table()`` are read
-        into a band layout exactly as the applied table holds them."""
-        lay = self._layout()
-        validate_layout(lay, incremental=True)
-        table = lay.wire_table()
-        for i in (0, 3, 4):
-            (w,) = table.select([i], {}).build_wires()
-            lay.replace_wire(i, Wire(w.u, w.v, [
-                Segment(s.x1, s.y1, s.x2, s.y2, s.layer + 2)
-                for s in w.segments
-            ], edge_key=w.edge_key))
-        assert sorted(lay._pending) == [0, 3, 4]
-        tracker = lay._dirty
-        bands = tracker.coalesced_bands()
-        sel = tracker.select_wires(bands)
-        assert {0, 3, 4} <= set(sel)
-        band = lay.band_layout(sel, bands)
-        assert lay._table is table
-        order = [i for i in sel if i not in (0, 3, 4)] + [0, 3, 4]
-        want = lay.wire_table().select(order, band.placements)
-        _assert_tables_equal(band.wire_table(), want)
 
     def test_every_mutation_reaches_table_and_json(self):
         """Each entry point reaches the next ``wire_table()`` and

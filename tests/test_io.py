@@ -183,14 +183,6 @@ class TestClone:
             assert repr(lay.meta) == meta, name
             assert ("clone-only",) not in lay.placements, name
 
-    def test_clone_starts_without_a_dirty_tracker(self):
-        from repro.grid.io import clone_layout
-
-        lay = layout_kary(3, 2, layers=4)
-        validate_layout(lay, incremental=True)
-        assert lay._dirty is not None
-        assert clone_layout(lay)._dirty is None
-
 
 def dict_document_json(layout) -> str:
     """The layout text as the dict/list document writer made it: one
